@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sl3web.checks import classical_sign_strings, survey
+from sl3web.checks import classical_sign_strings, flow_pairs, survey
 from sl3web.ladderweb import c_of_S
 
 
@@ -21,12 +21,7 @@ def main() -> int:
     for signs in classical_sign_strings(max_n):
         entries = survey(signs)
         flows = sum(len(e.records) for e in entries)
-        dim = 0
-        profiles = [e.by_state() for e in entries]
-        for pa in profiles:
-            for pb in profiles:
-                for j, recs in pa.items():
-                    dim += len(recs) * len(pb.get(j, []))
+        dim = sum(flow_pairs(a, b) for a in entries for b in entries)
         print(f"{signs:>8} {c_of_S(signs):>5} {len(entries):>5} {flows:>6} {dim:>8}")
     return 0
 

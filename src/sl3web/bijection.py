@@ -310,13 +310,9 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     factors_app: list[tuple[int, int]] = []
     moves: list[frozenset] = []
     for j in range(1, k + 1):
-        nodes = occ[j]
-        positions = set()
-        comps = []
-        for node in nodes:
-            before = t.truncate(j - 1).shape.component(node.comp)
-            positions.add(before.row_length(node.row) - (node.row - 1))
-            comps.append(node.comp)
+        vectors = _occupancy_vectors(t, j - 1)
+        comps = [node.comp for node in occ[j]]
+        positions = {vectors[node.comp - 1][node.row - 1] for node in occ[j]}
         if len(positions) != 1:
             raise RuntimeError(f"entry {j} moves particles at several positions")
         (p,) = positions

@@ -1,8 +1,8 @@
 """Desk-scale structural checks shared by the verify commands and the tests.
 
 Each check returns (ok, counterexample) where the counterexample is a JSON
-payload that can be replayed through the command line.  Enumeration data
-per boundary string is cached so one run can layer several checks.
+payload that can be replayed through the command line.  The cached `survey`
+enumerates each boundary once, and every flow-level check reads it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sl3web.bijection import grow, iota, roundtrip_holds
+from sl3web.bijection import grow, iota
 from sl3web.flows import (
     ClosedWeb,
     boundary_state,
@@ -42,12 +42,12 @@ def classical_sign_strings(max_n: int, min_n: int = 2) -> list[str]:
 class WebSurvey:
     tableau: tuple
     web: LadderWeb
-    # per flow: (boundary state, weight, filling degree)
-    records: tuple[tuple[tuple[int, ...], int, int], ...]
+    # per flow: (boundary state, weight, filling degree, flow, filling iota(web, flow))
+    records: tuple[tuple, ...]
 
     def by_state(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
         out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for j, w, d in self.records:
+        for j, w, d, _flow, _t in self.records:
             out.setdefault(j, []).append((w, d))
         return out
 
@@ -58,10 +58,17 @@ def survey(signs: str) -> tuple[WebSurvey, ...]:
     for rows, web in enumerate_basis(SignString(signs)):
         records = []
         for flow in enumerate_flows(web):
-            j = boundary_state(web, flow)
-            records.append((j, weight(web, flow), bkw_degree(iota(web, flow))[0]))
+            t = iota(web, flow)
+            j, w = boundary_state(web, flow), weight(web, flow)
+            records.append((j, w, bkw_degree(t)[0], flow, t))
         out.append(WebSurvey(tableau=rows, web=web, records=tuple(records)))
     return tuple(out)
+
+
+def flow_pairs(a: WebSurvey, b: WebSurvey) -> int:
+    """Pairs of flows on a and b with equal boundary states: sum_j |a_j|*|b_j|."""
+    right = b.by_state()
+    return sum(len(ws) * len(right.get(j, ())) for j, ws in a.by_state().items())
 
 
 @lru_cache(maxsize=None)
@@ -74,23 +81,22 @@ def _payload(signs: str, **extra) -> dict:
 
 
 def check_roundtrip(signs: str):
-    """grow(iota(u_f)) returns every web with flow unchanged; iota injective."""
+    """iota is injective and grow(iota(u_f)) returns every web with flow unchanged."""
     seen: dict[tuple, tuple] = {}
     for entry in survey(signs):
-        for flow in enumerate_flows(entry.web):
-            if not roundtrip_holds(entry.web, flow):
+        for _j, _w, _d, flow, t in entry.records:
+            val = (entry.web.word, flow.moves)
+            if seen.setdefault((t.shape, t.rows), val) != val:
+                return False, _payload(
+                    signs, word=str(entry.web.word), reason="iota not injective"
+                )
+            web2, flow2 = grow(t, n=entry.web.n)
+            if (web2.word, flow2.moves) != val:
                 return False, _payload(
                     signs,
                     word=str(entry.web.word),
                     flow=[sorted(h) for h in flow.moves],
                     reason="grow did not invert",
-                )
-            t = iota(entry.web, flow)
-            key = (t.shape, t.rows)
-            val = (entry.web.word, flow.moves)
-            if seen.setdefault(key, val) != val:
-                return False, _payload(
-                    signs, word=str(entry.web.word), reason="iota not injective"
                 )
     return True, None
 
@@ -98,7 +104,7 @@ def check_roundtrip(signs: str):
 def check_degree_duality(signs: str):
     """Filling degree equals minus the flow weight, flow by flow."""
     for entry in survey(signs):
-        for j, w, d in entry.records:
+        for j, w, d, _flow, _t in entry.records:
             if d != -w:
                 return False, _payload(
                     signs, word=str(entry.web.word), state=list(j), weight=w, degree=d
@@ -141,10 +147,7 @@ def check_bracket_symmetry(signs: str):
         br = bracket(ClosedWeb(a.web, b.web))
         if br != br.bar():
             return False, _payload(signs, pair=[str(a.web.word), str(b.web.word)])
-        matches = 0
-        right = b.by_state()
-        for j, ws in a.by_state().items():
-            matches += len(ws) * len(right.get(j, []))
+        matches = flow_pairs(a, b)
         if br(1) != matches:
             return False, _payload(
                 signs, pair=[str(a.web.word), str(b.web.word)],
@@ -188,10 +191,7 @@ def check_homogeneity(signs: str):
 
 
 def check_cellularity(signs: str):
-    """Cell-datum properties: homogeneity, involution, index cardinality."""
-    ok, ce = check_homogeneity(signs)
-    if not ok:
-        return ok, ce
+    """Cell-datum properties: involution, index cardinality (homogeneity is its own check)."""
     foams = cellular_basis(signs)
     for foam in foams:
         flipped = involution(foam)
@@ -203,11 +203,7 @@ def check_cellularity(signs: str):
         if fixed != (foam.top_tableau == foam.bottom_tableau):
             return False, _payload(signs, reason="involution fixes a non-diagonal")
     entries = survey(signs)
-    dim = 0
-    for a, b in itertools.product(entries, repeat=2):
-        right = b.by_state()
-        for j, ws in a.by_state().items():
-            dim += len(ws) * len(right.get(j, []))
+    dim = sum(flow_pairs(a, b) for a, b in itertools.product(entries, repeat=2))
     if len(foams) != dim:
         return False, _payload(signs, basis=len(foams), dimension=dim)
     return True, None
@@ -225,22 +221,11 @@ CHECKS = {
 }
 
 
-def run_checks(names, signs_list, jobs: int = 1):
-    """Run named checks over boundary strings; report per (check, signs).
-
-    Work units are independent; with jobs > 1 they are evaluated in a
-    thread pool and reassembled in order, so output is deterministic.
-    """
-    units = [(name, signs) for name in names for signs in signs_list]
-
-    def run(unit):
-        name, signs = unit
-        ok, ce = CHECKS[name](signs)
-        return {"check": name, "signs": signs, "ok": ok, "counterexample": ce}
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, units))
-    return [run(u) for u in units]
+def run_checks(names, signs_list):
+    """Run named checks over boundary strings, one result per (check, signs), in order."""
+    results = []
+    for name in names:
+        for signs in signs_list:
+            ok, ce = CHECKS[name](signs)
+            results.append({"check": name, "signs": signs, "ok": ok, "counterexample": ce})
+    return results

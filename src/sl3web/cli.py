@@ -12,10 +12,10 @@ import re
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
 
 from sl3web import checks
-from sl3web.bijection import grow, iota
+from sl3web.bijection import grow, iota, roundtrip_holds
 from sl3web.flows import (
     ClosedWeb,
     boundary_state,
@@ -35,25 +35,14 @@ from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 
-@dataclass
-class RunConfig:
-    """Bound parameters and output options shared by all verbs."""
-
-    format: str = "text"
-    max_n: int = 6
-    max_total_length: int = 10
-    jobs: int = 1
-    seed: int | None = None  # reserved; affects nothing semantic
-
-
 class UsageError(Exception):
     pass
 
 
-def _emit(config: RunConfig, rows: list[dict], columns: list[str], text_fn=None):
-    if config.format == "json":
+def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
+    if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
-    elif config.format == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -115,12 +104,12 @@ def _load_json(text: str, what: str):
 # -- verb implementations -----------------------------------------------------
 
 
-def cmd_webs(args, config: RunConfig) -> int:
+def cmd_webs(args) -> int:
     if args.action == "list":
         S = SignString(args.signs)
         rows, skipped = [], 0
         for tableau, web in enumerate_basis(S):
-            if web.word.total_length > config.max_total_length:
+            if web.word.total_length > args.max_total_length:
                 skipped += 1
                 continue
             rows.append(
@@ -132,10 +121,10 @@ def cmd_webs(args, config: RunConfig) -> int:
                     "total_length": web.word.total_length,
                 }
             )
-        _emit(config, rows, ["tableau", "word", "boundary", "length", "total_length"])
+        _emit(args, rows, ["tableau", "word", "boundary", "length", "total_length"])
         if skipped:
             print(
-                f"note: {skipped} webs over total length {config.max_total_length} "
+                f"note: {skipped} webs over total length {args.max_total_length} "
                 "suppressed; raise --max-total-length to see them",
                 file=sys.stderr,
             )
@@ -145,12 +134,12 @@ def cmd_webs(args, config: RunConfig) -> int:
         {"layer": i, "weights": " ".join(map(str, layer))}
         for i, layer in enumerate(web.layers)
     ]
-    _emit(config, rows, ["layer", "weights"],
+    _emit(args, rows, ["layer", "weights"],
           text_fn=lambda r: f"{r['layer']:>3}  {r['weights']}")
     return 0
 
 
-def cmd_flows(args, config: RunConfig) -> int:
+def cmd_flows(args) -> int:
     if args.action == "enumerate":
         web = _web_from_args(args)
         rows = []
@@ -166,15 +155,11 @@ def cmd_flows(args, config: RunConfig) -> int:
                     "weight": weight(web, flow),
                 }
             )
-        _emit(config, rows, ["flow", "moves", "strands", "state", "weight"],
+        _emit(args, rows, ["flow", "moves", "strands", "state", "weight"],
               text_fn=lambda r: (
                   f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  "
                   f"weight={r['weight']}"
               ))
-        return 0
-    if args.action == "bracket":
-        closed = _closed_from_pair(args.pair, args)
-        print(bracket(closed))
         return 0
     if args.action == "expand":
         web = _web_from_args(args)
@@ -183,12 +168,12 @@ def cmd_flows(args, config: RunConfig) -> int:
             {"state": json.dumps(list(j)), "coefficient": str(p)}
             for j, p in sorted(expansion.items(), reverse=True)
         ]
-        _emit(config, rows, ["state", "coefficient"])
+        _emit(args, rows, ["state", "coefficient"])
         return 0
     raise UsageError(f"unknown flows action {args.action}")
 
 
-def cmd_bij(args, config: RunConfig) -> int:
+def cmd_bij(args) -> int:
     if args.action == "iota":
         web = _web_from_args(args)
         flows = enumerate_flows(web)
@@ -196,7 +181,7 @@ def cmd_bij(args, config: RunConfig) -> int:
             raise UsageError(f"--flow must be 0..{len(flows) - 1}")
         flow = flows[args.flow]
         t = iota(web, flow)
-        if config.format == "json":
+        if args.format == "json":
             print(json.dumps(t.to_json(), sort_keys=True))
         else:
             print(t)
@@ -212,16 +197,13 @@ def cmd_bij(args, config: RunConfig) -> int:
             "moves": [sorted(h) for h in flow.moves],
             "boundary": str(web.boundary),
         }
-        if config.format == "json":
+        if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
         else:
             for k, v in payload.items():
                 print(f"{k}: {v}")
         return 0
     if args.action == "roundtrip":
-        from sl3web.bijection import roundtrip_holds
-        from sl3web.ladderweb import enumerate_basis
-
         rows, all_ok = [], True
         for _tab, web in enumerate_basis(args.signs):
             for idx, flow in enumerate(enumerate_flows(web)):
@@ -230,9 +212,9 @@ def cmd_bij(args, config: RunConfig) -> int:
                 rows.append(
                     {"word": str(web.word), "flow": idx, "ok": ok}
                 )
-        _emit(config, rows, ["word", "flow", "ok"],
+        _emit(args, rows, ["word", "flow", "ok"],
               text_fn=lambda r: f"{'pass' if r['ok'] else 'FAIL'}  {r['word']}  flow {r['flow']}")
-        if config.format == "text":
+        if args.format == "text":
             print(
                 f"roundtrip {args.signs}: "
                 + ("all flow/web pairs roundtrip" if all_ok else "FAILURES above")
@@ -241,11 +223,7 @@ def cmd_bij(args, config: RunConfig) -> int:
     raise UsageError(f"unknown bij action {args.action}")
 
 
-def cmd_foam(args, config: RunConfig) -> int:
-    if args.json:
-        config.format = "json"
-    if args.csv:
-        config.format = "csv"
+def cmd_foam(args) -> int:
     if args.action == "basis":
         rows = []
         for foam in enumerate_cellular_basis(args.signs):
@@ -257,7 +235,7 @@ def cmd_foam(args, config: RunConfig) -> int:
                     "degree": foam.degree,
                 }
             )
-        _emit(config, rows, ["shape", "top", "bottom", "degree"])
+        _emit(args, rows, ["shape", "top", "bottom", "degree"])
         return 0
     if args.action == "dims":
         rows = []
@@ -276,7 +254,7 @@ def cmd_foam(args, config: RunConfig) -> int:
                         "match": gd == br,
                     }
                 )
-        _emit(config, rows, ["top", "bottom", "graded_dim", "shifted_bracket", "match"])
+        _emit(args, rows, ["top", "bottom", "graded_dim", "shifted_bracket", "match"])
         return 0 if all(r["match"] for r in rows) else 1
     if args.action == "idem":
         data = _load_json(args.shape, "shape")
@@ -287,7 +265,7 @@ def cmd_foam(args, config: RunConfig) -> int:
             "dots": dot_placement(shape),
             "boundary": str(web.boundary),
         }
-        if config.format == "json":
+        if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
         else:
             for k, v in payload.items():
@@ -296,25 +274,18 @@ def cmd_foam(args, config: RunConfig) -> int:
     raise UsageError(f"unknown foam action {args.action}")
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     names = list(checks.CHECKS) if args.check == "all" else [args.check]
-    if args.signs:
-        signs_list = [args.signs]
-    else:
-        max_n = args.max_n if args.max_n is not None else config.max_n
-        signs_list = checks.classical_sign_strings(max_n)
-    results = checks.run_checks(names, signs_list, jobs=config.jobs)
+    signs_list = [args.signs] if args.signs else checks.classical_sign_strings(args.max_n)
+    results = checks.run_checks(names, signs_list)
     failures = [r for r in results if not r["ok"]]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
         texts = {"roundtrip": "all flow/web pairs roundtrip"}
-        by_check: dict[str, int] = {}
-        for r in results:
-            by_check[r["check"]] = by_check.get(r["check"], 0) + (0 if r["ok"] else 1)
+        failed = Counter(r["check"] for r in failures)
         for name in names:
-            good = by_check.get(name, 0) == 0
-            status = texts.get(name, "ok") if good else f"{by_check[name]} FAILURES"
+            status = f"{failed[name]} FAILURES" if failed[name] else texts.get(name, "ok")
             print(f"verify {name}: {status} over {len(signs_list)} boundaries")
         for r in failures:
             print("counterexample:", json.dumps(r, sort_keys=True))
@@ -336,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--max-n", type=int, default=6, dest="global_max_n")
     parser.add_argument("--max-total-length", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; affects nothing semantic")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_word_opts(p):
@@ -354,10 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", help="boundary sign string, e.g. '+-+-'")
     add_word_opts(p)
 
-    p = sub.add_parser("flows", help="enumerate flows, brackets, expansions")
-    p.add_argument("action", choices=("enumerate", "bracket", "expand"))
+    p = sub.add_parser("flows", help="enumerate flows, tensor expansions")
+    p.add_argument("action", choices=("enumerate", "expand"))
     add_word_opts(p)
-    p.add_argument("--pair", nargs="+", help="preset name or two ladder words")
 
     p = sub.add_parser("bij", help="webs with flows <-> standard fillings")
     p.add_argument("action", choices=("iota", "grow", "roundtrip"))
@@ -370,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("basis", "dims", "idem"))
     p.add_argument("--signs")
     p.add_argument("--shape", help="multipartition as JSON")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("bracket", help="bracket of a closed pair")
     p.add_argument("--pair", nargs="+", required=True)
@@ -381,41 +345,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run structural checks")
     p.add_argument("check", choices=tuple(checks.CHECKS) + ("all",))
     p.add_argument("--signs")
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=int, default=6)
 
     return parser
 
 
 def run(args) -> int:
-    config = RunConfig(
-        format=args.format,
-        max_n=args.global_max_n,
-        max_total_length=args.max_total_length,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
     if args.verb == "webs":
         if args.action == "list" and not args.signs:
             raise UsageError("webs list needs --signs")
-        return cmd_webs(args, config)
+        return cmd_webs(args)
     if args.verb == "flows":
-        return cmd_flows(args, config)
+        return cmd_flows(args)
     if args.verb == "bij":
         if args.action == "roundtrip" and not args.signs:
             raise UsageError("bij roundtrip needs --signs")
-        return cmd_bij(args, config)
+        return cmd_bij(args)
     if args.verb == "foam":
         if args.action in ("basis", "dims") and not args.signs:
             raise UsageError(f"foam {args.action} needs --signs")
         if args.action == "idem" and not args.shape:
             raise UsageError("foam idem needs --shape")
-        return cmd_foam(args, config)
+        return cmd_foam(args)
     if args.verb == "bracket":
         closed = _closed_from_pair(args.pair, args)
         print(bracket(closed))
         return 0
     if args.verb == "verify":
-        return cmd_verify(args, config)
+        return cmd_verify(args)
     raise UsageError(f"unknown verb {args.verb}")
 
 

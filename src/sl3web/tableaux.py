@@ -26,6 +26,10 @@ def residue(node: Node, m: int) -> int:
     return node.col - node.row + m
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
 # The divided-power correction subtracted per entry of the given multiplicity.
 _MULTIPLICITY_CORRECTION = {1: 0, 2: 1, 3: 3}
 
@@ -105,13 +109,6 @@ class Partition:
         ps[row - 1] += 1
         return Partition(ps)
 
-    def remove_cell(self, row: int, col: int) -> "Partition":
-        if (row, col) not in self.removable_cells():
-            raise ValueError(f"cell {(row, col)} not removable from {self.parts}")
-        ps = list(self.parts)
-        ps[row - 1] -= 1
-        return Partition(ps)
-
 
 class Multipartition3:
     """A triple of partitions with a fixed residue shift m.
@@ -179,10 +176,6 @@ class Multipartition3:
     def strictly_after(node: Node, ref: Node) -> bool:
         return node.comp > ref.comp or (node.comp == ref.comp and node.row > ref.row)
 
-    @staticmethod
-    def strictly_before(node: Node, ref: Node) -> bool:
-        return node.comp < ref.comp or (node.comp == ref.comp and node.row < ref.row)
-
     # -- addable / removable -------------------------------------------
 
     def addable_nodes(self, k: int) -> list[Node]:
@@ -208,11 +201,6 @@ class Multipartition3:
         pool = self.addable_nodes(k) if kind == "addable" else self.removable_nodes(k)
         return [n for n in pool if self.strictly_after(n, node)]
 
-    def nodes_before(self, node: Node, kind: str) -> list[Node]:
-        k = self.residue(node)
-        pool = self.addable_nodes(k) if kind == "addable" else self.removable_nodes(k)
-        return [n for n in pool if self.strictly_before(n, node)]
-
     def add_node(self, node: Node) -> "Multipartition3":
         comps = list(self.components)
         comps[node.comp - 1] = comps[node.comp - 1].add_cell(node.row, node.col)
@@ -228,7 +216,14 @@ class Multipartition3:
 
     @classmethod
     def from_json(cls, data: dict) -> "Multipartition3":
-        return cls(data["components"], m=data.get("m"))
+        if not isinstance(data, dict):
+            raise ValueError("shape must be a JSON object")
+        comps, m = data.get("components"), data.get("m")
+        if not (isinstance(comps, list) and len(comps) == 3 and all(map(_is_int_list, comps))):
+            raise ValueError("shape 'components' must be three lists of integers")
+        if m is not None and not isinstance(m, int):
+            raise ValueError("shape 'm' must be an integer")
+        return cls(comps, m=m)
 
 
 def dominates(a: Multipartition3, b: Multipartition3) -> bool:
@@ -400,11 +395,17 @@ class StdMultitableau3:
 
     @classmethod
     def from_json(cls, data: dict) -> "StdMultitableau3":
-        shape = Multipartition3.from_json(data["shape"])
+        if not (isinstance(data, dict) and isinstance(data.get("cells"), list)):
+            raise ValueError("tableau needs a 'shape' and a 'cells' list")
+        shape = Multipartition3.from_json(data.get("shape"))
         rows = [
             [[0] * length for length in comp.parts] for comp in shape.components
         ]
-        for r, c, l, v in data["cells"]:
+        for cell in data["cells"]:
+            if not (_is_int_list(cell) and len(cell) == 4 and 1 <= cell[2] <= 3
+                    and shape.component(cell[2]).contains(cell[0], cell[1])):
+                raise ValueError(f"tableau cell {cell!r} is not [row, col, comp, entry] in shape")
+            r, c, l, v = cell
             rows[l - 1][r - 1][c - 1] = v
         return cls(shape, rows)
 
