@@ -250,13 +250,16 @@ class WeightDiagram:
 
 
 def _occupancy_vectors(t: StdMultitableau3, j: int) -> list[list[int]]:
-    """Per component, the positions row_length(r) - (r - 1) of the truncation."""
-    trunc = t.truncate(j)
+    """Per component, the positions row_length(r) - (r - 1) of the truncation.
+
+    Row r of the truncation at j keeps the entries <= j of row r of t.
+    """
     depth = max(t.shape.m, max(len(c) for c in t.shape.components), 1) + 1
     out = []
-    for l in (1, 2, 3):
-        comp = trunc.shape.component(l)
-        out.append([comp.row_length(r) - (r - 1) for r in range(1, depth + 1)])
+    for comp in t.rows:
+        lengths = [sum(v <= j for v in row) for row in comp]
+        lengths += [0] * (depth - len(lengths))
+        out.append([length - r for r, length in enumerate(lengths)])
     return out
 
 

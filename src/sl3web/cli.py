@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import re
 import io
 import json
@@ -225,13 +226,16 @@ def cmd_bij(args) -> int:
 
 def cmd_foam(args) -> int:
     if args.action == "basis":
+        # each shape and filling recurs in many foams: serialise it once
+        shape_text = functools.cache(lambda s: json.dumps(s.to_json(), sort_keys=True))
+        cells_text = functools.cache(lambda t: json.dumps(t.to_json()["cells"]))
         rows = []
         for foam in enumerate_cellular_basis(args.signs):
             rows.append(
                 {
-                    "shape": json.dumps(foam.shape.to_json(), sort_keys=True),
-                    "top": json.dumps(foam.top_tableau.to_json()["cells"]),
-                    "bottom": json.dumps(foam.bottom_tableau.to_json()["cells"]),
+                    "shape": shape_text(foam.shape),
+                    "top": cells_text(foam.top_tableau),
+                    "bottom": cells_text(foam.bottom_tableau),
                     "degree": foam.degree,
                 }
             )

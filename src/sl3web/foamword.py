@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from sl3web.bijection import grow, iota
 from sl3web.flows import Flow, boundary_state, enumerate_flows
@@ -18,10 +19,14 @@ from sl3web.laurent import LaurentPoly, monomial
 from sl3web.ladderweb import LadderWeb, LTWord, SignString, build_web, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
+    Node,
     StdMultitableau3,
+    _same_residue_after,
     bkw_degree,
     multipartition_to_colstrict,
+    residue,
     superstandard,
+    swap_keeps_standard,
 )
 
 
@@ -92,6 +97,7 @@ class FoamWord:
 # -- idempotents and dots ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def idempotent(shape: Multipartition3, n: int | None = None) -> tuple[LTWord, LadderWeb]:
     """Undivided ladder word of a shape and its (possibly elliptic) web.
 
@@ -128,19 +134,31 @@ def orthogonality_check(a: Multipartition3, b: Multipartition3) -> bool:
 def dot_placement(shape: Multipartition3) -> list[int]:
     """Dots per node step: addable nodes of equal residue after each node
     of the superstandard filling, counted in its truncation."""
-    T = superstandard(shape)
+    return list(_dot_vector(shape))
+
+
+@lru_cache(maxsize=None)
+def _dot_vector(shape: Multipartition3) -> tuple[int, ...]:
+    # the superstandard filling grows the shape in reading order
+    lengths: tuple[list[int], ...] = ([], [], [])
     out = []
-    for k in range(1, shape.size + 1):
-        trunc = T.truncate(k)
-        (node,) = trunc.nodes_with_entry(k)
-        after = trunc.shape.nodes_after(node, "addable")
-        if len(after) > 2:
-            raise RuntimeError(
-                f"node {k} of {shape} has {len(after)} same-residue addable nodes "
-                "after it; such a shape is killed and must not arise here"
-            )
-        out.append(len(after))
-    return out
+    for l, comp in enumerate(shape.components, start=1):
+        for r, length in enumerate(comp.parts, start=1):
+            lengths[l - 1].append(0)
+            for c in range(1, length + 1):
+                lengths[l - 1][r - 1] = c
+                node = Node(r, c, l)
+                after, _removable = _same_residue_after(
+                    lengths, shape.m, node, residue(node, shape.m)
+                )
+                if after > 2:
+                    raise RuntimeError(
+                        f"node {len(out) + 1} of {shape} has {after} same-residue "
+                        "addable nodes after it; such a shape is killed and must "
+                        "not arise here"
+                    )
+                out.append(after)
+    return tuple(out)
 
 
 # -- permutations between fillings ---------------------------------------------
@@ -158,30 +176,22 @@ class Transposition:
         return f"t{self.j}"
 
 
-def apply_transposition(t: StdMultitableau3, j: int) -> StdMultitableau3 | None:
-    """Swap entries j and j+1; None if the result is not standard."""
-    swapped = {j: j + 1, j + 1: j}
-    rows = tuple(
-        tuple(tuple(swapped.get(v, v) for v in row) for row in comp)
-        for comp in t.rows
-    )
-    try:
-        return StdMultitableau3(t.shape, rows)
-    except ValueError:
-        return None
-
-
 def minimal_permutation(
     t: StdMultitableau3, reference: StdMultitableau3 | None = None
 ) -> tuple[list[Transposition], list[StdMultitableau3]]:
     """Transpositions carrying t to the reference filling, applied in order.
 
-    Works on fillings with all-distinct entries.  Repeatedly takes the
-    lowest entry sitting on the wrong node and walks the value occupying
-    its target node down one step at a time; every intermediate filling is
-    standard, which is asserted.  Returns (transpositions, intermediates)
-    where intermediates starts after the first swap and ends at the
-    reference.
+    Works on fillings with all-distinct entries.  For j = 1, 2, ... in turn,
+    if j is not on its reference node, the value w occupying that node is
+    walked down one step at a time by t(w-1), ..., tj; entries below j
+    already sit on their reference nodes and are never touched.  Every
+    swap must keep the filling standard.  For consecutive entries of a
+    standard all-distinct filling that holds exactly when j + 1 is neither
+    immediately right of nor immediately below j in one component
+    (`swap_keeps_standard`), because no other pair of entries changes
+    order; a swap that breaks the rule raises RuntimeError.  Returns
+    (transpositions, intermediates) where intermediates starts after the
+    first swap and ends at the reference.
     """
     if reference is None:
         reference = superstandard(t.shape)
@@ -191,31 +201,30 @@ def minimal_permutation(
     if any(len(nodes) > 1 for nodes in occ.values()):
         raise ValueError("minimal permutation needs all-distinct entries")
 
+    m = t.shape.m
+    node_of = {v: nodes[0] for v, nodes in occ.items()}
+    grid = [[list(row) for row in comp] for comp in t.rows]  # node -> entry
+    target = reference.entries()
     seq: list[Transposition] = []
     steps: list[StdMultitableau3] = []
-    cur = t
-    guard = 0
-    while cur != reference:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("permutation search did not terminate")
-        cur_pos = {v: nodes[0] for v, nodes in cur.entries().items()}
-        ref_pos = {v: nodes[0] for v, nodes in reference.entries().items()}
-        j = min(v for v in cur_pos if cur_pos[v] != ref_pos[v])
-        w = cur.entry_at(ref_pos[j])
-        if w <= j:
+    for j in range(1, len(node_of) + 1):
+        (goal,) = target[j]
+        w = grid[goal.comp - 1][goal.row - 1][goal.col - 1]
+        if w < j:
             raise RuntimeError("target node holds a smaller entry; not reachable")
         for v in range(w - 1, j - 1, -1):
-            res = cur.residue_sequence()
-            nxt = apply_transposition(cur, v)
-            if nxt is None:
+            low, high = node_of[v], node_of[v + 1]
+            if not swap_keeps_standard(low, high):
                 raise RuntimeError(
                     f"transposition t{v} left the standard fillings on the way "
                     f"from {t} to {reference}"
                 )
-            seq.append(Transposition(v, res[v - 1], res[v]))
-            cur = nxt
-            steps.append(cur)
+            seq.append(Transposition(v, residue(low, m), residue(high, m)))
+            node_of[v], node_of[v + 1] = high, low
+            grid[low.comp - 1][low.row - 1][low.col - 1] = v + 1
+            grid[high.comp - 1][high.row - 1][high.col - 1] = v
+            rows = tuple(tuple(map(tuple, comp)) for comp in grid)
+            steps.append(StdMultitableau3._trusted(t.shape, rows))
     return seq, steps
 
 
@@ -301,8 +310,8 @@ class BasisFoam:
     def key(self) -> tuple:
         return (
             superstandard(self.shape).residue_sequence(),
-            _serialize(self.top_tableau),
-            _serialize(self.bottom_tableau),
+            self.top_tableau.rows,
+            self.bottom_tableau.rows,
         )
 
     def __str__(self):
@@ -310,10 +319,6 @@ class BasisFoam:
             f"F[{self.shape}] top={self.top_tableau} bottom={self.bottom_tableau} "
             f"deg={self.degree}"
         )
-
-
-def _serialize(t: StdMultitableau3) -> tuple:
-    return tuple(tuple(tuple(row) for row in comp) for comp in t.rows)
 
 
 def basis_foam(
@@ -334,7 +339,7 @@ def basis_foam(
     if iota(web_b, flow_b) != bottom_tableau or iota(web_t, flow_t) != top_tableau:
         raise ValueError("fillings are not in the image of the web-to-filling map")
     lower = _half_foam_from_tableau(bottom_tableau, web_b.word)
-    upper = _half_foam_from_tableau(top_tableau, web_t.word)
+    upper = _half_foam_from_tableau(top_tableau, web_t.word).reflected()
     return _assemble_basis_foam(
         shape, top_tableau, upper, bottom_tableau, lower, _dot_generators(shape)
     )
@@ -353,16 +358,16 @@ def involution(foam: BasisFoam) -> BasisFoam:
 def _assemble_basis_foam(
     shape: Multipartition3,
     t_top: StdMultitableau3,
-    lower_top: FoamWord,
+    upper_top: FoamWord,
     t_bot: StdMultitableau3,
     lower_bot: FoamWord,
     dot_gens: tuple[FoamGen, ...],
 ) -> BasisFoam:
-    upper = lower_top.reflected()
+    """Compose the bottom half, the dots and the already reflected top half."""
     word = FoamWord(
         bottom=lower_bot.bottom,
-        top=upper.top,
-        generators=lower_bot.generators + dot_gens + upper.generators,
+        top=upper_top.top,
+        generators=lower_bot.generators + dot_gens + upper_top.generators,
     )
     foam = BasisFoam(shape, t_top, t_bot, word)
     expect = bkw_degree(t_top)[0] + bkw_degree(t_bot)[0]
@@ -386,20 +391,22 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     state, ranging over all pairs of basis webs.
     """
     S = SignString(S)
-    halves: dict[tuple, list[tuple[StdMultitableau3, FoamWord]]] = {}
+    # per flow: its filling, its half foam and that half reflected
+    halves: dict[tuple, list[tuple[StdMultitableau3, FoamWord, FoamWord]]] = {}
     for _rows, web in enumerate_basis(S):
         for flow in enumerate_flows(web):
             j = boundary_state(web, flow)
             t = iota(web, flow)
-            halves.setdefault(j, []).append((t, _half_foam_from_tableau(t, web.word)))
+            lower = _half_foam_from_tableau(t, web.word)
+            halves.setdefault(j, []).append((t, lower, lower.reflected()))
     out = []
     for j in sorted(halves):
         group = halves[j]
         shape = group[0][0].shape
         dot_gens = _dot_generators(shape)
-        for (t_top, hf_top), (t_bot, hf_bot) in itertools.product(group, repeat=2):
+        for (t_top, _, upper), (t_bot, lower, _) in itertools.product(group, repeat=2):
             out.append(
-                _assemble_basis_foam(shape, t_top, hf_top, t_bot, hf_bot, dot_gens)
+                _assemble_basis_foam(shape, t_top, upper, t_bot, lower, dot_gens)
             )
     return sorted(out, key=lambda f: f.key())
 

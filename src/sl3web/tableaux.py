@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class Node(NamedTuple):
@@ -223,7 +224,12 @@ class Multipartition3:
             raise ValueError("shape 'components' must be three lists of integers")
         if m is not None and not isinstance(m, int):
             raise ValueError("shape 'm' must be an integer")
-        return cls(comps, m=m)
+        shape = cls(comps, m=m)
+        # every node has residue col - row + m >= 1 exactly when m covers the rows
+        depth = max(len(c) for c in shape.components)
+        if m is not None and m < depth:
+            raise ValueError(f"shape 'm' = {m} is smaller than its row count {depth}")
+        return shape
 
 
 def dominates(a: Multipartition3, b: Multipartition3) -> bool:
@@ -255,13 +261,30 @@ class StdMultitableau3:
     encode divided powers.
     """
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "rows", "_entries", "_residues")
 
     def __init__(self, shape: Multipartition3, rows):
         rows = tuple(tuple(tuple(int(v) for v in row) for row in comp) for comp in rows)
+        self._init(shape, rows)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, shape: Multipartition3, rows) -> "StdMultitableau3":
+        """A filling derived from a valid one, built without revalidation.
+
+        ``rows`` must already be tuples of int tuples forming a standard
+        filling of ``shape``; only code that derives it from a validated
+        filling calls this.
+        """
+        t = object.__new__(cls)
+        t._init(shape, rows)
+        return t
+
+    def _init(self, shape: Multipartition3, rows) -> None:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
-        self._validate()
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_residues", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StdMultitableau3 is immutable")
@@ -313,26 +336,27 @@ class StdMultitableau3:
             comps.append("/".join(" ".join(str(v) for v in row) for row in comp) or "@")
         return "(" + ", ".join(comps) + ")"
 
-    def entries(self) -> dict[int, list[Node]]:
-        """Entry value -> occurrence nodes, ordered leftmost component first."""
-        occ: dict[int, list[Node]] = {}
-        for l, comp in enumerate(self.rows, start=1):
-            for r, row in enumerate(comp, start=1):
-                for c, v in enumerate(row, start=1):
-                    occ.setdefault(v, []).append(Node(r, c, l))
-        for nodes in occ.values():
-            nodes.sort(key=lambda n: n.comp)
-        return occ
+    def entries(self) -> Mapping[int, tuple[Node, ...]]:
+        """Entry value -> occurrence nodes, ordered leftmost component first.
+
+        Computed once per filling and returned read-only.
+        """
+        if self._entries is None:
+            occ: dict[int, list[Node]] = {}
+            for l, comp in enumerate(self.rows, start=1):
+                for r, row in enumerate(comp, start=1):
+                    for c, v in enumerate(row, start=1):
+                        occ.setdefault(v, []).append(Node(r, c, l))
+            frozen = MappingProxyType({v: tuple(nodes) for v, nodes in occ.items()})
+            object.__setattr__(self, "_entries", frozen)
+        return self._entries
 
     @property
     def max_entry(self) -> int:
         return max(self.entries(), default=0)
 
-    def entry_at(self, node: Node) -> int:
-        return self.rows[node.comp - 1][node.row - 1][node.col - 1]
-
-    def nodes_with_entry(self, v: int) -> list[Node]:
-        return self.entries().get(v, [])
+    def nodes_with_entry(self, v: int) -> tuple[Node, ...]:
+        return self.entries().get(v, ())
 
     def truncate(self, j: int) -> "StdMultitableau3":
         """Delete all nodes with entries strictly bigger than j (keeps m)."""
@@ -348,12 +372,16 @@ class StdMultitableau3:
             rows.append(tuple(new_rows))
             comps.append(Partition(len(r) for r in new_rows))
         shape = Multipartition3(comps, m=self.shape.m)
-        return StdMultitableau3(shape, rows)
+        # kept entries form a prefix of every row and column: still standard
+        return StdMultitableau3._trusted(shape, tuple(rows))
 
     def residue_sequence(self) -> tuple[int, ...]:
         """Residue of the entry-j nodes for j = 1..max (repeats share one)."""
-        occ = self.entries()
-        return tuple(self.shape.residue(occ[j][0]) for j in range(1, self.max_entry + 1))
+        if self._residues is None:
+            occ = self.entries()
+            seq = tuple(self.shape.residue(occ[j][0]) for j in range(1, self.max_entry + 1))
+            object.__setattr__(self, "_residues", seq)
+        return self._residues
 
     def expand_repeats(self) -> "StdMultitableau3":
         """Replace repeated entries by consecutive ones, leftmost smallest."""
@@ -410,6 +438,7 @@ class StdMultitableau3:
         return cls(shape, rows)
 
 
+@lru_cache(maxsize=None)
 def superstandard(shape: Multipartition3) -> StdMultitableau3:
     """The filling with 1..k in reading order, component by component."""
     rows, next_entry = [], 1
@@ -419,7 +448,24 @@ def superstandard(shape: Multipartition3) -> StdMultitableau3:
             comp_rows.append(tuple(range(next_entry, next_entry + length)))
             next_entry += length
         rows.append(tuple(comp_rows))
-    return StdMultitableau3(shape, rows)
+    # distinct entries growing along every row and down every column
+    return StdMultitableau3._trusted(shape, tuple(rows))
+
+
+def swap_keeps_standard(low: Node, high: Node) -> bool:
+    """Whether swapping the entries j (at ``low``) and j + 1 (at ``high``)
+    of a standard filling with all-distinct entries leaves it standard.
+
+    The swap changes the order of j and j + 1 only, and every other entry
+    is below j or above j + 1, so only a row or column step from j to
+    j + 1 can break: it does exactly when j + 1 sits immediately right of
+    j, or immediately below it, in the same component.
+    """
+    if low.comp != high.comp:
+        return True
+    beside = low.row == high.row and low.col + 1 == high.col
+    below = low.col == high.col and low.row + 1 == high.row
+    return not (beside or below)
 
 
 def bkw_degree(t: StdMultitableau3) -> tuple[int, list[int]]:
@@ -438,7 +484,7 @@ def bkw_degree(t: StdMultitableau3) -> tuple[int, list[int]]:
 @lru_cache(maxsize=None)
 def _bkw_degree_cached(t: StdMultitableau3) -> tuple[int, tuple[int, ...]]:
     m = t.shape.m
-    diagram = Multipartition3(((), (), ()), m=m)
+    lengths: tuple[list[int], ...] = ([], [], [])  # row lengths grown so far
     breakdown = []
     occ = t.entries()
     for j in range(1, t.max_entry + 1):
@@ -446,16 +492,33 @@ def _bkw_degree_cached(t: StdMultitableau3) -> tuple[int, tuple[int, ...]]:
         k = t.shape.residue(nodes[0])
         contribution = 0
         for node in nodes:
-            diagram = diagram.add_node(node)
-            after_addable = [
-                n for n in diagram.addable_nodes(k) if Multipartition3.strictly_after(n, node)
-            ]
-            after_removable = [
-                n for n in diagram.removable_nodes(k) if Multipartition3.strictly_after(n, node)
-            ]
-            contribution += len(after_addable) - len(after_removable)
+            grown = lengths[node.comp - 1]
+            if node.row > len(grown):
+                grown.append(0)
+            grown[node.row - 1] += 1
+            addable, removable = _same_residue_after(lengths, m, node, k)
+            contribution += addable - removable
         breakdown.append(contribution - _MULTIPLICITY_CORRECTION[len(nodes)])
     return sum(breakdown), tuple(breakdown)
+
+
+def _same_residue_after(
+    lengths: tuple[list[int], ...], m: int, node: Node, k: int
+) -> tuple[int, int]:
+    """Addable and removable nodes of residue k strictly after ``node`` in
+    the diagram with the given row lengths per component."""
+    addable = removable = 0
+    for l in range(node.comp, 4):
+        rows = lengths[l - 1]
+        first = node.row + 1 if l == node.comp else 1
+        for r in range(first, len(rows) + 2):
+            length = rows[r - 1] if r <= len(rows) else 0
+            below = rows[r] if r < len(rows) else 0
+            if (r == 1 or rows[r - 2] > length) and length + 1 - r + m == k:
+                addable += 1
+            if length > below and length - r + m == k:
+                removable += 1
+    return addable, removable
 
 
 def dominates_tableau(t1: StdMultitableau3, t2: StdMultitableau3) -> bool:

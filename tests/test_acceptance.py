@@ -186,7 +186,7 @@ def test_criterion_12_minimal_permutation_example():
     )
     seq, steps = minimal_permutation(start)
     assert permutation_word(seq) == "t4 t5 t3 t4 t5 t2"
-    assert len(steps) == 6  # every intermediate validated standard on construction
+    assert len(steps) == 6  # each swap passed the local standardness rule
     kind, degree = classify_transposition(2, 1)
     assert kind in ("zip", "unzip") and degree == 1
     assert classify_transposition(2, 2) == ("digon_removal", -2)

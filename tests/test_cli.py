@@ -140,6 +140,8 @@ def test_malformed_json_exits_two(capsys):
         ["bij", "grow", "--tableau",
          '{"shape":{"components":[[1],[],[]]},"cells":[[1,5,1,1]]}'],
         ["foam", "idem", "--shape", '{"components":[1,2,3]}'],
+        ["bij", "grow", "--tableau",
+         '{"shape":{"components":[[1],[],[]],"m":0},"cells":[[1,1,1,1]]}'],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from sl3web import foamword
 from sl3web.bijection import iota
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
@@ -138,6 +139,13 @@ def test_permutation_worked_example():
         (((1, 2), (3,)), ((5,),), ((4, 6), (7,))),
         (((1, 2), (3,)), ((4,),), ((5, 6), (7,))),
     ]
+
+
+def test_permutation_raises_when_a_swap_breaks_standardness(monkeypatch):
+    monkeypatch.setattr(foamword, "swap_keeps_standard", lambda low, high: False)
+    start = StdMultitableau3(mp((1,), (), (1,)), (((2,),), (), ((1,),)))
+    with pytest.raises(RuntimeError, match="left the standard fillings"):
+        minimal_permutation(start)
 
 
 def test_permutation_of_reference_is_empty():

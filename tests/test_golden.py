@@ -20,7 +20,7 @@ GOLDEN = json.loads(
 CASES = [
     *(("verify " + signs, entry) for signs, entry in GOLDEN["verify"].items()),
     *((f"query {i}", entry) for i, entry in enumerate(GOLDEN["queries"]) if i % 8 == 0),
-    ("foam ---+++", GOLDEN["foam"]["---+++"]),
+    *(("foam " + signs, entry) for signs, entry in GOLDEN["foam"].items()),
 ]
 
 

@@ -1,11 +1,13 @@
 """Multipartition combinatorics against the worked examples."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl3web.foamword import dot_placement, minimal_permutation
 from sl3web.tableaux import (
     Multipartition3,
     Node,
@@ -20,6 +22,7 @@ from sl3web.tableaux import (
     residue,
     standard_tableaux,
     superstandard,
+    swap_keeps_standard,
 )
 
 
@@ -302,3 +305,101 @@ def test_standard_tableaux_respect_invariants():
     for t in ts:
         for v, nodes in t.entries().items():
             assert len({t.shape.residue(n) for n in nodes}) == 1
+
+
+# -- validate once: the local swap rule, trusted fillings, flat degrees -----------
+
+
+def _partitions(n, cap):
+    if n == 0:
+        yield ()
+    for p in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p, *rest)
+
+
+@functools.cache
+def _all_fillings():
+    """Every standard filling of every shape with at most six nodes."""
+    out = []
+    for n in range(7):
+        for a, b in itertools.product(range(n + 1), repeat=2):
+            if a + b <= n:
+                for comps in itertools.product(
+                    _partitions(a, a), _partitions(b, b), _partitions(n - a - b, n - a - b)
+                ):
+                    out.extend(standard_tableaux(mp(*comps)))
+    return out
+
+
+def _fillings(max_nodes):
+    return [t for t in _all_fillings() if t.shape.size <= max_nodes]
+
+
+def _all_distinct(t):
+    return all(len(nodes) == 1 for nodes in t.entries().values())
+
+
+def test_swap_rule_equals_full_validation():
+    checked = 0
+    for t in filter(_all_distinct, _fillings(6)):
+        occ = t.entries()
+        for j in range(1, t.max_entry):
+            swap = {j: j + 1, j + 1: j}
+            rows = tuple(tuple(tuple(swap.get(v, v) for v in row) for row in comp) for comp in t.rows)
+            try:
+                StdMultitableau3(t.shape, rows)
+                standard = True
+            except ValueError:
+                standard = False
+            assert swap_keeps_standard(occ[j][0], occ[j + 1][0]) == standard, (t, j)
+            checked += 1
+    assert checked == 48882  # (filling, j) pairs over all shapes with <= 6 nodes
+
+
+def test_trusted_fillings_pass_full_validation():
+    # every filling up to five nodes, through each path that skips validation
+    for t in _fillings(5):
+        superstandard(t.shape)._validate()
+        for j in range(t.max_entry + 1):
+            t.truncate(j)._validate()
+        if _all_distinct(t):
+            for step in minimal_permutation(t)[1]:
+                step._validate()
+
+
+def _reference_degree(t):
+    """The degree as defined: grow the diagram node by node and count the
+    addable minus removable nodes of the entry's residue after each node."""
+    diagram = mp((), (), (), m=t.shape.m)
+    breakdown = []
+    for j in range(1, t.max_entry + 1):
+        nodes = t.entries()[j]
+        k = t.shape.residue(nodes[0])
+        contribution = 0
+        for node in nodes:
+            diagram = diagram.add_node(node)
+            contribution += sum(diagram.strictly_after(n, node) for n in diagram.addable_nodes(k))
+            contribution -= sum(diagram.strictly_after(n, node) for n in diagram.removable_nodes(k))
+        breakdown.append(contribution - {1: 0, 2: 1, 3: 3}[len(nodes)])
+    return sum(breakdown), breakdown
+
+
+def test_degree_matches_node_by_node_definition():
+    for t in _fillings(5):
+        assert bkw_degree(t) == _reference_degree(t), t
+
+
+def test_dots_match_truncation_definition():
+    # dots: addable nodes of the node's residue after it, in each truncation
+    for shape in {t.shape for t in _all_fillings()}:
+        sup = superstandard(shape)
+        want = [
+            len(sup.truncate(k).shape.nodes_after(sup.nodes_with_entry(k)[0], "addable"))
+            for k in range(1, shape.size + 1)
+        ]
+        if max(want, default=0) > 2:
+            with pytest.raises(RuntimeError):
+                dot_placement(shape)
+        else:
+            assert dot_placement(shape) == want, shape
