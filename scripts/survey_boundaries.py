@@ -11,7 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sl3web.checks import classical_sign_strings, flow_pairs, survey
+from sl3web.bijection import survey
+from sl3web.checks import classical_sign_strings, flow_pairs
 from sl3web.ladderweb import c_of_S
 
 

@@ -11,18 +11,24 @@ Every rung also carries a classification (family, type, color) determined
 by which of its four edge germs are erased and by the flow; `iota`
 cross-checks each placement against the static move table, so a
 miscalibration of the state dictionary fails loudly.
+
+`survey` is the one place that enumerates a boundary's flows and fills
+them; the checks, the cellular basis, the graded dimensions and the
+roundtrips all read its records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
-from sl3web.flows import COLORS, Flow, flow_to_colstrict
-from sl3web.ladderweb import LadderWeb, LTWord, build_web
+from sl3web.flows import COLORS, Flow, boundary_state, enumerate_flows, flow_to_colstrict
+from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
     Node,
     StdMultitableau3,
+    bkw_degree,
     colstrict_to_multipartition,
 )
 
@@ -334,8 +340,38 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     return web, Flow(web, tuple(moves))
 
 
-def roundtrip_holds(web: LadderWeb, flow: Flow) -> bool:
-    """Whether grow(iota(web, flow)) returns the web and flow unchanged."""
-    t = iota(web, flow)
+def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
+    """Whether grow(t), for t = iota(web, flow), returns the web and flow unchanged."""
     web2, flow2 = grow(t, n=web.n)
     return web2.word == web.word and flow2.moves == flow.moves
+
+
+# -- the boundary survey --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WebSurvey:
+    """A basis web with every flow on it enumerated and filled once."""
+
+    web: LadderWeb
+    # per flow: (boundary state, filling degree, flow, filling iota(web, flow))
+    records: tuple[tuple, ...]
+    # boundary state -> filling degrees of the flows with that state, in flow order
+    by_state: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
+
+
+def survey_web(web: LadderWeb) -> WebSurvey:
+    """Enumerate the flows on one web, with their states, fillings and degrees."""
+    records, by_state = [], {}
+    for flow in enumerate_flows(web):
+        t = iota(web, flow)
+        j, d = boundary_state(web, flow), bkw_degree(t)[0]
+        records.append((j, d, flow, t))
+        by_state.setdefault(j, []).append(d)
+    return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
+
+
+@lru_cache(maxsize=None)
+def survey(signs: str) -> tuple[WebSurvey, ...]:
+    """The basis webs over a classical sign string, each surveyed once."""
+    return tuple(survey_web(web) for _rows, web in enumerate_basis(signs))

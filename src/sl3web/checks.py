@@ -1,29 +1,30 @@
 """Desk-scale structural checks shared by the verify commands and the tests.
 
 Each check returns (ok, counterexample) where the counterexample is a JSON
-payload that can be replayed through the command line.  The cached `survey`
-enumerates each boundary once, and every flow-level check reads it.
+payload that can be replayed through the command line.  Every flow-level
+check folds over `bijection.survey`, which enumerates and fills each
+boundary once; the bracket, the tensor expansion and the canonical flow
+keep their own enumeration in `flows` as the second code path the
+bracket-symmetry, graded-dim and unitriangularity checks compare against.
+`run_checks` turns an exception inside one check into a failing result.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from sl3web.bijection import grow, iota
+from sl3web.bijection import WebSurvey, roundtrip_holds, survey
 from sl3web.flows import (
     ClosedWeb,
     boundary_state,
     bracket,
     canonical_flow,
-    enumerate_flows,
     tensor_expansion,
     weight,
 )
-from sl3web.foamword import enumerate_cellular_basis, involution
-from sl3web.laurent import LaurentPoly, monomial
-from sl3web.ladderweb import LadderWeb, SignString, enumerate_basis
+from sl3web.foamword import enumerate_cellular_basis, graded_dim_pair, involution
+from sl3web.laurent import monomial
 from sl3web.tableaux import bkw_degree
 
 
@@ -38,37 +39,10 @@ def classical_sign_strings(max_n: int, min_n: int = 2) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class WebSurvey:
-    tableau: tuple
-    web: LadderWeb
-    # per flow: (boundary state, weight, filling degree, flow, filling iota(web, flow))
-    records: tuple[tuple, ...]
-
-    def by_state(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for j, w, d, _flow, _t in self.records:
-            out.setdefault(j, []).append((w, d))
-        return out
-
-
-@lru_cache(maxsize=None)
-def survey(signs: str) -> tuple[WebSurvey, ...]:
-    out = []
-    for rows, web in enumerate_basis(SignString(signs)):
-        records = []
-        for flow in enumerate_flows(web):
-            t = iota(web, flow)
-            j, w = boundary_state(web, flow), weight(web, flow)
-            records.append((j, w, bkw_degree(t)[0], flow, t))
-        out.append(WebSurvey(tableau=rows, web=web, records=tuple(records)))
-    return tuple(out)
-
-
 def flow_pairs(a: WebSurvey, b: WebSurvey) -> int:
     """Pairs of flows on a and b with equal boundary states: sum_j |a_j|*|b_j|."""
-    right = b.by_state()
-    return sum(len(ws) * len(right.get(j, ())) for j, ws in a.by_state().items())
+    right = b.by_state
+    return sum(len(ds) * len(right.get(j, ())) for j, ds in a.by_state.items())
 
 
 @lru_cache(maxsize=None)
@@ -84,14 +58,13 @@ def check_roundtrip(signs: str):
     """iota is injective and grow(iota(u_f)) returns every web with flow unchanged."""
     seen: dict[tuple, tuple] = {}
     for entry in survey(signs):
-        for _j, _w, _d, flow, t in entry.records:
+        for _j, _d, flow, t in entry.records:
             val = (entry.web.word, flow.moves)
             if seen.setdefault((t.shape, t.rows), val) != val:
                 return False, _payload(
                     signs, word=str(entry.web.word), reason="iota not injective"
                 )
-            web2, flow2 = grow(t, n=entry.web.n)
-            if (web2.word, flow2.moves) != val:
+            if not roundtrip_holds(entry.web, flow, t):
                 return False, _payload(
                     signs,
                     word=str(entry.web.word),
@@ -104,7 +77,8 @@ def check_roundtrip(signs: str):
 def check_degree_duality(signs: str):
     """Filling degree equals minus the flow weight, flow by flow."""
     for entry in survey(signs):
-        for j, w, d, _flow, _t in entry.records:
+        for j, d, flow, _t in entry.records:
+            w = weight(entry.web, flow)
             if d != -w:
                 return False, _payload(
                     signs, word=str(entry.web.word), state=list(j), weight=w, degree=d
@@ -115,7 +89,7 @@ def check_degree_duality(signs: str):
 def check_unitriangularity(signs: str):
     """Tensor coefficients: exactly 1 at the defining state, rest lower."""
     for entry in survey(signs):
-        cf = canonical_flow(entry.web, entry.tableau)
+        cf = canonical_flow(entry.web, entry.web.tableau)
         leading = boundary_state(entry.web, cf)
         expansion = tensor_expansion(entry.web)
         if expansion.get(leading) != monomial(0):
@@ -161,12 +135,7 @@ def check_graded_dim(signs: str):
     entries = survey(signs)
     n = len(signs)
     for a, b in itertools.product(entries, repeat=2):
-        lhs = LaurentPoly()
-        right = b.by_state()
-        for j, recs in a.by_state().items():
-            for _w1, d1 in recs:
-                for _w2, d2 in right.get(j, []):
-                    lhs = lhs + monomial(d1 + d2)
+        lhs = graded_dim_pair(a, b)
         rhs = bracket(ClosedWeb(a.web, b.web)).shift(n)
         if lhs != rhs:
             return False, _payload(
@@ -222,10 +191,20 @@ CHECKS = {
 
 
 def run_checks(names, signs_list):
-    """Run named checks over boundary strings, one result per (check, signs), in order."""
+    """Run named checks over boundary strings, one result per (check, signs), in order.
+
+    An exception inside one check on one boundary is a failure whose
+    counterexample names the error and the command that replays it.
+    """
     results = []
     for name in names:
         for signs in signs_list:
-            ok, ce = CHECKS[name](signs)
+            try:
+                ok, ce = CHECKS[name](signs)
+            except Exception as e:
+                ok, ce = False, _payload(
+                    signs, error=f"{type(e).__name__}: {e}",
+                    replay=f"sl3web verify {name} --signs {signs}",
+                )
             results.append({"check": name, "signs": signs, "ok": ok, "counterexample": ce})
     return results

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from sl3web import checks
-from sl3web.bijection import grow, iota, roundtrip_holds
+from sl3web.bijection import grow, iota, roundtrip_holds, survey
 from sl3web.flows import (
     ClosedWeb,
     boundary_state,
@@ -206,12 +206,12 @@ def cmd_bij(args) -> int:
         return 0
     if args.action == "roundtrip":
         rows, all_ok = [], True
-        for _tab, web in enumerate_basis(args.signs):
-            for idx, flow in enumerate(enumerate_flows(web)):
-                ok = roundtrip_holds(web, flow)
+        for entry in survey(args.signs):
+            for idx, (_j, _d, flow, t) in enumerate(entry.records):
+                ok = roundtrip_holds(entry.web, flow, t)
                 all_ok &= ok
                 rows.append(
-                    {"word": str(web.word), "flow": idx, "ok": ok}
+                    {"word": str(entry.web.word), "flow": idx, "ok": ok}
                 )
         _emit(args, rows, ["word", "flow", "ok"],
               text_fn=lambda r: f"{'pass' if r['ok'] else 'FAIL'}  {r['word']}  flow {r['flow']}")
@@ -243,16 +243,15 @@ def cmd_foam(args) -> int:
         return 0
     if args.action == "dims":
         rows = []
-        S = SignString(args.signs)
-        basis = enumerate_basis(S)
-        for ti, u in basis:
-            for tj, v in basis:
-                gd = graded_dim_pair(u, v)
-                br = bracket(ClosedWeb(u, v)).shift(len(S))
+        entries = survey(args.signs)
+        for a in entries:
+            for b in entries:
+                gd = graded_dim_pair(a, b)
+                br = bracket(ClosedWeb(a.web, b.web)).shift(len(args.signs))
                 rows.append(
                     {
-                        "top": str(u.word),
-                        "bottom": str(v.word),
+                        "top": str(a.web.word),
+                        "bottom": str(b.web.word),
                         "graded_dim": str(gd),
                         "shifted_bracket": str(br),
                         "match": gd == br,
@@ -279,6 +278,8 @@ def cmd_foam(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.signs and not SignString(args.signs).is_classical:
+        raise UsageError(f"verify needs a classical sign string, got {args.signs}")
     names = list(checks.CHECKS) if args.check == "all" else [args.check]
     signs_list = [args.signs] if args.signs else checks.classical_sign_strings(args.max_n)
     results = checks.run_checks(names, signs_list)

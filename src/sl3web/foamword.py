@@ -3,20 +3,20 @@
 Foams are never evaluated topologically.  A foam word records an ordered
 list of generators (zips, unzips, digon removals, shifts, dots, identity)
 together with bottom and top ladder words; its degree is the sum of the
-generator degrees.  Generator-level signs are not modeled: each word
-carries a global sign, fixed at +1 and excluded from equality.
+generator degrees.  Signs are not modeled.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sl3web.bijection import grow, iota
-from sl3web.flows import Flow, boundary_state, enumerate_flows
-from sl3web.laurent import LaurentPoly, monomial
-from sl3web.ladderweb import LadderWeb, LTWord, SignString, build_web, enumerate_basis
+from sl3web.bijection import WebSurvey, grow, iota, survey, survey_web
+from sl3web.flows import Flow
+from sl3web.laurent import LaurentPoly
+from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
     Multipartition3,
     Node,
@@ -62,7 +62,6 @@ class FoamWord:
     bottom: LTWord
     top: LTWord
     generators: tuple[FoamGen, ...]
-    sign: int = 1
 
     @property
     def degree(self) -> int:
@@ -73,21 +72,7 @@ class FoamWord:
             bottom=self.top,
             top=self.bottom,
             generators=tuple(g.reflected() for g in reversed(self.generators)),
-            sign=self.sign,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, FoamWord):
-            return NotImplemented
-        # the global sign is bookkeeping only
-        return (
-            self.bottom == other.bottom
-            and self.top == other.top
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.bottom, self.top, self.generators))
 
     def __str__(self):
         gens = " . ".join(str(g) for g in self.generators) or "id"
@@ -390,14 +375,11 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     One element per boundary state and ordered pair of flows with that
     state, ranging over all pairs of basis webs.
     """
-    S = SignString(S)
     # per flow: its filling, its half foam and that half reflected
     halves: dict[tuple, list[tuple[StdMultitableau3, FoamWord, FoamWord]]] = {}
-    for _rows, web in enumerate_basis(S):
-        for flow in enumerate_flows(web):
-            j = boundary_state(web, flow)
-            t = iota(web, flow)
-            lower = _half_foam_from_tableau(t, web.word)
+    for entry in survey(str(S)):
+        for j, _d, _flow, t in entry.records:
+            lower = _half_foam_from_tableau(t, entry.web.word)
             halves.setdefault(j, []).append((t, lower, lower.reflected()))
     out = []
     for j in sorted(halves):
@@ -411,23 +393,17 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     return sorted(out, key=lambda f: f.key())
 
 
-def graded_dim_pair(u: LadderWeb, v: LadderWeb) -> LaurentPoly:
-    """Graded dimension between two basis webs, from filling degrees.
+def graded_dim_pair(a: WebSurvey, b: WebSurvey) -> LaurentPoly:
+    """Graded dimension between two surveyed basis webs, from filling degrees.
 
     Sums q^(deg + deg) over pairs of flows sharing a boundary state; the
     companion identity (tested, not assumed) is q^n * bracket(u glued v).
     """
-    by_state: dict[tuple, list[int]] = {}
-    for flow in enumerate_flows(v):
-        j = boundary_state(v, flow)
-        by_state.setdefault(j, []).append(bkw_degree(iota(v, flow))[0])
-    out = LaurentPoly()
-    for flow in enumerate_flows(u):
-        j = boundary_state(u, flow)
-        d1 = bkw_degree(iota(u, flow))[0]
-        for d2 in by_state.get(j, []):
-            out = out + monomial(d1 + d2)
-    return out
+    right = b.by_state
+    exponents = Counter(
+        d1 + d2 for j, left in a.by_state.items() for d1 in left for d2 in right.get(j, ())
+    )
+    return LaurentPoly(exponents)
 
 
 def web_of_shape(shape: Multipartition3) -> LadderWeb:
@@ -450,4 +426,4 @@ def graded_dim(shape_a: Multipartition3, shape_b: Multipartition3) -> LaurentPol
     u, v = web_of_shape(shape_a), web_of_shape(shape_b)
     if u.boundary != v.boundary:
         raise ValueError("shapes encode different boundaries")
-    return graded_dim_pair(u, v).shift(-u.n)
+    return graded_dim_pair(survey_web(u), survey_web(v)).shift(-u.n)

@@ -72,14 +72,6 @@ class SignString:
         return all(s in "+-" for s in self.signs)
 
     @property
-    def n_plus(self) -> int:
-        return sum(1 for s in self.signs if s == "+")
-
-    @property
-    def n_minus(self) -> int:
-        return sum(1 for s in self.signs if s == "-")
-
-    @property
     def ell(self) -> int:
         return sum(self.weights()) // 3
 
@@ -202,14 +194,6 @@ class LadderWeb:
     @property
     def boundary(self) -> SignString:
         return SignString(tuple(WEIGHT_TO_SIGN[w] for w in self.layers[-1]))
-
-    def rungs(self) -> list[tuple[int, int, tuple[int, int]]]:
-        """(index, power, (left, right) weights below) in application order."""
-        out = []
-        for step, (i, j) in enumerate(self.word.application_order()):
-            before = self.layers[step]
-            out.append((i, j, (before[i - 1], before[i])))
-        return out
 
     def __str__(self):
         return f"{self.word} on {self.n} strands (level {self.ell})"

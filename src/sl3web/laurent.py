@@ -41,9 +41,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -51,12 +48,6 @@ class LaurentPoly:
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
@@ -155,7 +146,6 @@ def _term_str(c: int, e: int) -> str:
     return q if c == 1 else f"{c}*{q}"
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
 

@@ -155,17 +155,6 @@ class Multipartition3:
     def component(self, l: int) -> Partition:
         return self.components[l - 1]
 
-    def nodes(self) -> list[Node]:
-        """All nodes in component, then row, then column order."""
-        out = []
-        for l, comp in enumerate(self.components, start=1):
-            for r, c in comp.cells():
-                out.append(Node(r, c, l))
-        return out
-
-    def contains(self, node: Node) -> bool:
-        return self.component(node.comp).contains(node.row, node.col)
-
     def residue(self, node: Node) -> int:
         return residue(node, self.m)
 

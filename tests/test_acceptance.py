@@ -6,7 +6,6 @@ string with at most six strands.  Run with -s to see one line per
 criterion.
 """
 
-import itertools
 import time
 
 from sl3web import checks
@@ -27,8 +26,8 @@ from sl3web.foamword import (
     permutation_word,
 )
 from sl3web.laurent import LaurentPoly, qint
-from sl3web.ladderweb import LTWord, enumerate_basis, lt_generators, web_from_tableau
-from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
+from sl3web.ladderweb import lt_generators, web_from_tableau
+from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree
 
 MAX_N = 6
 BUDGETS = {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 60, 7: 60, 8: 60, 9: 120, 10: 60, 11: 60, 12: 1}

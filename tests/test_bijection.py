@@ -1,7 +1,5 @@
 """Webs with flows to standard fillings and back."""
 
-import pytest
-
 from sl3web.bijection import (
     MOVE_TABLE,
     classify_step,
@@ -189,7 +187,7 @@ def test_roundtrip_exhaustive_small():
     for signs in classical_sign_strings(5):
         for _rows, web in enumerate_basis(signs):
             for flow in enumerate_flows(web):
-                assert roundtrip_holds(web, flow)
+                assert roundtrip_holds(web, flow, iota(web, flow))
 
 
 def test_iota_injective_small():

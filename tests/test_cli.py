@@ -143,6 +143,8 @@ def test_malformed_json_exits_two(capsys):
         ["foam", "idem", "--shape", '{"components":[1,2,3]}'],
         ["bij", "grow", "--tableau",
          '{"shape":{"components":[[1],[],[]],"m":0},"cells":[[1,1,1,1]]}'],
+        ["verify", "all", "--signs", "++"],
+        ["verify", "all", "--signs", "+o-"],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):

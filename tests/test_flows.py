@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from sl3web.checks import classical_sign_strings, survey
+from sl3web.bijection import survey
+from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
     COLORS,
     ClosedWeb,
@@ -238,6 +239,6 @@ def test_unitriangularity_exhaustive_small():
     for signs in classical_sign_strings(5):
         for entry in survey(signs):
             expansion = tensor_expansion(entry.web)
-            leading = boundary_state(entry.web, canonical_flow(entry.web, entry.tableau))
+            leading = boundary_state(entry.web, canonical_flow(entry.web, entry.web.tableau))
             assert expansion[leading] == LaurentPoly({0: 1})
             assert all(j <= leading for j in expansion)

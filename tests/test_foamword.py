@@ -9,7 +9,6 @@ from sl3web.bijection import iota
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
 from sl3web.foamword import (
-    BasisFoam,
     basis_foam,
     classify_transposition,
     dot_placement,

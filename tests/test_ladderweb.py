@@ -15,7 +15,6 @@ from sl3web.ladderweb import (
     enumerate_basis,
     lt_generators,
     semistandard_tableaux,
-    web_from_tableau,
 )
 
 

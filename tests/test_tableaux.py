@@ -11,7 +11,6 @@ from sl3web.foamword import dot_placement, minimal_permutation
 from sl3web.tableaux import (
     Multipartition3,
     Node,
-    Partition,
     StdMultitableau3,
     bkw_degree,
     colstrict_to_multipartition,
