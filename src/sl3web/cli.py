@@ -23,7 +23,6 @@ from sl3web.flows import (
     bracket,
     enumerate_flows,
     tensor_expansion,
-    weight,
 )
 from sl3web.foamword import (
     dot_placement,
@@ -153,7 +152,7 @@ def cmd_flows(args) -> int:
                         [[sorted(s) for s in layer] for layer in flow.subsets()]
                     ),
                     "state": json.dumps(list(boundary_state(web, flow))),
-                    "weight": weight(web, flow),
+                    "weight": flow.exponent,
                 }
             )
         _emit(args, rows, ["flow", "moves", "strands", "state", "weight"],

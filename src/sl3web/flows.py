@@ -8,18 +8,23 @@ application order.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
-the sum over rungs is the weight of the flow on a web with boundary.  For a
-closed web, presented as a pair (u, v) glued along a common boundary, the
-pairing adds one plus the boundary state per strand.  The convention is
-pinned by reports/calibration.md and by the exact divided-power identity
-checked in _transition_poly.
+the sum over rungs is the weight of the flow on a web with boundary.  The
+flow vector A_w(j) of a web sums q^-weight over its flows of boundary state
+j.  A closed web, presented as a pair (u, v) glued along a common boundary,
+adds one plus the boundary state per strand, so its bracket is the bilinear
+form sum_j q^-(len j + sum j) A_u(j) A_v(j); `closed_flows` and
+`closed_weight` are the flow-by-flow definition the form is tested against.
+The convention is pinned by reports/calibration.md and by the exact
+divided-power identity checked in _transition_poly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from sl3web.laurent import LaurentPoly, monomial, qfactorial
 from sl3web.ladderweb import LadderWeb
@@ -85,10 +90,14 @@ class Flow:
 
     web: LadderWeb
     moves: tuple[frozenset, ...]
+    # strand subsets per layer: given by enumerate_flows, else validated lazily
+    layers: tuple | None = field(default=None, compare=False, repr=False)
 
     def subsets(self) -> tuple[tuple[frozenset, ...], ...]:
         """Strand subsets per layer, bottom to top."""
-        return _subset_layers(self.web, self.moves)
+        if self.layers is None:
+            object.__setattr__(self, "layers", _subset_layers(self.web, self.moves))
+        return self.layers
 
     @property
     def exponent(self) -> int:
@@ -102,58 +111,46 @@ class Flow:
     def top_subsets(self) -> tuple[frozenset, ...]:
         return self.subsets()[-1]
 
-    def to_json(self) -> dict:
-        return {
-            "word": self.web.word.to_json(),
-            "n": self.web.n,
-            "ell": self.web.ell,
-            "moves": [sorted(h) for h in self.moves],
-            "weight": weight(self.web, self),
-            "boundary_state": list(boundary_state(self.web, self)),
-        }
+
+def _bottom_subsets(web: LadderWeb) -> tuple[frozenset, ...]:
+    return tuple(frozenset(COLORS) if w == 3 else frozenset() for w in web.layers[0])
 
 
 def _subset_layers(web: LadderWeb, moves) -> tuple[tuple[frozenset, ...], ...]:
-    bottom = tuple(
-        frozenset(COLORS) if w == 3 else frozenset() for w in web.layers[0]
-    )
-    layers = [bottom]
+    layers = [_bottom_subsets(web)]
     for step, (i, j) in enumerate(web.word.application_order()):
         cur = list(layers[-1])
         h = moves[step]
         if len(h) != j or not h <= cur[i - 1] or (h & cur[i]):
             raise ValueError(f"illegal move {sorted(h)} at step {step + 1}")
-        cur[i - 1] = cur[i - 1] - h
-        cur[i] = cur[i] | h
+        cur[i - 1], cur[i] = cur[i - 1] - h, cur[i] | h
         layers.append(tuple(cur))
     return tuple(layers)
 
 
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
-    flows: list[Flow] = []
+    partial = [((), (_bottom_subsets(web),))]  # (moves, layers) per flow prefix
+    for i, j in web.word.application_order():
+        grown = []
+        for moves, layers in partial:
+            cur = layers[-1]
+            for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
+                h = frozenset(combo)
+                nxt = list(cur)
+                nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
+                grown.append((moves + (h,), layers + (tuple(nxt),)))
+        partial = grown
+    return [Flow(web, moves, layers) for moves, layers in partial]
 
-    def rec(step: int, subsets: tuple[frozenset, ...], chosen: list[frozenset]):
-        order = web.word.application_order()
-        if step == len(order):
-            flows.append(Flow(web, tuple(chosen)))
-            return
-        i, j = order[step]
-        movable = sorted(subsets[i - 1] - subsets[i])
-        for combo in itertools.combinations(movable, j):
-            h = frozenset(combo)
-            nxt = list(subsets)
-            nxt[i - 1] = nxt[i - 1] - h
-            nxt[i] = nxt[i] | h
-            chosen.append(h)
-            rec(step + 1, tuple(nxt), chosen)
-            chosen.pop()
 
-    bottom = tuple(
-        frozenset(COLORS) if w == 3 else frozenset() for w in web.layers[0]
-    )
-    rec(0, bottom, [])
-    return flows
+@lru_cache(maxsize=None)
+def flow_vector(web: LadderWeb) -> MappingProxyType[tuple[int, ...], LaurentPoly]:
+    """Sum of q^-exponent over the flows of the web, per boundary state (read-only)."""
+    counts: dict[tuple[int, ...], Counter] = {}
+    for f in enumerate_flows(web):
+        counts.setdefault(boundary_state(web, f), Counter())[-f.exponent] += 1
+    return MappingProxyType({j: LaurentPoly(c) for j, c in counts.items()})
 
 
 # -- boundary states ---------------------------------------------------------
@@ -181,13 +178,6 @@ def boundary_state(web: LadderWeb, flow: Flow) -> tuple[int, ...]:
     return tuple(out)
 
 
-def weight(web, flow) -> int:
-    """Total weight of a flow (rung-local exponents; pairing term if closed)."""
-    if isinstance(web, ClosedWeb):
-        return closed_weight(web, flow)
-    return flow.exponent
-
-
 # -- closed webs as glued pairs ----------------------------------------------
 
 
@@ -204,9 +194,28 @@ class ClosedWeb:
                 f"boundaries differ: {self.u.boundary} vs {self.v.boundary}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.u.n
+
+def _pairing_exponent(j: tuple[int, ...]) -> int:
+    return len(j) + sum(j)
+
+
+def bracket(web) -> LaurentPoly:
+    """Kuperberg bracket of a closed web: sum of q^(-weight) over its flows."""
+    if isinstance(web, ClosedWeb):
+        right = flow_vector(web.v)
+        out = LaurentPoly()
+        for j, a in flow_vector(web.u).items():
+            if j in right:
+                out = out + (a * right[j]).shift(-_pairing_exponent(j))
+        return out
+    if isinstance(web, LadderWeb):
+        if any(w in (1, 2) for w in web.layers[-1]):
+            raise ValueError(f"web with boundary {web.boundary} is not closed")
+        return flow_vector(web).get((), LaurentPoly())
+    raise TypeError(f"cannot take the bracket of {web!r}")
+
+
+# -- the flow-by-flow definition of the closed bracket ---------------------------
 
 
 @dataclass(frozen=True)
@@ -234,23 +243,6 @@ def closed_weight(closed: ClosedWeb, cf: ClosedFlow) -> int:
     return cf.bottom.exponent + cf.top.exponent + len(j) + sum(j)
 
 
-def bracket(web) -> LaurentPoly:
-    """Kuperberg bracket of a closed web: sum of q^(-weight) over flows."""
-    if isinstance(web, ClosedWeb):
-        out = LaurentPoly()
-        for cf in closed_flows(web):
-            out = out + monomial(-closed_weight(web, cf))
-        return out
-    if isinstance(web, LadderWeb):
-        if any(w in (1, 2) for w in web.layers[-1]):
-            raise ValueError(f"web with boundary {web.boundary} is not closed")
-        out = LaurentPoly()
-        for f in enumerate_flows(web):
-            out = out + monomial(-f.exponent)
-        return out
-    raise TypeError(f"cannot take the bracket of {web!r}")
-
-
 # -- tensor expansion --------------------------------------------------------
 
 
@@ -258,15 +250,12 @@ def tensor_expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
     """Coefficients of the web on elementary tensors, indexed by states.
 
     Each flow contributes v^weight with v = -q^(-1), i.e. the monomial
-    (-1)^w q^(-w); coefficients are returned as Laurent polynomials in q.
+    (-1)^w q^(-w): the flow vector with q -> -q.
     """
-    out: dict[tuple[int, ...], LaurentPoly] = {}
-    for f in enumerate_flows(web):
-        j = boundary_state(web, f)
-        w = f.exponent
-        term = monomial(-w, (-1) ** (w % 2))
-        out[j] = out.get(j, LaurentPoly()) + term
-    return {j: p for j, p in out.items() if not p.is_zero}
+    return {
+        j: LaurentPoly({e: -c if e % 2 else c for e, c in p.items()})
+        for j, p in flow_vector(web).items()
+    }
 
 
 # -- column-strict reading and the canonical flow ----------------------------

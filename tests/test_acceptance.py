@@ -99,9 +99,7 @@ def test_criterion_04_worked_fillings_reproduced():
             f for f in enumerate_flows(web) if boundary_state(web, f) == state
         ]
         if weight_filter is not None:
-            from sl3web.flows import weight
-
-            hits = [f for f in hits if weight(web, f) == weight_filter]
+            hits = [f for f in hits if f.exponent == weight_filter]
         (flow,) = hits
         return iota(web, flow).rows
 

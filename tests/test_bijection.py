@@ -10,7 +10,7 @@ from sl3web.bijection import (
     weight_diagram_tower,
 )
 from sl3web.checks import classical_sign_strings
-from sl3web.flows import boundary_state, enumerate_flows, flow_to_colstrict, weight
+from sl3web.flows import boundary_state, enumerate_flows, flow_to_colstrict
 from sl3web.ladderweb import enumerate_basis, web_from_tableau
 from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
 
@@ -82,7 +82,7 @@ def test_iota_hexagon_eleven_steps():
     f = next(
         fl
         for fl in enumerate_flows(HEX)
-        if boundary_state(HEX, fl) == (0, 0, 0, 0, 0, 0) and weight(HEX, fl) == -2
+        if boundary_state(HEX, fl) == (0, 0, 0, 0, 0, 0) and fl.exponent == -2
     )
     t = iota(HEX, f)
     assert t.rows == (
@@ -125,7 +125,7 @@ def test_tower_of_hexagon_filling():
     f = next(
         fl
         for fl in enumerate_flows(HEX)
-        if boundary_state(HEX, fl) == (0, 0, 0, 0, 0, 0) and weight(HEX, fl) == -2
+        if boundary_state(HEX, fl) == (0, 0, 0, 0, 0, 0) and fl.exponent == -2
     )
     tower = weight_diagram_tower(iota(HEX, f))
     assert len(tower) == 12
@@ -205,7 +205,7 @@ def test_degree_equals_minus_weight_small():
     for signs in classical_sign_strings(5):
         for _rows, web in enumerate_basis(signs):
             for flow in enumerate_flows(web):
-                assert bkw_degree(iota(web, flow))[0] == -weight(web, flow)
+                assert bkw_degree(iota(web, flow))[0] == -flow.exponent
 
 
 def test_isotopy_invariance_of_circle_pair_degrees():

@@ -3,10 +3,11 @@
 import contextlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from sl3web import bijection, checks, foamword
+from sl3web import bijection, checks, flows, foamword
 from sl3web.cli import main
 from sl3web.flows import Flow, enumerate_flows
 from sl3web.ladderweb import enumerate_basis
@@ -14,14 +15,18 @@ from sl3web.ladderweb import enumerate_basis
 SIGNS = "+-+-"
 
 
+def _clear_caches():
+    bijection.survey.cache_clear()
+    checks.cellular_basis.cache_clear()
+    flows.flow_vector.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_survey():
-    # a patched iota must neither see nor leave a cached survey or basis
-    bijection.survey.cache_clear()
-    checks.cellular_basis.cache_clear()
+    # a patched iota must neither see nor leave a cached survey, basis or flow vector
+    _clear_caches()
     yield
-    bijection.survey.cache_clear()
-    checks.cellular_basis.cache_clear()
+    _clear_caches()
 
 
 def test_roundtrip_fails_when_grow_drops_a_move(monkeypatch):
@@ -67,6 +72,49 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
     foamword.enumerate_cellular_basis(SIGNS)
     flows = sum(len(enumerate_flows(web)) for _rows, web in enumerate_basis(SIGNS))
     assert len(calls) == flows
+
+
+def test_checks_enumerate_each_web_at_most_three_times(monkeypatch):
+    # the survey, the flow vector and the canonical flow; never once per pair
+    real = flows.enumerate_flows
+    calls: Counter = Counter()
+
+    def counted(web):
+        calls[web] += 1
+        return real(web)
+
+    for mod in (flows, bijection):
+        monkeypatch.setattr(mod, "enumerate_flows", counted)
+    results = checks.run_checks(list(checks.CHECKS), [SIGNS])
+    assert all(r["ok"] for r in results), results
+    assert len(calls) == len(enumerate_basis(SIGNS))
+    assert max(calls.values()) <= 3, calls
+
+
+@pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])
+def test_off_pairing_fails_bracket_checks(monkeypatch, signs):
+    monkeypatch.setattr(flows, "_pairing_exponent", lambda j: len(j) + 1 + sum(j))
+    assert not checks.check_graded_dim(signs)[0]
+    assert not checks.check_bracket_symmetry(signs)[0]
+
+
+def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
+    # the n >= 7 defect in small: one web twice, another missing
+    first, _second = enumerate_basis(SIGNS)
+    for mod in (bijection, checks):
+        monkeypatch.setattr(mod, "enumerate_basis", lambda signs: [first, first])
+    ok, ce = checks.check_total_length(SIGNS)
+    assert not ok
+    assert ce["repeated_words"] == [str(first[1].word)]
+    ok, ce = checks.check_unitriangularity(SIGNS)
+    assert not ok
+    assert ce["reason"] == "two basis webs share their defining state"
+
+
+@pytest.mark.xfail(strict=True, reason="lt_generators gives two tableaux one web (ROADMAP item 1)")
+@pytest.mark.parametrize("signs", ["+--+---", "+---+--", "+-+-+-+-"])
+def test_basis_words_distinct_beyond_six_strands(signs):
+    assert checks.check_total_length(signs)[0]
 
 
 def test_flow_pairs_counts_matching_states():

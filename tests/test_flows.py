@@ -9,6 +9,8 @@ from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
     COLORS,
     ClosedWeb,
+    Flow,
+    _subset_layers,
     boundary_state,
     bracket,
     canonical_flow,
@@ -18,9 +20,8 @@ from sl3web.flows import (
     enumerate_flows,
     flow_to_colstrict,
     tensor_expansion,
-    weight,
 )
-from sl3web.laurent import LaurentPoly, qint
+from sl3web.laurent import LaurentPoly, monomial, qint
 from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
 
 ARC = web_from_tableau(((1, 2, 2),))
@@ -121,7 +122,7 @@ def test_circle_weight_multiset():
 def test_empty_flow_weight_zero():
     web = build_web(LTWord(), 3, 1)
     (flow,) = enumerate_flows(web)
-    assert weight(web, flow) == 0
+    assert flow.exponent == 0
 
 
 # -- colstrict reading and canonical flows ----------------------------------------------
@@ -145,7 +146,7 @@ def test_arc_flows_give_all_one_row_readings():
 def test_canonical_flow_is_semistandard_reading():
     flow = canonical_flow(ARC)
     assert flow_to_colstrict(ARC, flow) == ((1, 2, 2),)
-    assert weight(ARC, flow) == 0
+    assert flow.exponent == 0
 
 
 def test_canonical_flow_exists_uniquely_small_webs():
@@ -191,13 +192,16 @@ def test_bracket_rejects_open_web():
 
 
 def test_bracket_symmetry_and_flow_count():
-    for signs in classical_sign_strings(4):
+    # the bilinear form on flow vectors against the flow-by-flow definition
+    for signs in classical_sign_strings(5):
         webs = [web for _, web in enumerate_basis(signs)]
         for u, v in itertools.product(webs, repeat=2):
             closed = ClosedWeb(u, v)
+            pairs = closed_flows(closed)
             br = bracket(closed)
+            assert br == sum((monomial(-closed_weight(closed, cf)) for cf in pairs), LaurentPoly())
             assert br == br.bar()
-            assert br(1) == len(closed_flows(closed))
+            assert br(1) == len(pairs)
 
 
 # -- tensor expansion ------------------------------------------------------------------
@@ -217,7 +221,7 @@ def test_arc_expansion_unitriangular():
 def test_hexagon_expansion_contains_weight_minus_four_flow():
     hexweb = web_from_tableau(((1, 2, 4), (2, 3, 5), (4, 6, 6)))
     weights = {
-        weight(hexweb, f)
+        f.exponent
         for f in enumerate_flows(hexweb)
         if boundary_state(hexweb, f) == (0, 0, 0, 0, 0, 0)
     }
@@ -231,8 +235,28 @@ def test_closed_word_expansion_single_entry():
     expansion = tensor_expansion(web)
     assert list(expansion) == [()]
     assert expansion[()](1) == sum(
-        (-1) ** weight(web, f) for f in enumerate_flows(web)
+        (-1) ** f.exponent for f in enumerate_flows(web)
     )
+
+
+def test_tensor_expansion_sums_signed_flows():
+    for signs in classical_sign_strings(5):
+        for _rows, web in enumerate_basis(signs):
+            want: dict = {}
+            for f in enumerate_flows(web):
+                w, j = f.exponent, boundary_state(web, f)
+                want[j] = want.get(j, LaurentPoly()) + monomial(-w, (-1) ** (w % 2))
+            assert tensor_expansion(web) == want, signs
+
+
+def test_flows_carry_their_layers():
+    for f in enumerate_flows(HALF_THETA):
+        assert f.layers == _subset_layers(HALF_THETA, f.moves)
+    built = Flow(HALF_THETA, enumerate_flows(HALF_THETA)[0].moves)
+    assert built.layers is None
+    assert built.subsets() == enumerate_flows(HALF_THETA)[0].subsets()
+    with pytest.raises(ValueError):
+        Flow(HALF_THETA, (frozenset({1, 2}),) * len(HALF_THETA.word.factors)).subsets()
 
 
 def test_unitriangularity_exhaustive_small():
