@@ -210,3 +210,32 @@ def test_pinned_output_of_dims_and_roundtrip(capsys, signs, verb, fmt, code, sha
     got, out = run_cli(capsys, "--format", fmt, *verb.split(), "--signs", signs)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# Exit code and stdout sha256 of `foam basis`, in text and JSON; the golden
+# corpus holds it in text on other boundaries.  `-+-+` is the mirror of `+-+-`.
+PINNED_BASIS = [
+    ("+-", "text", 0, "8a4dde9165ff2fc000542517fff49107c2fd338efbb9fdb80e0b00d22d4a3c9b"),
+    ("+-", "json", 0, "01078258c3d634164e66877e23e0ee5526053a81dc2418cc514e768b6c97287c"),
+    ("+++", "text", 0, "6b0998ace0aefadff04065f9493301efab0590d664df2537c04d4bd0b5717de3"),
+    ("+++", "json", 0, "31e29fd0ff8a3a55ec58aeba9e71a6186be828389838275b1a76d494af7d27a7"),
+    ("+-+-", "text", 0, "75254a8a15621e926abcd00274e906cd862cac478e086fe34a7da71dc27872f6"),
+    ("+-+-", "json", 0, "59794c68369855c55d10d73066e36de3cad86d9ea470b5db3da2ee781c05a5ba"),
+    ("-+-+", "text", 0, "316f963508a1e64741efe41ec7f6fc71f7020bee9ee25f3782e176f6c2a5da9b"),
+    ("-+-+", "json", 0, "b41fbb6f58f4becaf1295377f5c9c9a359022f588b8d3d3c7669af01c67f1f07"),
+    ("++-+-", "text", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("++-+-", "json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("+-+++", "text", 0, "54c31d8a258fc402b2d7a6650e09f1d6091580e5ca4e44646cdc816cb7416e23"),
+    ("+-+++", "json", 0, "51710a4e1703f623e6862160cf33aca01298f6907563d8123e2a08b5cfbf9085"),
+    ("+-+-+-", "text", 0, "aaddee5baaaeca48a28b8032897731af372ae46b30ddae6c49704df040bddf9c"),
+    ("+-+-+-", "json", 0, "05a29996d99edacb29bded7772a0e13a4b074527a247ac4b2469d6c7c2617102"),
+]
+
+
+@pytest.mark.parametrize(
+    "signs,fmt,code,sha", PINNED_BASIS, ids=[" ".join(p[:2]) for p in PINNED_BASIS]
+)
+def test_pinned_output_of_foam_basis(capsys, signs, fmt, code, sha):
+    got, out = run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
