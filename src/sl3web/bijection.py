@@ -172,27 +172,25 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     """Standard filling of the boundary multipartition from a web with flow.
 
     Step k adds a node labeled k with residue equal to the rung index to
-    every component named by the moved color subset.
+    every component named by the moved color subset.  Rows fill left to
+    right, so each row offers one candidate cell: the one after its filled
+    prefix.
     """
     shape = shape_of_boundary(web, flow)
     m = shape.m
-    filled: dict[int, list[list[int]]] = {
-        l: [[0] * length for length in shape.component(l).parts] for l in (1, 2, 3)
-    }
+    parts = [comp.parts for comp in shape.components]
+    filled = [[[0] * length for length in p] for p in parts]
+    front = [[0] * len(p) for p in parts]  # filled prefix length of every row
 
     def fillable_node(l: int, res: int) -> Node:
-        comp = shape.component(l)
-        hits = []
-        for r, length in enumerate(comp.parts, start=1):
-            for c in range(1, length + 1):
-                if filled[l][r - 1][c - 1]:
-                    continue
-                if c - r + m != res:
-                    continue
-                north_ok = r == 1 or filled[l][r - 2][c - 1]
-                west_ok = c == 1 or filled[l][r - 1][c - 2]
-                if north_ok and west_ok:
-                    hits.append(Node(r, c, l))
+        lengths = front[l - 1]
+        hits = [
+            Node(r + 1, c + 1, l)
+            for r, c in enumerate(lengths)
+            if c < parts[l - 1][r]
+            and c - r + m == res
+            and (r == 0 or lengths[r - 1] > c)
+        ]
         if len(hits) != 1:
             raise RuntimeError(
                 f"component {l} offers {len(hits)} nodes of residue {res}; "
@@ -212,11 +210,9 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
             )
         for l in sorted(moved):
             node = fillable_node(l, i)
-            filled[l][node.row - 1][node.col - 1] = step
-    rows = tuple(
-        tuple(tuple(row) for row in filled[l]) for l in (1, 2, 3)
-    )
-    return StdMultitableau3(shape, rows)
+            filled[l - 1][node.row - 1][node.col - 1] = step
+            front[l - 1][node.row - 1] += 1
+    return StdMultitableau3(shape, filled)
 
 
 # -- weight diagrams and the growth algorithm --------------------------------

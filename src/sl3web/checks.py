@@ -91,7 +91,7 @@ def check_unitriangularity(signs: str):
     """Tensor coefficients: 1 at the defining state, rest lower; defining states distinct."""
     leaders: dict[tuple[int, ...], str] = {}
     for entry in survey(signs):
-        cf = canonical_flow(entry.web, entry.web.tableau)
+        cf = canonical_flow(entry.web, flows=[flow for _j, _d, flow, _t in entry.records])
         leading = boundary_state(entry.web, cf)
         expansion = tensor_expansion(entry.web)
         if expansion.get(leading) != monomial(0):

@@ -275,19 +275,20 @@ def flow_to_colstrict(web: LadderWeb, flow: Flow):
     )
 
 
-def canonical_flow(web: LadderWeb, tableau=None) -> Flow:
+def canonical_flow(web: LadderWeb, tableau=None, flows=None) -> Flow:
     """The unique flow whose column-strict reading is the web's tableau.
 
-    The tableau defaults to the one the web was built from.
+    The tableau defaults to the one the web was built from, and the flows
+    searched to all flows on the web.
     """
     if tableau is None:
         tableau = web.tableau
     if tableau is None:
         raise ValueError("web carries no defining tableau; pass one explicitly")
     wanted = tuple(tuple(r) for r in tableau)
-    matches = [
-        f for f in enumerate_flows(web) if flow_to_colstrict(web, f) == wanted
-    ]
+    if flows is None:
+        flows = enumerate_flows(web)
+    matches = [f for f in flows if flow_to_colstrict(web, f) == wanted]
     if len(matches) != 1:
         raise RuntimeError(
             f"expected a unique canonical flow on {web}, found {len(matches)}"

@@ -4,6 +4,11 @@ Foams are never evaluated topologically.  A foam word records an ordered
 list of generators (zips, unzips, digon removals, shifts, dots, identity)
 together with bottom and top ladder words; its degree is the sum of the
 generator degrees.  Signs are not modeled.
+
+The cellular basis splits into halves and pairs.  Each flow's half foam
+walks its expanded filling to the superstandard one and is reflected once;
+a basis foam joins two halves of one boundary state around the dots and
+sums its degree once.  `_gen` and `_reflect` intern the generators.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from sl3web.bijection import WebSurvey, grow, iota, survey, survey_web
 from sl3web.flows import Flow
@@ -32,7 +37,7 @@ from sl3web.tableaux import (
 
 @dataclass(frozen=True)
 class FoamGen:
-    """One foam generator with its degree contribution."""
+    """One foam generator with its degree contribution; build it with `_gen`."""
 
     kind: str  # zip | unzip | digon_removal | theta_removal | shift | dots | identity
     degree: int
@@ -41,8 +46,7 @@ class FoamGen:
     mirrored: bool = False  # True inside a reflected (upper) half
 
     def reflected(self) -> "FoamGen":
-        kind = {"zip": "unzip", "unzip": "zip"}.get(self.kind, self.kind)
-        return FoamGen(kind, self.degree, self.position, self.count, not self.mirrored)
+        return _reflect(self)
 
     def __str__(self):
         tag = f"{self.kind}"
@@ -55,15 +59,27 @@ class FoamGen:
         return tag
 
 
+@lru_cache(maxsize=None)
+def _gen(kind: str, degree: int, position: int | None, count: int, mirrored: bool) -> FoamGen:
+    """The one generator with these fields (pass all five positionally)."""
+    return FoamGen(kind, degree, position, count, mirrored)
+
+
+@lru_cache(maxsize=None)
+def _reflect(g: FoamGen) -> FoamGen:
+    kind = {"zip": "unzip", "unzip": "zip"}.get(g.kind, g.kind)
+    return _gen(kind, g.degree, g.position, g.count, not g.mirrored)
+
+
 @dataclass(frozen=True)
 class FoamWord:
-    """Generator list between two ladder words, with cached degree."""
+    """Generator list between two ladder words; its degree is summed once, on first read."""
 
     bottom: LTWord
     top: LTWord
     generators: tuple[FoamGen, ...]
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return sum(g.degree for g in self.generators)
 
@@ -71,7 +87,7 @@ class FoamWord:
         return FoamWord(
             bottom=self.top,
             top=self.bottom,
-            generators=tuple(g.reflected() for g in reversed(self.generators)),
+            generators=tuple(map(_reflect, reversed(self.generators))),
         )
 
     def __str__(self):
@@ -164,20 +180,8 @@ class Transposition:
 def minimal_permutation(
     t: StdMultitableau3, reference: StdMultitableau3 | None = None
 ) -> tuple[list[Transposition], list[StdMultitableau3]]:
-    """Transpositions carrying t to the reference filling, applied in order.
-
-    Works on fillings with all-distinct entries.  For j = 1, 2, ... in turn,
-    if j is not on its reference node, the value w occupying that node is
-    walked down one step at a time by t(w-1), ..., tj; entries below j
-    already sit on their reference nodes and are never touched.  Every
-    swap must keep the filling standard.  For consecutive entries of a
-    standard all-distinct filling that holds exactly when j + 1 is neither
-    immediately right of nor immediately below j in one component
-    (`swap_keeps_standard`), because no other pair of entries changes
-    order; a swap that breaks the rule raises RuntimeError.  Returns
-    (transpositions, intermediates) where intermediates starts after the
-    first swap and ends at the reference.
-    """
+    """The `_swap_walk` carrying t (entries all distinct) to the reference,
+    with the fillings after each swap, the last one the reference."""
     if reference is None:
         reference = superstandard(t.shape)
     if t.shape != reference.shape:
@@ -186,31 +190,52 @@ def minimal_permutation(
     if any(len(nodes) > 1 for nodes in occ.values()):
         raise ValueError("minimal permutation needs all-distinct entries")
 
-    m = t.shape.m
-    node_of = {v: nodes[0] for v, nodes in occ.items()}
     grid = [[list(row) for row in comp] for comp in t.rows]  # node -> entry
-    target = reference.entries()
-    seq: list[Transposition] = []
     steps: list[StdMultitableau3] = []
+
+    def record(v: int, low: Node, high: Node) -> None:
+        grid[low.comp - 1][low.row - 1][low.col - 1] = v + 1
+        grid[high.comp - 1][high.row - 1][high.col - 1] = v
+        rows = tuple(tuple(map(tuple, comp)) for comp in grid)
+        steps.append(StdMultitableau3._trusted(t.shape, rows))
+
+    node_of = [occ[v][0] for v in range(1, len(occ) + 1)]
+    return _swap_walk(node_of, reference, t, record), steps
+
+
+def _swap_walk(node_of: list[Node], reference: StdMultitableau3, source, on_swap=None):
+    """Transpositions, applied in order, moving the entries onto the reference.
+
+    ``node_of[v - 1]`` holds entry v of a standard all-distinct filling and
+    is updated in place; ``on_swap(v, low, high)`` sees every swap.  For
+    j = 1, 2, ... in turn, the value w on j's reference node is walked down
+    by t(w-1), ..., tj; entries below j already sit on their reference
+    nodes.  A swap of consecutive entries keeps the filling standard exactly
+    when j + 1 is neither immediately right of nor below j in one component
+    (`swap_keeps_standard`); one that breaks it raises RuntimeError.
+    """
+    m = reference.shape.m
+    target = reference.entries()
+    entry_at = {node: v for v, node in enumerate(node_of, start=1)}
+    seq: list[Transposition] = []
     for j in range(1, len(node_of) + 1):
         (goal,) = target[j]
-        w = grid[goal.comp - 1][goal.row - 1][goal.col - 1]
+        w = entry_at[goal]
         if w < j:
             raise RuntimeError("target node holds a smaller entry; not reachable")
         for v in range(w - 1, j - 1, -1):
-            low, high = node_of[v], node_of[v + 1]
+            low, high = node_of[v - 1], node_of[v]
             if not swap_keeps_standard(low, high):
                 raise RuntimeError(
                     f"transposition t{v} left the standard fillings on the way "
-                    f"from {t} to {reference}"
+                    f"from {source} to {reference}"
                 )
             seq.append(Transposition(v, residue(low, m), residue(high, m)))
-            node_of[v], node_of[v + 1] = high, low
-            grid[low.comp - 1][low.row - 1][low.col - 1] = v + 1
-            grid[high.comp - 1][high.row - 1][high.col - 1] = v
-            rows = tuple(tuple(map(tuple, comp)) for comp in grid)
-            steps.append(StdMultitableau3._trusted(t.shape, rows))
-    return seq, steps
+            node_of[v - 1], node_of[v] = high, low
+            entry_at[low], entry_at[high] = v + 1, v
+            if on_swap is not None:
+                on_swap(v, low, high)
+    return seq
 
 
 def permutation_word(seq: list[Transposition]) -> str:
@@ -244,39 +269,41 @@ def half_foam(web: LadderWeb, flow: Flow) -> FoamWord:
     filling minus the degree of the superstandard filling.
     """
     t = iota(web, flow)
-    return _half_foam_from_tableau(t, web.word)
+    top, _web = idempotent(t.shape)
+    drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
+    return _half_foam_from_tableau(t, web.word, top, drop)
 
 
-def _half_foam_from_tableau(t: StdMultitableau3, bottom: LTWord) -> FoamWord:
-    shape = t.shape
-    expanded = t.expand_repeats()
+def _half_foam_from_tableau(
+    t: StdMultitableau3, bottom: LTWord, top: LTWord, drop: int
+) -> FoamWord:
+    """Half foam of a filling whose degree exceeds the superstandard one by ``drop``.
+
+    The expanded filling numbers the nodes of each entry consecutively,
+    leftmost component first, so its nodes in entry order are read straight
+    off ``t.entries()``.
+    """
+    occ = t.entries()
     gens: list[FoamGen] = []
-    for v, nodes in sorted(t.entries().items()):
+    node_of: list[Node] = []
+    for v in range(1, t.max_entry + 1):
+        nodes = occ[v]
         if len(nodes) == 2:
-            gens.append(FoamGen("digon_removal", -1, position=v, count=1))
+            gens.append(_gen("digon_removal", -1, v, 1, False))
         elif len(nodes) == 3:
-            gens.append(FoamGen("theta_removal", -3, position=v, count=1))
-    reference = superstandard(shape)
-    seq, _steps = minimal_permutation(expanded, reference)
-    for tr in seq:
+            gens.append(_gen("theta_removal", -3, v, 1, False))
+        node_of.extend(nodes)
+    for tr in _swap_walk(node_of, superstandard(t.shape), t):
         kind, deg = classify_transposition(tr.res_low, tr.res_high)
-        count = 2 if kind == "digon_removal" else 0
-        gens.append(FoamGen(kind, deg, position=tr.j, count=count))
+        gens.append(_gen(kind, deg, tr.j, 2 if kind == "digon_removal" else 0, False))
     if not gens:
-        gens.append(FoamGen("identity", 0))
-    top, _web = idempotent(shape, n=_strands_of_tableau(t, bottom))
+        gens.append(_gen("identity", 0, None, 0, False))
     word = FoamWord(bottom=bottom, top=top, generators=tuple(gens))
-    expect = bkw_degree(t)[0] - bkw_degree(reference)[0]
-    if word.degree != expect:
+    if word.degree != drop:
         raise RuntimeError(
-            f"half foam degree {word.degree} != degree drop {expect} for {t}"
+            f"half foam degree {word.degree} != degree drop {drop} for {t}"
         )
     return word
-
-
-def _strands_of_tableau(t: StdMultitableau3, bottom: LTWord) -> int:
-    n = max((i + 1 for i, _ in bottom.factors), default=1)
-    return max(n, boundary_strand_count(t.shape))
 
 
 @dataclass(frozen=True)
@@ -319,14 +346,15 @@ def basis_foam(
     """
     if top_tableau.shape != shape or bottom_tableau.shape != shape:
         raise ValueError("fillings do not match the shape")
-    web_b, flow_b = grow(bottom_tableau)
-    web_t, flow_t = grow(top_tableau)
-    if iota(web_b, flow_b) != bottom_tableau or iota(web_t, flow_t) != top_tableau:
-        raise ValueError("fillings are not in the image of the web-to-filling map")
-    lower = _half_foam_from_tableau(bottom_tableau, web_b.word)
-    upper = _half_foam_from_tableau(top_tableau, web_t.word).reflected()
+    halves = []
+    for t in (top_tableau, bottom_tableau):
+        web, flow = grow(t)
+        if iota(web, flow) != t:
+            raise ValueError("fillings are not in the image of the web-to-filling map")
+        halves.append((t, bkw_degree(t)[0], half_foam(web, flow)))
+    (t_top, d_top, upper), bottom = halves
     return _assemble_basis_foam(
-        shape, top_tableau, upper, bottom_tableau, lower, _dot_generators(shape)
+        shape, (t_top, d_top, upper.reflected()), bottom, _dot_generators(shape)
     )
 
 
@@ -342,28 +370,29 @@ def involution(foam: BasisFoam) -> BasisFoam:
 
 def _assemble_basis_foam(
     shape: Multipartition3,
-    t_top: StdMultitableau3,
-    upper_top: FoamWord,
-    t_bot: StdMultitableau3,
-    lower_bot: FoamWord,
+    top: tuple[StdMultitableau3, int, FoamWord],
+    bottom: tuple[StdMultitableau3, int, FoamWord],
     dot_gens: tuple[FoamGen, ...],
 ) -> BasisFoam:
-    """Compose the bottom half, the dots and the already reflected top half."""
+    """Compose the bottom half, the dots and the already reflected top half.
+
+    Each half comes as (filling, filling degree, half foam word).
+    """
+    t_top, d_top, upper = top
+    t_bot, d_bot, lower = bottom
     word = FoamWord(
-        bottom=lower_bot.bottom,
-        top=upper_top.top,
-        generators=lower_bot.generators + dot_gens + upper_top.generators,
+        bottom=lower.bottom,
+        top=upper.top,
+        generators=lower.generators + dot_gens + upper.generators,
     )
-    foam = BasisFoam(shape, t_top, t_bot, word)
-    expect = bkw_degree(t_top)[0] + bkw_degree(t_bot)[0]
-    if foam.degree != expect:
-        raise RuntimeError(f"basis foam degree {foam.degree} != {expect} for {shape}")
-    return foam
+    if word.degree != d_top + d_bot:
+        raise RuntimeError(f"basis foam degree {word.degree} != {d_top + d_bot} for {shape}")
+    return BasisFoam(shape, t_top, t_bot, word)
 
 
 def _dot_generators(shape: Multipartition3) -> tuple[FoamGen, ...]:
     return tuple(
-        FoamGen("dots", 2 * mk, position=k, count=mk)
+        _gen("dots", 2 * mk, k, mk, False)
         for k, mk in enumerate(dot_placement(shape), start=1)
         if mk
     )
@@ -373,24 +402,30 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     """All basis foams over a classical sign string, deterministically keyed.
 
     One element per boundary state and ordered pair of flows with that
-    state, ranging over all pairs of basis webs.
+    state, ranging over all pairs of basis webs.  Each flow's half foam is
+    built once, from the filling and degree its survey record holds.
     """
-    # per flow: its filling, its half foam and that half reflected
-    halves: dict[tuple, list[tuple[StdMultitableau3, FoamWord, FoamWord]]] = {}
+    groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in survey(str(S)):
-        for j, _d, _flow, t in entry.records:
-            lower = _half_foam_from_tableau(t, entry.web.word)
-            halves.setdefault(j, []).append((t, lower, lower.reflected()))
-    out = []
-    for j in sorted(halves):
-        group = halves[j]
+        for j, d, _flow, t in entry.records:
+            groups.setdefault(j, []).append((t, d, entry.web.word))
+    keyed = []
+    for group in groups.values():
         shape = group[0][0].shape
+        sup = superstandard(shape)
+        top, _web = idempotent(shape)
+        d_sup = bkw_degree(sup)[0]
+        res = sup.residue_sequence()
         dot_gens = _dot_generators(shape)
-        for (t_top, _, upper), (t_bot, lower, _) in itertools.product(group, repeat=2):
-            out.append(
-                _assemble_basis_foam(shape, t_top, upper, t_bot, lower, dot_gens)
-            )
-    return sorted(out, key=lambda f: f.key())
+        lowers = [
+            (t, d, _half_foam_from_tableau(t, bottom, top, d - d_sup)) for t, d, bottom in group
+        ]
+        uppers = [(t, d, lower.reflected()) for t, d, lower in lowers]
+        for upper, lower in itertools.product(uppers, lowers):
+            foam = _assemble_basis_foam(shape, upper, lower, dot_gens)
+            keyed.append(((res, upper[0].rows, lower[0].rows), foam))
+    keyed.sort(key=lambda kf: kf[0])
+    return [foam for _key, foam in keyed]
 
 
 def graded_dim_pair(a: WebSurvey, b: WebSurvey) -> LaurentPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class Node(NamedTuple):
@@ -81,11 +81,6 @@ class Partition:
 
     def contains(self, row: int, col: int) -> bool:
         return 1 <= row and 1 <= col <= self.row_length(row)
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for r, length in enumerate(self.parts, start=1):
-            for c in range(1, length + 1):
-                yield (r, c)
 
     def addable_cells(self) -> list[tuple[int, int]]:
         """Cells whose addition yields a partition, top row first."""
@@ -374,33 +369,12 @@ class StdMultitableau3:
 
     def expand_repeats(self) -> "StdMultitableau3":
         """Replace repeated entries by consecutive ones, leftmost smallest."""
-        values = {}
-        for l, comp in enumerate(self.rows, start=1):
-            for r, row in enumerate(comp, start=1):
-                for c, v in enumerate(row, start=1):
-                    values[Node(r, c, l)] = v
-        while True:
-            occ: dict[int, list[Node]] = {}
-            for node, v in values.items():
-                occ.setdefault(v, []).append(node)
-            rep = min((v for v, ns in occ.items() if len(ns) > 1), default=None)
-            if rep is None:
-                break
-            nodes = sorted(occ[rep], key=lambda n: n.comp)
-            width = len(nodes) - 1
-            for node, v in values.items():
-                if v > rep:
-                    values[node] = v + width
-            for offset, node in enumerate(nodes):
-                values[node] = rep + offset
-        rows = tuple(
-            tuple(
-                tuple(values[Node(r, c, l)] for c in range(1, len(row) + 1))
-                for r, row in enumerate(comp, start=1)
-            )
-            for l, comp in enumerate(self.rows, start=1)
-        )
-        return StdMultitableau3(self.shape, rows)
+        grid = [[list(row) for row in comp] for comp in self.rows]
+        occ = self.entries()
+        nodes = (node for v in range(1, self.max_entry + 1) for node in occ[v])
+        for value, node in enumerate(nodes, start=1):
+            grid[node.comp - 1][node.row - 1][node.col - 1] = value
+        return StdMultitableau3(self.shape, grid)
 
     def to_json(self) -> dict:
         cells = []
@@ -530,35 +504,26 @@ def standard_tableaux(shape: Multipartition3) -> list[StdMultitableau3]:
     lexicographic order of the chosen node sets along the way.
     """
     total = shape.size
+    parts = [comp.parts for comp in shape.components]
+    filled = [[0] * len(p) for p in parts]  # filled prefix length of every row
+    grid = [[[0] * length for length in p] for p in parts]
     results: list[StdMultitableau3] = []
-    values: dict[Node, int] = {}
 
-    def fillable(partial: Multipartition3) -> list[Node]:
-        out = []
-        for l in range(1, 4):
-            comp = shape.component(l)
-            built = partial.component(l)
-            for r, c in comp.cells():
-                if built.contains(r, c):
-                    continue
-                north_ok = r == 1 or built.contains(r - 1, c)
-                west_ok = c == 1 or built.contains(r, c - 1)
-                if north_ok and west_ok:
-                    out.append(Node(r, c, l))
-        return sorted(out, key=lambda n: (n.comp, n.row, n.col))
+    def fillable() -> list[Node]:
+        # the first empty cell of a row, once the row above reaches past it;
+        # component, row, column order
+        return [
+            Node(r + 1, c + 1, l + 1)
+            for l in range(3)
+            for r, c in enumerate(filled[l])
+            if c < parts[l][r] and (r == 0 or filled[l][r - 1] > c)
+        ]
 
-    def rec(partial: Multipartition3, placed: int, v: int):
+    def rec(placed: int, v: int):
         if placed == total:
-            rows = tuple(
-                tuple(
-                    tuple(values[Node(r, c, l)] for c in range(1, length + 1))
-                    for r, length in enumerate(shape.component(l).parts, start=1)
-                )
-                for l in range(1, 4)
-            )
-            results.append(StdMultitableau3(shape, rows))
+            results.append(StdMultitableau3(shape, grid))
             return
-        pool = fillable(partial)
+        pool = fillable()
         choices = []
         for size in (1, 2, 3):
             for combo in itertools.combinations(pool, size):
@@ -569,15 +534,14 @@ def standard_tableaux(shape: Multipartition3) -> list[StdMultitableau3]:
                     continue
                 choices.append(combo)
         for combo in sorted(choices):
-            nxt = partial
             for node in combo:
-                values[node] = v
-                nxt = nxt.add_node(node)
-            rec(nxt, placed + len(combo), v + 1)
+                grid[node.comp - 1][node.row - 1][node.col - 1] = v
+                filled[node.comp - 1][node.row - 1] += 1
+            rec(placed + len(combo), v + 1)
             for node in combo:
-                del values[node]
+                filled[node.comp - 1][node.row - 1] -= 1
 
-    rec(Multipartition3(((), (), ()), m=shape.m), 0, 1)
+    rec(0, 1)
     return results
 
 

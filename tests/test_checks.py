@@ -1,8 +1,10 @@
 """Every check reads one survey per boundary and can still fail."""
 
 import contextlib
+import inspect
 import io
 import json
+import types
 from collections import Counter
 
 import pytest
@@ -74,8 +76,8 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
     assert len(calls) == flows
 
 
-def test_checks_enumerate_each_web_at_most_three_times(monkeypatch):
-    # the survey, the flow vector and the canonical flow; never once per pair
+def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
+    # the survey and the flow vector; the canonical flow is read off the survey
     real = flows.enumerate_flows
     calls: Counter = Counter()
 
@@ -88,7 +90,7 @@ def test_checks_enumerate_each_web_at_most_three_times(monkeypatch):
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     assert all(r["ok"] for r in results), results
     assert len(calls) == len(enumerate_basis(SIGNS))
-    assert max(calls.values()) <= 3, calls
+    assert max(calls.values()) <= 2, calls
 
 
 @pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])
@@ -138,3 +140,67 @@ def test_crash_inside_a_check_is_a_replayable_failure(monkeypatch):
         "error": "RuntimeError: seeded invariant break",
         "replay": "sl3web verify roundtrip --signs +-",
     }
+
+
+# -- seeded defects: each must make a named check fail on SIGNS ---------------------
+
+
+def _failure(name):
+    (result,) = checks.run_checks([name], [SIGNS])
+    assert not result["ok"], result
+    return result["counterexample"]
+
+
+def _mutant(module, old, new):
+    """A fresh copy of a module with one line of its source replaced."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType(module.__name__)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
+    real = foamword._reflect
+
+    def heavier(g):
+        r = real(g)
+        return foamword._gen(r.kind, r.degree + 1, r.position, r.count, r.mirrored)
+
+    monkeypatch.setattr(foamword, "_reflect", heavier)
+    assert "basis foam degree" in _failure("cellular")["error"]
+
+
+def test_pair_without_dots_fails_homogeneity(monkeypatch):
+    real = foamword._assemble_basis_foam
+
+    def dotless(shape, top, bottom, dots):
+        return real(shape, top, bottom, ())
+
+    monkeypatch.setattr(foamword, "_assemble_basis_foam", dotless)
+    assert "basis foam degree" in _failure("homogeneity")["error"]
+
+
+def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
+    frozen = _mutant(bijection, "front[l - 1][node.row - 1] += 1", "pass")
+    monkeypatch.setattr(checks, "survey", frozen.survey)
+    assert "offers 0 nodes" in _failure("roundtrip")["error"]
+
+
+def test_swapped_move_table_rows_fail_roundtrip(monkeypatch):
+    table = dict(bijection.MOVE_TABLE)
+    a, b = ("arc", "a", 1, False), ("arc", "a", 0, False)
+    table[a], table[b] = table[b], table[a]
+    monkeypatch.setattr(bijection, "MOVE_TABLE", table)
+    assert "do not match move" in _failure("roundtrip")["error"]
+
+
+def test_unitriangular_reads_a_unique_canonical_flow_off_the_survey(monkeypatch):
+    real = bijection.survey_web
+
+    def doubled(web):
+        entry = real(web)
+        return bijection.WebSurvey(entry.web, entry.records * 2, entry.by_state)
+
+    monkeypatch.setattr(bijection, "survey_web", doubled)
+    assert "expected a unique canonical flow" in _failure("unitriangular")["error"]

@@ -5,10 +5,11 @@ import itertools
 import pytest
 
 from sl3web import foamword
-from sl3web.bijection import iota
+from sl3web.bijection import iota, survey
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
 from sl3web.foamword import (
+    FoamGen,
     basis_foam,
     classify_transposition,
     dot_placement,
@@ -220,6 +221,70 @@ def test_half_foam_worked_permutation():
     # six transpositions; the first one applied is a zip
     assert len(perm) == 6
     assert perm[0].kind == "zip"
+
+
+def _old_half_generators(t):
+    """Half-foam generators as first defined: face removals per repeated
+    entry, then one generator per transposition of the minimal permutation
+    of the validated expanded filling."""
+    gens = []
+    for v, nodes in sorted(t.entries().items()):
+        if len(nodes) == 2:
+            gens.append(FoamGen("digon_removal", -1, position=v, count=1))
+        elif len(nodes) == 3:
+            gens.append(FoamGen("theta_removal", -3, position=v, count=1))
+    seq, _steps = minimal_permutation(t.expand_repeats(), superstandard(t.shape))
+    for tr in seq:
+        kind, deg = classify_transposition(tr.res_low, tr.res_high)
+        gens.append(FoamGen(kind, deg, position=tr.j, count=2 if kind == "digon_removal" else 0))
+    return tuple(gens) or (FoamGen("identity", 0),)
+
+
+def test_half_foam_matches_the_expanded_permutation():
+    halves = 0
+    for signs in classical_sign_strings(5):
+        for entry in survey(signs):
+            for _j, _d, flow, t in entry.records:
+                assert half_foam(entry.web, flow).generators == _old_half_generators(t), t
+                halves += 1
+    assert halves == sum(
+        len(enumerate_flows(web))
+        for signs in classical_sign_strings(5)
+        for _rows, web in enumerate_basis(signs)
+    )
+
+
+def test_half_foam_degree_mismatch_raises():
+    t = iota(Y, canonical_flow(Y))
+    top, _web = idempotent(t.shape)
+    drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
+    assert foamword._half_foam_from_tableau(t, Y.word, top, drop).degree == drop
+    with pytest.raises(RuntimeError, match="half foam degree"):
+        foamword._half_foam_from_tableau(t, Y.word, top, drop + 1)
+
+
+def test_half_foam_raises_when_a_swap_breaks_standardness(monkeypatch):
+    monkeypatch.setattr(foamword, "swap_keeps_standard", lambda low, high: False)
+    with pytest.raises(RuntimeError, match="left the standard fillings"):
+        half_foam(Y, canonical_flow(Y))
+
+
+# -- interned generators -----------------------------------------------------------
+
+
+def test_generators_are_interned_and_reflect_back():
+    foams = enumerate_cellular_basis("+-+-")
+    gens = {g for foam in foams for g in foam.word.generators}
+    assert {g.kind for g in gens} >= {"zip", "unzip", "digon_removal", "dots"}
+    for g in gens:
+        r = g.reflected()
+        assert r.reflected() is g
+        assert r.mirrored != g.mirrored
+        assert r.kind == {"zip": "unzip", "unzip": "zip"}.get(g.kind, g.kind)
+        assert (r.degree, r.position, r.count) == (g.degree, g.position, g.count)
+    for foam in foams:
+        twice = involution(involution(foam)).word.generators
+        assert all(a is b for a, b in zip(twice, foam.word.generators))
 
 
 # -- basis foams -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Multipartition combinatorics against the worked examples."""
 
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -402,3 +403,50 @@ def test_dots_match_truncation_definition():
                 dot_placement(shape)
         else:
             assert dot_placement(shape) == want, shape
+
+
+def test_standard_tableaux_order_is_pinned():
+    # the fillings and their order before fillable nodes were grown incrementally
+    fillings = _all_fillings()
+    assert len(fillings) == 17146
+    digest = hashlib.sha256(repr([(t.shape, t.rows) for t in fillings]).encode()).hexdigest()
+    assert digest == "604ad61a2a6471e8f82999a63e4185c9695e105596de07bad5965df54b294d64"
+
+
+def _expand_repeats_iteratively(t):
+    """The expansion as first defined: shift everything above the smallest
+    repeated entry up, renumber its nodes leftmost first, repeat."""
+    values = {
+        Node(r, c, l): v
+        for l, comp in enumerate(t.rows, start=1)
+        for r, row in enumerate(comp, start=1)
+        for c, v in enumerate(row, start=1)
+    }
+    while True:
+        occ = {}
+        for node, v in values.items():
+            occ.setdefault(v, []).append(node)
+        rep = min((v for v, ns in occ.items() if len(ns) > 1), default=None)
+        if rep is None:
+            break
+        nodes = sorted(occ[rep], key=lambda n: n.comp)
+        for node, v in values.items():
+            if v > rep:
+                values[node] = v + len(nodes) - 1
+        for offset, node in enumerate(nodes):
+            values[node] = rep + offset
+    return tuple(
+        tuple(
+            tuple(values[Node(r, c, l)] for c in range(1, len(row) + 1))
+            for r, row in enumerate(comp, start=1)
+        )
+        for l, comp in enumerate(t.rows, start=1)
+    )
+
+
+def test_expand_repeats_matches_iterative_definition():
+    repeated = 0
+    for t in _fillings(5):
+        assert t.expand_repeats().rows == _expand_repeats_iteratively(t), t
+        repeated += not _all_distinct(t)
+    assert repeated > 0
