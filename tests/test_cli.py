@@ -239,3 +239,38 @@ def test_pinned_output_of_foam_basis(capsys, signs, fmt, code, sha):
     got, out = run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# Exit code, stdout sha256 and stderr sha256 of argv that argparse itself
+# answers: usage errors at the root and in a verb, and help.  The last three
+# name a verb after a token the root parser reads first.  Help and usage wrap
+# at COLUMNS, so it is fixed at 80.
+PINNED_PARSER = [
+    ("", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),
+    ("--format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),
+    ("frobnicate", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "2870ddc45942fe275999956eab2185b8617fba6646d6b54111c275ebf2a3c802"),
+    ("--format xml webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a856e21045e8fef04f5e3dbc7510d64ad993afd23d14691e2b2265904ec40da6"),
+    ("--max-total-length x webs list --signs +-", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c9ea4bf5353507437ea0d9602073be0b99b7e5e807d3f320e05535588744f1ae"),
+    ("flows enumerate --bogus", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "28376cca52e8dd55ceeae538dd3c3f2cc57a463275dcd97791d18954de3cfeac"),
+    ("verify nope", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "14f63ec9b23b696e75d5ee3bd2d46090fae54dcdf346e413516d62ee167772a8"),
+    ("bracket", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "53278c2f14e09bce83a253e7c50cbddab50aaa322c78a73e4ccbf944f749c40e"),
+    ("webs", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a161d9cf6b35391f930af273c5687483de5aa9157ff0a44fb177e54c8d030f05"),
+    ("webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "095ae8525240ef8335d2ae26589c71034a1db1fda2ed9948f0b50e3e79a0f74e"),
+    ("--help", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("flows --help", 0, "ff3ffec1307374ddbfefcb3ec802aff58769f8e2de89b607f50deed1ca6aca6a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("-h flows", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("frobnicate webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "2870ddc45942fe275999956eab2185b8617fba6646d6b54111c275ebf2a3c802"),
+    ("--format webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "692ffaf760480b3c119a63f049b165bbaf7d0b70628fc4c2513213423fbeddaf"),
+    ("--he webs list", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_sha,err_sha", PINNED_PARSER, ids=[p[0] or "(none)" for p in PINNED_PARSER]
+)
+def test_pinned_parser_output(capsys, monkeypatch, argv, code, out_sha, err_sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
