@@ -2,6 +2,7 @@
 
 Exit status 0 on success, 1 on a verification failure (with a replayable
 counterexample payload), 2 on usage errors including malformed JSON.
+A call builds only the sub-parser of the verb it names; root help builds all six.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 
+VERBS = ("webs", "flows", "bij", "foam", "bracket", "verify")
+
+
 class UsageError(Exception):
     pass
 
@@ -63,8 +67,8 @@ def _web_from_args(args) -> LadderWeb:
     if not args.word:
         raise UsageError("need --word or --preset")
     word = LTWord.parse(args.word)
-    n = args.n or max((i + 1 for i, _ in word.factors), default=2)
-    if args.ell:
+    n = max((i + 1 for i, _ in word.factors), default=2) if args.n is None else args.n
+    if args.ell is not None:
         web = build_web(word, n, args.ell)
         if web is None:
             raise UsageError(f"word {word} is zero on {n} strands at level {args.ell}")
@@ -299,7 +303,8 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with every verb's sub-parser, or with `verb`'s only."""
     parser = argparse.ArgumentParser(
         prog="sl3web",
         description="Webs as ladder words, flows, fillings and symbolic foams.",
@@ -314,43 +319,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-total-length", type=int, default=10)
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    def add_verb(name, help):
+        return sub.add_parser(name, help=help) if verb in (None, name) else None
+
     def add_word_opts(p):
         p.add_argument("--word", help="ladder word, e.g. 'F1 F2^2'")
         p.add_argument("--preset", choices=PRESET_NAMES)
         p.add_argument("--n", type=int, help="strand count (default: fit the word)")
         p.add_argument("--ell", type=int, help="level (default: unique viable)")
 
-    p = sub.add_parser("webs", help="enumerate basis webs / dump word layers")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("--signs", help="boundary sign string, e.g. '+-+-'")
-    add_word_opts(p)
+    if p := add_verb("webs", "enumerate basis webs / dump word layers"):
+        p.add_argument("action", choices=("list", "show"))
+        p.add_argument("--signs", help="boundary sign string, e.g. '+-+-'")
+        add_word_opts(p)
 
-    p = sub.add_parser("flows", help="enumerate flows, tensor expansions")
-    p.add_argument("action", choices=("enumerate", "expand"))
-    add_word_opts(p)
+    if p := add_verb("flows", "enumerate flows, tensor expansions"):
+        p.add_argument("action", choices=("enumerate", "expand"))
+        add_word_opts(p)
 
-    p = sub.add_parser("bij", help="webs with flows <-> standard fillings")
-    p.add_argument("action", choices=("iota", "grow", "roundtrip"))
-    add_word_opts(p)
-    p.add_argument("--flow", type=int, default=0, help="flow index")
-    p.add_argument("--tableau", help="standard filling as JSON")
-    p.add_argument("--signs")
+    if p := add_verb("bij", "webs with flows <-> standard fillings"):
+        p.add_argument("action", choices=("iota", "grow", "roundtrip"))
+        add_word_opts(p)
+        p.add_argument("--flow", type=int, default=0, help="flow index")
+        p.add_argument("--tableau", help="standard filling as JSON")
+        p.add_argument("--signs")
 
-    p = sub.add_parser("foam", help="cellular basis, graded dimensions, idempotents")
-    p.add_argument("action", choices=("basis", "dims", "idem"))
-    p.add_argument("--signs")
-    p.add_argument("--shape", help="multipartition as JSON")
+    if p := add_verb("foam", "cellular basis, graded dimensions, idempotents"):
+        p.add_argument("action", choices=("basis", "dims", "idem"))
+        p.add_argument("--signs")
+        p.add_argument("--shape", help="multipartition as JSON")
 
-    p = sub.add_parser("bracket", help="bracket of a closed pair")
-    p.add_argument("--pair", nargs="+", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
+    if p := add_verb("bracket", "bracket of a closed pair"):
+        p.add_argument("--pair", nargs="+", required=True)
+        p.add_argument("--n", type=int)
+        p.add_argument("--ell", type=int)
 
-    p = sub.add_parser("verify", help="run structural checks")
-    p.add_argument("check", choices=tuple(checks.CHECKS) + ("all",))
-    p.add_argument("--signs")
-    p.add_argument("--max-n", type=int, default=6)
+    if p := add_verb("verify", "run structural checks"):
+        p.add_argument("check", choices=tuple(checks.CHECKS) + ("all",))
+        p.add_argument("--signs")
+        p.add_argument("--max-n", type=int, default=6)
 
+    # Root usage lines and "invalid choice" errors list every verb either way.
+    sub.choices = VERBS
     return parser
 
 
@@ -398,7 +408,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
-    parser = build_parser()
+    # Root help needs every sub-parser; any other call builds its verb's only.
+    verb = next((t for t in argv if t in VERBS or t.startswith(("-h", "--h"))), None)
+    parser = build_parser(verb if verb in VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

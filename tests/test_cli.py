@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from sl3web.cli import main
+from sl3web import cli
+from sl3web.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,45 @@ def test_malformed_payload_exits_two_without_traceback(capsys, argv):
 
 def test_zero_word_is_usage_error(capsys):
     assert main(["flows", "enumerate", "--word", "F1^3 F1^3", "--n", "2", "--ell", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ("webs show --word F1 --ell 0 --n 2", "error: word F1 is zero on 2 strands at level 0\n"),
+        ("flows enumerate --word F1 --n 0", "error: index 1 out of range for 0 strands\n"),
+        ("bracket --pair F1 F1 --ell 0", "error: word F1 is zero on 2 strands at level 0\n"),
+    ],
+)
+def test_explicit_zero_strands_or_level_is_honoured(capsys, argv, err):
+    # an explicit 0 is a value, not "unset": it must not fall back to the defaults
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize(
+    "argv,verb",
+    [
+        ("flows enumerate --preset arc", "flows"),
+        ("--format json --max-total-length 9 bij iota --preset arc", "bij"),
+        ("frobnicate webs list", "webs"),
+        ("webs --help", "webs"),
+        ("-h flows", None),
+        ("--he webs list", None),
+        ("--format json", None),
+    ],
+)
+def test_main_builds_only_the_named_verb(monkeypatch, capsys, argv, verb):
+    built = []
+
+    def spy(verb=None):
+        built.append(verb)
+        return build_parser(verb)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    main(argv.split())
+    assert built == [verb]
 
 
 def test_identical_config_identical_output(capsys):
