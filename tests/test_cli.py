@@ -189,9 +189,9 @@ def test_explicit_zero_strands_or_level_is_honoured(capsys, argv, err):
 def test_main_builds_only_the_named_verb(monkeypatch, capsys, argv, verb):
     built = []
 
-    def spy(verb=None):
-        built.append(verb)
-        return build_parser(verb)
+    def spy(name=None):
+        built.append(name)
+        return build_parser(name)
 
     monkeypatch.setattr(cli, "build_parser", spy)
     main(argv.split())
