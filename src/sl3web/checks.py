@@ -3,17 +3,19 @@
 Each check returns (ok, counterexample) where the counterexample is a JSON
 payload that can be replayed through the command line.  Every flow-level
 check folds over `bijection.survey`, which enumerates and fills each
-boundary once.  The bracket-symmetry, graded-dim and unitriangularity checks
-compare it against `flows.flow_vector`, one more enumeration per web weighed
-by rung exponents instead of filling degrees: the bracket of a glued pair is
-a bilinear form on two flow vectors, the tensor expansion a substitution.
+boundary once.  The bracket-symmetry, graded-dim, unitriangularity and
+cellular checks compare it against `flows.flow_vector`, one more enumeration
+per web weighed by rung exponents instead of filling degrees: the bracket of
+a glued pair is a bilinear form on two flow vectors, the tensor expansion a
+substitution.  Homogeneity and cellularity read `foamword.cellular_halves`,
+never a basis foam: a pair is a lower half, the dots and a reflected upper
+half, so its degree and its involution follow from theirs.
 `run_checks` turns an exception inside one check into a failing result.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from sl3web.bijection import WebSurvey, roundtrip_holds, survey
 from sl3web.flows import (
@@ -23,10 +25,10 @@ from sl3web.flows import (
     canonical_flow,
     tensor_expansion,
 )
-from sl3web.foamword import enumerate_cellular_basis, graded_dim_pair, involution
+from sl3web.foamword import cellular_halves, graded_dim_pair
 from sl3web.ladderweb import enumerate_basis
 from sl3web.laurent import monomial
-from sl3web.tableaux import bkw_degree
+from sl3web.tableaux import bkw_degree, superstandard
 
 
 def classical_sign_strings(max_n: int, min_n: int = 2) -> list[str]:
@@ -44,11 +46,6 @@ def flow_pairs(a: WebSurvey, b: WebSurvey) -> int:
     """Pairs of flows on a and b with equal boundary states: sum_j |a_j|*|b_j|."""
     right = b.by_state
     return sum(len(ds) * len(right.get(j, ())) for j, ds in a.by_state.items())
-
-
-@lru_cache(maxsize=None)
-def cellular_basis(signs: str):
-    return enumerate_cellular_basis(signs)
 
 
 def _payload(signs: str, **extra) -> dict:
@@ -160,32 +157,40 @@ def check_graded_dim(signs: str):
 
 
 def check_homogeneity(signs: str):
-    """Every basis foam's degree is the sum of its two filling degrees."""
-    for foam in cellular_basis(signs):
-        want = bkw_degree(foam.top_tableau)[0] + bkw_degree(foam.bottom_tableau)[0]
-        if foam.degree != want:
-            return False, _payload(
-                signs, shape=foam.shape.to_json(), degree=foam.degree, expected=want
-            )
+    """A half weighs filling minus superstandard degree (`cellular_halves` raises
+    otherwise), also reflected; the dots weigh twice the superstandard degree."""
+    for shape, dots, halves in cellular_halves(signs):
+        want = 2 * bkw_degree(superstandard(shape))[0]
+        got = sum(g.degree for g in dots)
+        if got != want:
+            return False, _payload(signs, shape=shape.to_json(), dot_degree=got, expected=want)
+        for t, _d, half in halves:
+            if half.reflected().degree != half.degree:
+                return False, _payload(
+                    signs, tableau=t.to_json(), reason="reflection changed a degree"
+                )
     return True, None
 
 
 def check_cellularity(signs: str):
-    """Cell-datum properties: involution, index cardinality (homogeneity is its own check)."""
-    foams = cellular_basis(signs)
-    for foam in foams:
-        flipped = involution(foam)
-        if flipped.degree != foam.degree:
-            return False, _payload(signs, reason="involution changed a degree")
-        if involution(flipped).word != foam.word:
-            return False, _payload(signs, reason="involution is not involutive")
-        fixed = flipped.key() == foam.key()
-        if fixed != (foam.top_tableau == foam.bottom_tableau):
-            return False, _payload(signs, reason="involution fixes a non-diagonal")
-    entries = survey(signs)
-    dim = sum(flow_pairs(a, b) for a, b in itertools.product(entries, repeat=2))
-    if len(foams) != dim:
-        return False, _payload(signs, basis=len(foams), dimension=dim)
+    """Halves and dot words reflect back; a state's fillings are distinct, so the
+    involution fixes only the diagonal; sum_j n_j^2 = sum bracket(u, v)(1)."""
+    count = 0
+    for shape, dots, halves in cellular_halves(signs):
+        words = dots + tuple(half for _t, _d, half in halves)
+        if any(w.reflected().reflected() != w for w in words):
+            return False, _payload(
+                signs, shape=shape.to_json(), reason="involution is not involutive"
+            )
+        if len({t for t, _d, _half in halves}) != len(halves):
+            return False, _payload(
+                signs, shape=shape.to_json(), reason="involution fixes a non-diagonal"
+            )
+        count += len(halves) ** 2
+    webs = [entry.web for entry in survey(signs)]
+    dim = sum(bracket(ClosedWeb(u, v))(1) for u, v in itertools.product(webs, repeat=2))
+    if count != dim:
+        return False, _payload(signs, basis=count, dimension=dim)
     return True, None
 
 

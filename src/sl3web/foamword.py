@@ -6,9 +6,10 @@ together with bottom and top ladder words; its degree is the sum of the
 generator degrees.  Signs are not modeled.
 
 The cellular basis splits into halves and pairs.  Each flow's half foam
-walks its expanded filling to the superstandard one and is reflected once;
-a basis foam joins two halves of one boundary state around the dots and
-sums its degree once.  `_gen` and `_reflect` intern the generators.
+walks its expanded filling to the superstandard one (`cellular_halves`);
+the basis reflects each half once, joins two halves of one boundary state
+around the dots and sums its degree once.  `_gen` and `_reflect` intern
+the generators.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class FoamWord:
 
 
 @lru_cache(maxsize=None)
-def idempotent(shape: Multipartition3, n: int | None = None) -> tuple[LTWord, LadderWeb]:
+def idempotent(shape: Multipartition3) -> tuple[LTWord, LadderWeb]:
     """Undivided ladder word of a shape and its (possibly elliptic) web.
 
     The word has one factor per node, indexed by the residue sequence of
@@ -109,9 +110,7 @@ def idempotent(shape: Multipartition3, n: int | None = None) -> tuple[LTWord, La
     res = superstandard(shape).residue_sequence()
     factors = tuple((r, 1) for r in reversed(res))
     word = LTWord(factors)
-    if n is None:
-        n = boundary_strand_count(shape)
-    web = build_web(word, n, shape.m)
+    web = build_web(word, boundary_strand_count(shape), shape.m)
     if web is None:
         raise RuntimeError(f"idempotent word of {shape} killed the highest weight vector")
     return word, web
@@ -319,13 +318,6 @@ class BasisFoam:
     def degree(self) -> int:
         return self.word.degree
 
-    def key(self) -> tuple:
-        return (
-            superstandard(self.shape).residue_sequence(),
-            self.top_tableau.rows,
-            self.bottom_tableau.rows,
-        )
-
     def __str__(self):
         return (
             f"F[{self.shape}] top={self.top_tableau} bottom={self.bottom_tableau} "
@@ -398,28 +390,34 @@ def _dot_generators(shape: Multipartition3) -> tuple[FoamGen, ...]:
     )
 
 
-def enumerate_cellular_basis(S) -> list[BasisFoam]:
-    """All basis foams over a classical sign string, deterministically keyed.
+def cellular_halves(S) -> list[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
+    """Per boundary state over a classical sign string: its shape, the dot
+    generators and one (filling, filling degree, lower half foam) per flow.
 
-    One element per boundary state and ordered pair of flows with that
-    state, ranging over all pairs of basis webs.  Each flow's half foam is
-    built once, from the filling and degree its survey record holds.
+    Each half is built once, from its survey record's filling and degree.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in survey(str(S)):
         for j, d, _flow, t in entry.records:
             groups.setdefault(j, []).append((t, d, entry.web.word))
-    keyed = []
+    out = []
     for group in groups.values():
         shape = group[0][0].shape
-        sup = superstandard(shape)
         top, _web = idempotent(shape)
-        d_sup = bkw_degree(sup)[0]
-        res = sup.residue_sequence()
-        dot_gens = _dot_generators(shape)
+        d_sup = bkw_degree(superstandard(shape))[0]
         lowers = [
             (t, d, _half_foam_from_tableau(t, bottom, top, d - d_sup)) for t, d, bottom in group
         ]
+        out.append((shape, _dot_generators(shape), lowers))
+    return out
+
+
+def enumerate_cellular_basis(S) -> list[BasisFoam]:
+    """All basis foams over a classical sign string, deterministically keyed:
+    one per boundary state and ordered pair of flows with that state."""
+    keyed = []
+    for shape, dot_gens, lowers in cellular_halves(S):
+        res = superstandard(shape).residue_sequence()
         uppers = [(t, d, lower.reflected()) for t, d, lower in lowers]
         for upper, lower in itertools.product(uppers, lowers):
             foam = _assemble_basis_foam(shape, upper, lower, dot_gens)

@@ -172,7 +172,7 @@ def test_criterion_10_dots_and_homogeneity():
 def test_criterion_11_cellular_datum():
     t0 = time.monotonic()
     exhaustive("cellular")
-    report(11, t0, f"cell-datum axioms (degrees, involution, count), all |S| <= {MAX_N}")
+    report(11, t0, f"cell datum on halves (involution, diagonal, count), all |S| <= {MAX_N}")
 
 
 def test_criterion_12_minimal_permutation_example():

@@ -19,13 +19,12 @@ SIGNS = "+-+-"
 
 def _clear_caches():
     bijection.survey.cache_clear()
-    checks.cellular_basis.cache_clear()
     flows.flow_vector.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_survey():
-    # a patched iota must neither see nor leave a cached survey, basis or flow vector
+    # a patched iota must neither see nor leave a cached survey or flow vector
     _clear_caches()
     yield
     _clear_caches()
@@ -160,6 +159,20 @@ def _mutant(module, old, new):
     return mutant
 
 
+def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch):
+    calls = []
+    real = foamword._assemble_basis_foam
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(foamword, "_assemble_basis_foam", counted)
+    results = checks.run_checks(["homogeneity", "cellular"], [SIGNS])
+    assert all(r["ok"] for r in results), results
+    assert calls == []
+
+
 def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
     real = foamword._reflect
 
@@ -168,17 +181,37 @@ def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
         return foamword._gen(r.kind, r.degree + 1, r.position, r.count, r.mirrored)
 
     monkeypatch.setattr(foamword, "_reflect", heavier)
-    assert "basis foam degree" in _failure("cellular")["error"]
+    assert _failure("cellular")["reason"] == "involution is not involutive"
+    assert _failure("homogeneity")["reason"] == "reflection changed a degree"
 
 
-def test_pair_without_dots_fails_homogeneity(monkeypatch):
+def test_dots_dropped_at_their_source_fail_homogeneity(monkeypatch):
+    monkeypatch.setattr(foamword, "_dot_generators", lambda shape: ())
+    ce = _failure("homogeneity")
+    assert ce["dot_degree"] == 0 and ce["expected"] > 0
+
+
+def test_pair_without_dots_fails_basis_assembly(monkeypatch):
     real = foamword._assemble_basis_foam
 
     def dotless(shape, top, bottom, dots):
         return real(shape, top, bottom, ())
 
     monkeypatch.setattr(foamword, "_assemble_basis_foam", dotless)
-    assert "basis foam degree" in _failure("homogeneity")["error"]
+    with pytest.raises(RuntimeError, match="basis foam degree"):
+        foamword.enumerate_cellular_basis(SIGNS)
+
+
+def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
+    real = foamword.cellular_halves
+
+    def drop_one(signs):
+        (shape, dots, halves), *rest = real(signs)
+        return [(shape, dots, halves[1:]), *rest]
+
+    monkeypatch.setattr(checks, "cellular_halves", drop_one)
+    ce = _failure("cellular")
+    assert ce["basis"] < ce["dimension"]
 
 
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):

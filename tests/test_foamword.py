@@ -11,6 +11,7 @@ from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
 from sl3web.foamword import (
     FoamGen,
     basis_foam,
+    cellular_halves,
     classify_transposition,
     dot_placement,
     enumerate_cellular_basis,
@@ -54,7 +55,7 @@ def test_idempotent_of_half_theta_shape():
 
 
 def test_idempotent_of_empty_shape():
-    word, _web = idempotent(mp((), (), ()), n=2)
+    word, _web = idempotent(mp((), (), ()))
     assert word == LTWord()
 
 
@@ -320,13 +321,16 @@ def test_diagonal_foam_degree_is_twice_the_dots():
 
 
 def test_involution_swaps_and_preserves():
-    foams = enumerate_cellular_basis("+++")
-    for foam in foams:
-        flipped = involution(foam)
-        assert flipped.top_tableau == foam.bottom_tableau
-        assert flipped.bottom_tableau == foam.top_tableau
-        assert flipped.degree == foam.degree
-        assert involution(flipped).word == foam.word
+    # the pair-level reference for the half-foam checks in `checks`
+    for signs in classical_sign_strings(5):
+        foams = enumerate_cellular_basis(signs)
+        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(signs))
+        for foam in foams:
+            flipped = involution(foam)
+            assert flipped.top_tableau == foam.bottom_tableau
+            assert flipped.bottom_tableau == foam.top_tableau
+            assert flipped.degree == foam.degree
+            assert involution(flipped).word == foam.word
 
 
 def test_basis_foam_shape_mismatch_rejected():
