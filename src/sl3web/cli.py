@@ -66,23 +66,19 @@ def _web_from_args(args) -> LadderWeb:
         return preset_web(args.preset)
     if not args.word:
         raise UsageError("need --word or --preset")
+    for flag, value in (("n", args.n), ("ell", args.ell)):
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be non-negative, got {value}")
     word = LTWord.parse(args.word)
     n = max((i + 1 for i, _ in word.factors), default=2) if args.n is None else args.n
-    if args.ell is not None:
-        web = build_web(word, n, args.ell)
-        if web is None:
-            raise UsageError(f"word {word} is zero on {n} strands at level {args.ell}")
-        return web
-    candidates = []
-    for ell in range(0, n + 1):
-        web = build_web(word, n, ell)
-        if web is not None:
-            candidates.append(web)
-    if len(candidates) != 1:
-        raise UsageError(
-            f"level of {word} is ambiguous on {n} strands; pass --ell"
-        )
-    return candidates[0]
+    levels = range(n + 1) if args.ell is None else [args.ell]
+    webs = [web for ell in levels if (web := build_web(word, n, ell)) is not None]
+    if not webs:
+        at = "every level" if args.ell is None else f"level {args.ell}"
+        raise UsageError(f"word {word} is zero on {n} strands at {at}")
+    if len(webs) > 1:
+        raise UsageError(f"level of {word} is ambiguous on {n} strands; pass --ell")
+    return webs[0]
 
 
 def _closed_from_pair(pair: list[str], args) -> ClosedWeb:

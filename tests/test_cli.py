@@ -146,6 +146,10 @@ def test_malformed_json_exits_two(capsys):
          '{"shape":{"components":[[1],[],[]],"m":0},"cells":[[1,1,1,1]]}'],
         ["verify", "all", "--signs", "++"],
         ["verify", "all", "--signs", "+o-"],
+        ["flows", "enumerate", "--word", "F1^3 F1^3", "--n", "2"],
+        ["flows", "enumerate", "--word", "F1", "--n", "-1"],
+        ["flows", "enumerate", "--word", "F1", "--ell", "-1"],
+        ["bracket", "--pair", "F1", "F1", "--n", "-2"],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):
@@ -157,6 +161,12 @@ def test_malformed_payload_exits_two_without_traceback(capsys, argv):
 
 def test_zero_word_is_usage_error(capsys):
     assert main(["flows", "enumerate", "--word", "F1^3 F1^3", "--n", "2", "--ell", "1"]) == 2
+    capsys.readouterr()
+    # no level gives a web, so the level is not ambiguous
+    assert main(["flows", "enumerate", "--word", "F1^3 F1^3", "--n", "2"]) == 2
+    assert capsys.readouterr().err == "error: word F1^3 F1^3 is zero on 2 strands at every level\n"
+    assert main(["flows", "enumerate", "--word", "F1", "--ell", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --ell must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize(
