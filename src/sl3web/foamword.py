@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -390,17 +391,17 @@ def _dot_generators(shape: Multipartition3) -> tuple[FoamGen, ...]:
     )
 
 
-def cellular_halves(S) -> list[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
+def cellular_halves(S) -> Iterator[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
     """Per boundary state over a classical sign string: its shape, the dot
     generators and one (filling, filling degree, lower half foam) per flow.
 
-    Each half is built once, from its survey record's filling and degree.
+    Each half is built once, from its survey record's filling and degree,
+    and a state's halves only when the caller moves on to that state.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in survey(str(S)):
         for j, d, _flow, t in entry.records:
             groups.setdefault(j, []).append((t, d, entry.web.word))
-    out = []
     for group in groups.values():
         shape = group[0][0].shape
         top, _web = idempotent(shape)
@@ -408,8 +409,7 @@ def cellular_halves(S) -> list[tuple[Multipartition3, tuple[FoamGen, ...], list[
         lowers = [
             (t, d, _half_foam_from_tableau(t, bottom, top, d - d_sup)) for t, d, bottom in group
         ]
-        out.append((shape, _dot_generators(shape), lowers))
-    return out
+        yield shape, _dot_generators(shape), lowers
 
 
 def enumerate_cellular_basis(S) -> list[BasisFoam]:
