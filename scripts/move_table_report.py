@@ -21,12 +21,13 @@ from sl3web.flows import enumerate_flows
 from sl3web.ladderweb import enumerate_basis
 
 
-def main() -> int:
+def render() -> str:
+    """The text of reports/move_table.md."""
     witnesses = {}
     for signs in classical_sign_strings(6):
         for _rows, web in enumerate_basis(signs):
             for flow in enumerate_flows(web):
-                layers = flow.subsets()
+                layers = flow.layers
                 for k, (i, j) in enumerate(web.word.application_order(), start=1):
                     kind = classify_step(web, flow, k)
                     key = (kind.family, kind.type, kind.color, kind.primed)
@@ -72,10 +73,15 @@ def main() -> int:
         f"Rows without ladder-word witnesses: {unwitnessed or 'none'}.",
         "",
     ]
+    return "\n".join(lines)
+
+
+def main() -> int:
+    text = render()
     out = Path(__file__).resolve().parent.parent / "reports" / "move_table.md"
     out.parent.mkdir(exist_ok=True)
-    out.write_text("\n".join(lines))
-    print(f"wrote {out} ({len(witnesses)} of {len(MOVE_TABLE)} rows witnessed)")
+    out.write_text(text)
+    print(f"wrote {out}")
     return 0
 
 

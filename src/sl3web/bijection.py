@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from sl3web.flows import COLORS, Flow, boundary_state, enumerate_flows, flow_to_colstrict
+from sl3web.flows import (
+    COLORS, Flow, boundary_state, enumerate_flows, flow_from_moves, flow_to_colstrict,
+)
 from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
@@ -115,7 +117,7 @@ def classify_step(web: LadderWeb, flow: Flow, k: int) -> MoveKind:
     below = web.layers[k - 1]
     a, b = below[i - 1], below[i]
     a_top, b_top = a - j, b + j
-    subsets = flow.subsets()[k - 1]
+    subsets = flow.layers[k - 1]
     left, right = subsets[i - 1], subsets[i]
     moved = flow.moves[k - 1]
 
@@ -333,7 +335,7 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     web = build_web(word, n, m)
     if web is None:
         raise RuntimeError("grown word killed the highest weight vector")
-    return web, Flow(web, tuple(moves))
+    return web, flow_from_moves(web, moves)
 
 
 def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:

@@ -149,7 +149,7 @@ def cmd_flows(args) -> int:
                     "flow": idx,
                     "moves": json.dumps([sorted(h) for h in flow.moves]),
                     "strands": json.dumps(
-                        [[sorted(s) for s in layer] for layer in flow.subsets()]
+                        [[sorted(s) for s in layer] for layer in flow.layers]
                     ),
                     "state": json.dumps(list(boundary_state(web, flow))),
                     "weight": flow.exponent,
@@ -279,6 +279,8 @@ def cmd_foam(args) -> int:
 def cmd_verify(args) -> int:
     if args.signs and not SignString(args.signs).is_classical:
         raise UsageError(f"verify needs a classical sign string, got {args.signs}")
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     names = list(checks.CHECKS) if args.check == "all" else [args.check]
     signs_list = [args.signs] if args.signs else checks.classical_sign_strings(args.max_n)
     results = checks.run_checks(names, signs_list)

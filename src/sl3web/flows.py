@@ -86,46 +86,40 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 
 @dataclass(frozen=True)
 class Flow:
-    """Moved color subsets per rung, in application order."""
+    """Moved color subsets per rung, in application order, and strand subsets
+    per layer, bottom to top; built by `enumerate_flows` or `flow_from_moves`."""
 
     web: LadderWeb
     moves: tuple[frozenset, ...]
-    # strand subsets per layer: given by enumerate_flows, else validated lazily
-    layers: tuple | None = field(default=None, compare=False, repr=False)
-
-    def subsets(self) -> tuple[tuple[frozenset, ...], ...]:
-        """Strand subsets per layer, bottom to top."""
-        if self.layers is None:
-            object.__setattr__(self, "layers", _subset_layers(self.web, self.moves))
-        return self.layers
+    layers: tuple[tuple[frozenset, ...], ...] = field(compare=False, repr=False)
 
     @property
     def exponent(self) -> int:
         e = 0
-        layers = self.subsets()
         for step, (i, _j) in enumerate(self.web.word.application_order()):
-            left, right = layers[step][i - 1], layers[step][i]
+            left, right = self.layers[step][i - 1], self.layers[step][i]
             e += transition_exponent(left, right, self.moves[step])
         return e
-
-    def top_subsets(self) -> tuple[frozenset, ...]:
-        return self.subsets()[-1]
 
 
 def _bottom_subsets(web: LadderWeb) -> tuple[frozenset, ...]:
     return tuple(frozenset(COLORS) if w == 3 else frozenset() for w in web.layers[0])
 
 
-def _subset_layers(web: LadderWeb, moves) -> tuple[tuple[frozenset, ...], ...]:
+def flow_from_moves(web: LadderWeb, moves) -> Flow:
+    """The flow on the web moving these color subsets, one per rung in
+    application order; ValueError on a wrong count or an illegal move."""
+    order = web.word.application_order()
+    if len(moves) != len(order):
+        raise ValueError(f"{len(moves)} moves for {len(order)} rungs")
     layers = [_bottom_subsets(web)]
-    for step, (i, j) in enumerate(web.word.application_order()):
+    for step, ((i, j), h) in enumerate(zip(order, moves)):
         cur = list(layers[-1])
-        h = moves[step]
         if len(h) != j or not h <= cur[i - 1] or (h & cur[i]):
             raise ValueError(f"illegal move {sorted(h)} at step {step + 1}")
         cur[i - 1], cur[i] = cur[i - 1] - h, cur[i] | h
         layers.append(tuple(cur))
-    return tuple(layers)
+    return Flow(web, tuple(moves), tuple(layers))
 
 
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
@@ -170,9 +164,8 @@ def state_of_subset(weight: int, subset: frozenset) -> int:
 
 def boundary_state(web: LadderWeb, flow: Flow) -> tuple[int, ...]:
     """States of the classical boundary strands, left to right."""
-    tops = flow.top_subsets()
     out = []
-    for w, subset in zip(web.layers[-1], tops):
+    for w, subset in zip(web.layers[-1], flow.layers[-1]):
         if w in (1, 2):
             out.append(state_of_subset(w, subset))
     return tuple(out)
@@ -228,10 +221,10 @@ def closed_flows(closed: ClosedWeb) -> list[ClosedFlow]:
     """Flow pairs agreeing along the gluing boundary, deterministic order."""
     by_top: dict[tuple, list[Flow]] = {}
     for f in enumerate_flows(closed.v):
-        by_top.setdefault(f.top_subsets(), []).append(f)
+        by_top.setdefault(f.layers[-1], []).append(f)
     out = []
     for fu in enumerate_flows(closed.u):
-        for fv in by_top.get(fu.top_subsets(), []):
+        for fv in by_top.get(fu.layers[-1], []):
             out.append(ClosedFlow(bottom=fu, top=fv))
     return out
 
@@ -263,10 +256,9 @@ def tensor_expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
 
 def flow_to_colstrict(web: LadderWeb, flow: Flow):
     """Column c lists the strands holding color c at the top, top to bottom."""
-    tops = flow.top_subsets()
     columns = []
     for c in COLORS:
-        strands = sorted(k for k, subset in enumerate(tops, start=1) if c in subset)
+        strands = sorted(k for k, subset in enumerate(flow.layers[-1], start=1) if c in subset)
         if len(strands) != web.ell:
             raise RuntimeError(f"color {c} held by {len(strands)} strands, not {web.ell}")
         columns.append(strands)

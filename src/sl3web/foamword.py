@@ -20,8 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from sl3web.bijection import WebSurvey, grow, iota, survey, survey_web
-from sl3web.flows import Flow
+from sl3web.bijection import WebSurvey, survey
 from sl3web.laurent import LaurentPoly
 from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
@@ -260,20 +259,6 @@ def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
 # -- half foams and the basis ---------------------------------------------------
 
 
-def half_foam(web: LadderWeb, flow: Flow) -> FoamWord:
-    """Foam from a web with flow up to its shape's idempotent web.
-
-    Removes the internal faces created by expanding divided powers, then
-    permutes the expanded filling to the superstandard one, recording one
-    generator per transposition.  Its degree equals the degree of the
-    filling minus the degree of the superstandard filling.
-    """
-    t = iota(web, flow)
-    top, _web = idempotent(t.shape)
-    drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
-    return _half_foam_from_tableau(t, web.word, top, drop)
-
-
 def _half_foam_from_tableau(
     t: StdMultitableau3, bottom: LTWord, top: LTWord, drop: int
 ) -> FoamWord:
@@ -324,41 +309,6 @@ class BasisFoam:
             f"F[{self.shape}] top={self.top_tableau} bottom={self.bottom_tableau} "
             f"deg={self.degree}"
         )
-
-
-def basis_foam(
-    shape: Multipartition3,
-    top_tableau: StdMultitableau3,
-    bottom_tableau: StdMultitableau3,
-) -> BasisFoam:
-    """Basis foam for two fillings of one shape, both in the image of iota.
-
-    Both fillings are turned back into webs with flows; the word composes
-    the bottom half upward, the dotted idempotent, and the reflected top
-    half.  Its degree is the sum of the two filling degrees.
-    """
-    if top_tableau.shape != shape or bottom_tableau.shape != shape:
-        raise ValueError("fillings do not match the shape")
-    halves = []
-    for t in (top_tableau, bottom_tableau):
-        web, flow = grow(t)
-        if iota(web, flow) != t:
-            raise ValueError("fillings are not in the image of the web-to-filling map")
-        halves.append((t, bkw_degree(t)[0], half_foam(web, flow)))
-    (t_top, d_top, upper), bottom = halves
-    return _assemble_basis_foam(
-        shape, (t_top, d_top, upper.reflected()), bottom, _dot_generators(shape)
-    )
-
-
-def involution(foam: BasisFoam) -> BasisFoam:
-    """Reflect a basis foam, swapping its two fillings."""
-    return BasisFoam(
-        shape=foam.shape,
-        top_tableau=foam.bottom_tableau,
-        bottom_tableau=foam.top_tableau,
-        word=foam.word.reflected(),
-    )
 
 
 def _assemble_basis_foam(
@@ -438,25 +388,3 @@ def graded_dim_pair(a: WebSurvey, b: WebSurvey) -> LaurentPoly:
     )
     return LaurentPoly(exponents)
 
-
-def web_of_shape(shape: Multipartition3) -> LadderWeb:
-    """The basis web whose canonical boundary data the shape encodes."""
-    from sl3web.ladderweb import is_semistandard, web_from_tableau
-
-    rows = multipartition_to_colstrict(shape, shape.m)
-    if not is_semistandard(rows):
-        raise ValueError(f"{shape} does not encode a canonical boundary pair")
-    return web_from_tableau(rows)
-
-
-def graded_dim(shape_a: Multipartition3, shape_b: Multipartition3) -> LaurentPoly:
-    """Graded dimension for two basis-web shapes, shifted by the strand count.
-
-    Equals the bracket of the glued pair of the two encoded webs.
-    """
-    if shape_a.size != shape_b.size:
-        raise ValueError("shapes have different node counts")
-    u, v = web_of_shape(shape_a), web_of_shape(shape_b)
-    if u.boundary != v.boundary:
-        raise ValueError("shapes encode different boundaries")
-    return graded_dim_pair(survey_web(u), survey_web(v)).shift(-u.n)

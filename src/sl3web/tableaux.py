@@ -28,7 +28,7 @@ def residue(node: Node, m: int) -> int:
 
 
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+    return isinstance(value, list) and all(type(v) is int for v in value)  # not JSON true/false
 
 
 # The divided-power correction subtracted per entry of the given multiplicity.
@@ -206,7 +206,7 @@ class Multipartition3:
         comps, m = data.get("components"), data.get("m")
         if not (isinstance(comps, list) and len(comps) == 3 and all(map(_is_int_list, comps))):
             raise ValueError("shape 'components' must be three lists of integers")
-        if m is not None and not isinstance(m, int):
+        if m is not None and type(m) is not int:
             raise ValueError("shape 'm' must be an integer")
         shape = cls(comps, m=m)
         # every node has residue col - row + m >= 1 exactly when m covers the rows
@@ -393,11 +393,17 @@ class StdMultitableau3:
             [[0] * length for length in comp.parts] for comp in shape.components
         ]
         for cell in data["cells"]:
-            if not (_is_int_list(cell) and len(cell) == 4 and 1 <= cell[2] <= 3
+            if not (_is_int_list(cell) and len(cell) == 4 and 1 <= cell[2] <= 3 and cell[3] > 0
                     and shape.component(cell[2]).contains(cell[0], cell[1])):
                 raise ValueError(f"tableau cell {cell!r} is not [row, col, comp, entry] in shape")
             r, c, l, v = cell
+            if rows[l - 1][r - 1][c - 1]:
+                raise ValueError(f"tableau cell {cell[:3]} is listed twice")
             rows[l - 1][r - 1][c - 1] = v
+        for l, comp in enumerate(rows, start=1):
+            for r, row in enumerate(comp, start=1):
+                if 0 in row:
+                    raise ValueError(f"tableau cell {[r, row.index(0) + 1, l]} is missing")
         return cls(shape, rows)
 
 

@@ -184,6 +184,46 @@ def test_explicit_zero_strands_or_level_is_honoured(capsys, argv, err):
     assert (captured.out, captured.err) == ("", err)
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-1"])
+def test_max_n_below_two_is_usage_error(capsys, max_n):
+    # no classical boundary has fewer than two strands: the run would check nothing
+    assert main(["verify", "all", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: --max-n must be at least 2, got {max_n}\n")
+
+
+ONE_NODE = '"shape":{"components":[[1],[],[]]'
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,1],[1,1,1,1]]}' % ONE_NODE],
+         "tableau cell [1, 1, 1] is listed twice"),
+        (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,2],[1,1,1,1]]}' % ONE_NODE],
+         "tableau cell [1, 1, 1] is listed twice"),
+        (["bij", "grow", "--tableau", '{"shape":{"components":[[2],[],[]]},"cells":[[1,1,1,1]]}'],
+         "tableau cell [1, 2, 1] is missing"),
+        (["bij", "grow", "--tableau", '{%s},"cells":[]}' % ONE_NODE],
+         "tableau cell [1, 1, 1] is missing"),
+        (["bij", "grow", "--tableau", '{%s,"m":true},"cells":[[1,1,1,1]]}' % ONE_NODE],
+         "shape 'm' must be an integer"),
+        (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,true]]}' % ONE_NODE],
+         "tableau cell [1, 1, 1, True] is not [row, col, comp, entry] in shape"),
+        (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,0]]}' % ONE_NODE],
+         "tableau cell [1, 1, 1, 0] is not [row, col, comp, entry] in shape"),
+        (["foam", "idem", "--shape", '{"components":[[true],[],[]]}'],
+         "shape 'components' must be three lists of integers"),
+    ],
+    ids=["repeat", "repeat-other-entry", "missing", "no-cells", "m-true", "entry-true",
+         "entry-zero", "part-true"],
+)
+def test_bad_json_payload_names_its_cell_or_field(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize(
     "argv,verb",
     [

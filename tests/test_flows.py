@@ -9,8 +9,6 @@ from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
     COLORS,
     ClosedWeb,
-    Flow,
-    _subset_layers,
     boundary_state,
     bracket,
     canonical_flow,
@@ -18,6 +16,7 @@ from sl3web.flows import (
     closed_weight,
     divided_power_identity_holds,
     enumerate_flows,
+    flow_from_moves,
     flow_to_colstrict,
     tensor_expansion,
 )
@@ -59,7 +58,7 @@ def test_empty_web_has_single_flow():
 
 def test_flow_layers_conserve_colors():
     for flow in enumerate_flows(HALF_THETA):
-        for layer, weights in zip(flow.subsets(), HALF_THETA.layers):
+        for layer, weights in zip(flow.layers, HALF_THETA.layers):
             assert [len(s) for s in layer] == list(weights)
             for c in COLORS:
                 assert sum(1 for s in layer if c in s) == HALF_THETA.ell
@@ -250,13 +249,16 @@ def test_tensor_expansion_sums_signed_flows():
 
 
 def test_flows_carry_their_layers():
-    for f in enumerate_flows(HALF_THETA):
-        assert f.layers == _subset_layers(HALF_THETA, f.moves)
-    built = Flow(HALF_THETA, enumerate_flows(HALF_THETA)[0].moves)
-    assert built.layers is None
-    assert built.subsets() == enumerate_flows(HALF_THETA)[0].subsets()
-    with pytest.raises(ValueError):
-        Flow(HALF_THETA, (frozenset({1, 2}),) * len(HALF_THETA.word.factors)).subsets()
+    for signs in classical_sign_strings(5):
+        for _rows, web in enumerate_basis(signs):
+            for f in enumerate_flows(web):
+                built = flow_from_moves(web, f.moves)
+                assert built == f and built.layers == f.layers
+    moves = enumerate_flows(HALF_THETA)[0].moves
+    with pytest.raises(ValueError, match="moves for"):
+        flow_from_moves(HALF_THETA, moves[:-1])
+    with pytest.raises(ValueError, match="illegal move"):
+        flow_from_moves(HALF_THETA, (frozenset({1, 2}),) * len(moves))
 
 
 def test_unitriangularity_exhaustive_small():

@@ -5,20 +5,17 @@ import itertools
 import pytest
 
 from sl3web import foamword
-from sl3web.bijection import iota, survey
+from sl3web.bijection import iota, survey_web
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
 from sl3web.foamword import (
     FoamGen,
-    basis_foam,
     cellular_halves,
     classify_transposition,
     dot_placement,
     enumerate_cellular_basis,
-    graded_dim,
-    half_foam,
+    graded_dim_pair,
     idempotent,
-    involution,
     minimal_permutation,
     orthogonality_check,
     permutation_word,
@@ -182,8 +179,21 @@ def test_classify_distant_residues():
 # -- half foams -----------------------------------------------------------------------
 
 
+def _halves(signs):
+    """(filling, lower half foam) for every flow over the boundary, as
+    `cellular_halves` builds them."""
+    return [(t, half) for _s, _d, halves in cellular_halves(signs) for t, _deg, half in halves]
+
+
+def _half_of(web, flow):
+    t = iota(web, flow)
+    (half,) = [half for u, half in _halves(str(web.boundary)) if u == t]
+    assert half.bottom == web.word
+    return half
+
+
 def test_half_foam_theta_canonical():
-    foam = half_foam(Y, canonical_flow(Y))
+    foam = _half_of(Y, canonical_flow(Y))
     kinds = [g.kind for g in foam.generators]
     assert kinds.count("unzip") == 1
     assert kinds.count("digon_removal") == 1
@@ -193,21 +203,19 @@ def test_half_foam_theta_canonical():
 def test_half_foam_of_superstandard_flow_is_trivial():
     # a flow whose filling is already superstandard yields the identity
     arc = web_from_tableau(((1, 1, 2),))
-    for flow in enumerate_flows(arc):
-        t = iota(arc, flow)
+    found = 0
+    for t, foam in _halves(str(arc.boundary)):
         if t == superstandard(t.shape):
-            foam = half_foam(arc, flow)
             assert [g.kind for g in foam.generators] == ["identity"]
             assert foam.degree == 0
+            found += 1
+    assert found > 0
 
 
 def test_half_foam_degree_identity():
     for signs in classical_sign_strings(5):
-        for _rows, web in enumerate_basis(signs):
-            for flow in enumerate_flows(web):
-                t = iota(web, flow)
-                foam = half_foam(web, flow)
-                assert foam.degree == bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
+        for t, foam in _halves(signs):
+            assert foam.degree == bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
 
 
 def test_half_foam_worked_permutation():
@@ -215,7 +223,7 @@ def test_half_foam_worked_permutation():
     flow = next(
         f for f in enumerate_flows(split) if boundary_state(split, f) == (0, 0, 0, 0)
     )
-    foam = half_foam(split, flow)
+    foam = _half_of(split, flow)
     face, perm = foam.generators[:3], foam.generators[3:]
     # three internal digons from the three repeated entries
     assert [g.kind for g in face] == ["digon_removal"] * 3
@@ -244,10 +252,9 @@ def _old_half_generators(t):
 def test_half_foam_matches_the_expanded_permutation():
     halves = 0
     for signs in classical_sign_strings(5):
-        for entry in survey(signs):
-            for _j, _d, flow, t in entry.records:
-                assert half_foam(entry.web, flow).generators == _old_half_generators(t), t
-                halves += 1
+        for t, foam in _halves(signs):
+            assert foam.generators == _old_half_generators(t), t
+            halves += 1
     assert halves == sum(
         len(enumerate_flows(web))
         for signs in classical_sign_strings(5)
@@ -267,7 +274,7 @@ def test_half_foam_degree_mismatch_raises():
 def test_half_foam_raises_when_a_swap_breaks_standardness(monkeypatch):
     monkeypatch.setattr(foamword, "swap_keeps_standard", lambda low, high: False)
     with pytest.raises(RuntimeError, match="left the standard fillings"):
-        half_foam(Y, canonical_flow(Y))
+        _halves(str(Y.boundary))
 
 
 # -- interned generators -----------------------------------------------------------
@@ -284,7 +291,7 @@ def test_generators_are_interned_and_reflect_back():
         assert r.kind == {"zip": "unzip", "unzip": "zip"}.get(g.kind, g.kind)
         assert (r.degree, r.position, r.count) == (g.degree, g.position, g.count)
     for foam in foams:
-        twice = involution(involution(foam)).word.generators
+        twice = foam.word.reflected().reflected().generators
         assert all(a is b for a, b in zip(twice, foam.word.generators))
 
 
@@ -313,45 +320,45 @@ def test_circle_pair_basis_counts_match_dimension():
 
 
 def test_diagonal_foam_degree_is_twice_the_dots():
-    shape = THETA_SHAPE
-    sup = superstandard(shape)
-    # the superstandard filling is the image of the idempotent-web flow
-    foam = basis_foam(shape, sup, sup)
-    assert foam.degree == 2 * sum(dot_placement(shape))
+    # a diagonal foam is one filling's half, the dots and the same half reflected
+    for signs in classical_sign_strings(4):
+        diagonal = [f for f in enumerate_cellular_basis(signs) if f.top_tableau == f.bottom_tableau]
+        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(signs))
+        for foam in diagonal:
+            assert foam.degree == 2 * bkw_degree(foam.top_tableau)[0]
 
 
 def test_involution_swaps_and_preserves():
-    # the pair-level reference for the half-foam checks in `checks`
+    # the pair-level reference for the half-foam checks in `checks`: the swapped
+    # pair is a basis foam too, and reflecting a word keeps its degree
     for signs in classical_sign_strings(5):
         foams = enumerate_cellular_basis(signs)
         assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(signs))
+        by_pair = {(f.top_tableau, f.bottom_tableau): f for f in foams}
         for foam in foams:
-            flipped = involution(foam)
-            assert flipped.top_tableau == foam.bottom_tableau
-            assert flipped.bottom_tableau == foam.top_tableau
+            assert by_pair[foam.bottom_tableau, foam.top_tableau].degree == foam.degree
+            flipped = foam.word.reflected()
+            assert (flipped.bottom, flipped.top) == (foam.word.top, foam.word.bottom)
             assert flipped.degree == foam.degree
-            assert involution(flipped).word == foam.word
-
-
-def test_basis_foam_shape_mismatch_rejected():
-    sup = superstandard(THETA_SHAPE)
-    other = superstandard(mp((), (), (3,)))
-    with pytest.raises(ValueError):
-        basis_foam(THETA_SHAPE, sup, other)
+            assert flipped.reflected() == foam.word
 
 
 # -- graded dimensions ---------------------------------------------------------------------
 
 
+def _graded_dim(rows):
+    """Graded dimension of the basis web of column-strict rows with itself."""
+    web = web_from_tableau(rows)
+    return graded_dim_pair(survey_web(web), survey_web(web)).shift(-web.n)
+
+
 def test_graded_dim_theta_shape():
-    assert graded_dim(THETA_SHAPE, THETA_SHAPE) == qint(2) * qint(3)
+    assert _graded_dim(((1, 2, 3),)) == qint(2) * qint(3)
 
 
 def test_graded_dim_empty_shapes():
-    empty = mp((), (), ())
-    assert graded_dim(empty, empty)(1) == 1
+    assert _graded_dim(())(1) == 1
 
 
 def test_graded_dim_arc_shape():
-    shape = mp((), (1,), (1,))
-    assert graded_dim(shape, shape) == qint(3)
+    assert _graded_dim(((1, 2, 2),)) == qint(3)
