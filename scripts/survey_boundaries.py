@@ -12,7 +12,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sl3web.bijection import survey
-from sl3web.checks import classical_sign_strings, flow_pairs
+from sl3web.checks import classical_sign_strings
+from sl3web.foamword import graded_dim_pair
 from sl3web.ladderweb import c_of_S
 
 
@@ -22,7 +23,7 @@ def main() -> int:
     for signs in classical_sign_strings(max_n):
         entries = survey(signs)
         flows = sum(len(e.records) for e in entries)
-        dim = sum(flow_pairs(a, b) for a in entries for b in entries)
+        dim = sum(graded_dim_pair(a, b)(1) for a in entries for b in entries)
         print(f"{signs:>8} {c_of_S(signs):>5} {len(entries):>5} {flows:>6} {dim:>8}")
     return 0
 

@@ -14,13 +14,13 @@ miscalibration of the state dictionary fails loudly.
 
 `survey` is the one place that enumerates a boundary's flows and fills
 them; the checks, the cellular basis, the graded dimensions and the
-roundtrips all read its records.
+roundtrips all read its records.  It keeps nothing between calls: a
+caller that reads one boundary several times holds on to the survey.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from sl3web.flows import (
     COLORS, Flow, boundary_state, enumerate_flows, flow_from_moves, flow_to_colstrict,
@@ -369,7 +369,6 @@ def survey_web(web: LadderWeb) -> WebSurvey:
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
 
 
-@lru_cache(maxsize=None)
 def survey(signs: str) -> tuple[WebSurvey, ...]:
     """The basis webs over a classical sign string, each surveyed once."""
     return tuple(survey_web(web) for _rows, web in enumerate_basis(signs))

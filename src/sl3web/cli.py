@@ -23,9 +23,11 @@ from sl3web.flows import (
     boundary_state,
     bracket,
     enumerate_flows,
+    flow_vector,
     tensor_expansion,
 )
 from sl3web.foamword import (
+    boundary_strand_count,
     dot_placement,
     enumerate_cellular_basis,
     graded_dim_pair,
@@ -163,7 +165,7 @@ def cmd_flows(args) -> int:
         return 0
     if args.action == "expand":
         web = _web_from_args(args)
-        expansion = tensor_expansion(web)
+        expansion = tensor_expansion(flow_vector(web))
         rows = [
             {"state": json.dumps(list(j)), "coefficient": str(p)}
             for j, p in sorted(expansion.items(), reverse=True)
@@ -242,26 +244,25 @@ def cmd_foam(args) -> int:
         return 0
     if args.action == "dims":
         rows = []
-        entries = survey(args.signs)
-        for a in entries:
-            for b in entries:
-                gd = graded_dim_pair(a, b)
-                br = bracket(ClosedWeb(a.web, b.web)).shift(len(args.signs))
-                rows.append(
-                    {
-                        "top": str(a.web.word),
-                        "bottom": str(b.web.word),
-                        "graded_dim": str(gd),
-                        "shifted_bracket": str(br),
-                        "match": gd == br,
-                    }
-                )
+        for a, b, br in checks.Boundary(args.signs).brackets:
+            gd, shifted = graded_dim_pair(a, b), br.shift(len(args.signs))
+            rows.append(
+                {
+                    "top": str(a.web.word),
+                    "bottom": str(b.web.word),
+                    "graded_dim": str(gd),
+                    "shifted_bracket": str(shifted),
+                    "match": gd == shifted,
+                }
+            )
         _emit(args, rows, ["top", "bottom", "graded_dim", "shifted_bracket", "match"])
         return 0 if all(r["match"] for r in rows) else 1
     if args.action == "idem":
         data = _load_json(args.shape, "shape")
         shape = Multipartition3.from_json(data)
-        word, web = idempotent(shape)
+        word = idempotent(shape)
+        if (web := build_web(word, boundary_strand_count(shape), shape.m)) is None:
+            raise RuntimeError(f"idempotent word of {shape} killed the highest weight vector")
         payload = {
             "word": str(word),
             "dots": dot_placement(shape),

@@ -10,10 +10,11 @@ Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
 the sum over rungs is the weight of the flow on a web with boundary.  The
 flow vector A_w(j) of a web sums q^-weight over its flows of boundary state
-j.  A closed web, presented as a pair (u, v) glued along a common boundary,
-adds one plus the boundary state per strand, so its bracket is the bilinear
-form sum_j q^-(len j + sum j) A_u(j) A_v(j); `closed_flows` and
-`closed_weight` are the flow-by-flow definition the form is tested against.
+j; nothing keeps it, so a caller that reads it twice holds on to it.  A
+closed web, presented as a pair (u, v) glued along a common boundary, adds
+one plus the boundary state per strand, so its bracket is the `pairing`
+sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors; `closed_flows`
+and `closed_weight` are the flow-by-flow definition it is tested against.
 The convention is pinned by reports/calibration.md and by the exact
 divided-power identity checked in _transition_poly.
 """
@@ -24,7 +25,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 from sl3web.laurent import LaurentPoly, monomial, qfactorial
 from sl3web.ladderweb import LadderWeb
@@ -138,13 +138,12 @@ def enumerate_flows(web: LadderWeb) -> list[Flow]:
     return [Flow(web, moves, layers) for moves, layers in partial]
 
 
-@lru_cache(maxsize=None)
-def flow_vector(web: LadderWeb) -> MappingProxyType[tuple[int, ...], LaurentPoly]:
-    """Sum of q^-exponent over the flows of the web, per boundary state (read-only)."""
+def flow_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
+    """Sum of q^-exponent over the flows of the web, per boundary state."""
     counts: dict[tuple[int, ...], Counter] = {}
     for f in enumerate_flows(web):
         counts.setdefault(boundary_state(web, f), Counter())[-f.exponent] += 1
-    return MappingProxyType({j: LaurentPoly(c) for j, c in counts.items()})
+    return {j: LaurentPoly(c) for j, c in counts.items()}
 
 
 # -- boundary states ---------------------------------------------------------
@@ -192,15 +191,19 @@ def _pairing_exponent(j: tuple[int, ...]) -> int:
     return len(j) + sum(j)
 
 
+def pairing(left: dict, right: dict) -> LaurentPoly:
+    """The bracket of u glued to v, from their flow vectors A_u and A_v."""
+    out = LaurentPoly()
+    for j, a in left.items():
+        if j in right:
+            out = out + (a * right[j]).shift(-_pairing_exponent(j))
+    return out
+
+
 def bracket(web) -> LaurentPoly:
     """Kuperberg bracket of a closed web: sum of q^(-weight) over its flows."""
     if isinstance(web, ClosedWeb):
-        right = flow_vector(web.v)
-        out = LaurentPoly()
-        for j, a in flow_vector(web.u).items():
-            if j in right:
-                out = out + (a * right[j]).shift(-_pairing_exponent(j))
-        return out
+        return pairing(flow_vector(web.u), flow_vector(web.v))
     if isinstance(web, LadderWeb):
         if any(w in (1, 2) for w in web.layers[-1]):
             raise ValueError(f"web with boundary {web.boundary} is not closed")
@@ -239,15 +242,15 @@ def closed_weight(closed: ClosedWeb, cf: ClosedFlow) -> int:
 # -- tensor expansion --------------------------------------------------------
 
 
-def tensor_expansion(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
-    """Coefficients of the web on elementary tensors, indexed by states.
+def tensor_expansion(vector: dict) -> dict[tuple[int, ...], LaurentPoly]:
+    """Coefficients of a web on elementary tensors by state, from its flow vector.
 
     Each flow contributes v^weight with v = -q^(-1), i.e. the monomial
     (-1)^w q^(-w): the flow vector with q -> -q.
     """
     return {
         j: LaurentPoly({e: -c if e % 2 else c for e, c in p.items()})
-        for j, p in flow_vector(web).items()
+        for j, p in vector.items()
     }
 
 

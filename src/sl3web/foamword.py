@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 from sl3web.bijection import WebSurvey, survey
 from sl3web.laurent import LaurentPoly
-from sl3web.ladderweb import LadderWeb, LTWord, build_web
+from sl3web.ladderweb import LTWord
 from sl3web.tableaux import (
     Multipartition3,
     Node,
@@ -99,21 +99,15 @@ class FoamWord:
 # -- idempotents and dots ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def idempotent(shape: Multipartition3) -> tuple[LTWord, LadderWeb]:
-    """Undivided ladder word of a shape and its (possibly elliptic) web.
+def idempotent(shape: Multipartition3) -> LTWord:
+    """Undivided ladder word of a shape.
 
     The word has one factor per node, indexed by the residue sequence of
-    the shape's superstandard filling; it never kills the highest weight
-    vector.
+    the shape's superstandard filling; on `boundary_strand_count(shape)`
+    strands at level m it never kills the highest weight vector.
     """
     res = superstandard(shape).residue_sequence()
-    factors = tuple((r, 1) for r in reversed(res))
-    word = LTWord(factors)
-    web = build_web(word, boundary_strand_count(shape), shape.m)
-    if web is None:
-        raise RuntimeError(f"idempotent word of {shape} killed the highest weight vector")
-    return word, web
+    return LTWord(tuple((r, 1) for r in reversed(res)))
 
 
 def boundary_strand_count(shape: Multipartition3) -> int:
@@ -134,11 +128,6 @@ def orthogonality_check(a: Multipartition3, b: Multipartition3) -> bool:
 def dot_placement(shape: Multipartition3) -> list[int]:
     """Dots per node step: addable nodes of equal residue after each node
     of the superstandard filling, counted in its truncation."""
-    return list(_dot_vector(shape))
-
-
-@lru_cache(maxsize=None)
-def _dot_vector(shape: Multipartition3) -> tuple[int, ...]:
     # the superstandard filling grows the shape in reading order
     lengths: tuple[list[int], ...] = ([], [], [])
     out = []
@@ -158,7 +147,7 @@ def _dot_vector(shape: Multipartition3) -> tuple[int, ...]:
                         "not arise here"
                     )
                 out.append(after)
-    return tuple(out)
+    return out
 
 
 # -- permutations between fillings ---------------------------------------------
@@ -341,20 +330,20 @@ def _dot_generators(shape: Multipartition3) -> tuple[FoamGen, ...]:
     )
 
 
-def cellular_halves(S) -> Iterator[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
-    """Per boundary state over a classical sign string: its shape, the dot
+def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
+    """Per boundary state of one boundary's surveyed webs: its shape, the dot
     generators and one (filling, filling degree, lower half foam) per flow.
 
     Each half is built once, from its survey record's filling and degree,
     and a state's halves only when the caller moves on to that state.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
-    for entry in survey(str(S)):
+    for entry in surveys:
         for j, d, _flow, t in entry.records:
             groups.setdefault(j, []).append((t, d, entry.web.word))
     for group in groups.values():
         shape = group[0][0].shape
-        top, _web = idempotent(shape)
+        top = idempotent(shape)
         d_sup = bkw_degree(superstandard(shape))[0]
         lowers = [
             (t, d, _half_foam_from_tableau(t, bottom, top, d - d_sup)) for t, d, bottom in group
@@ -366,7 +355,7 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     """All basis foams over a classical sign string, deterministically keyed:
     one per boundary state and ordered pair of flows with that state."""
     keyed = []
-    for shape, dot_gens, lowers in cellular_halves(S):
+    for shape, dot_gens, lowers in cellular_halves(survey(str(S))):
         res = superstandard(shape).residue_sequence()
         uppers = [(t, d, lower.reflected()) for t, d, lower in lowers]
         for upper, lower in itertools.product(uppers, lowers):

@@ -11,6 +11,7 @@ diagonals and select which ladder operator a node corresponds to.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -395,7 +396,7 @@ class StdMultitableau3:
         for cell in data["cells"]:
             if not (_is_int_list(cell) and len(cell) == 4 and 1 <= cell[2] <= 3 and cell[3] > 0
                     and shape.component(cell[2]).contains(cell[0], cell[1])):
-                raise ValueError(f"tableau cell {cell!r} is not [row, col, comp, entry] in shape")
+                raise ValueError(f"tableau cell {json.dumps(cell)} is not [row, col, comp, entry] in shape")
             r, c, l, v = cell
             if rows[l - 1][r - 1][c - 1]:
                 raise ValueError(f"tableau cell {cell[:3]} is listed twice")
@@ -446,12 +447,6 @@ def bkw_degree(t: StdMultitableau3) -> tuple[int, list[int]]:
     leftmost component and the total is corrected by 0/1/3 for
     multiplicity 1/2/3.
     """
-    total, breakdown = _bkw_degree_cached(t)
-    return total, list(breakdown)
-
-
-@lru_cache(maxsize=None)
-def _bkw_degree_cached(t: StdMultitableau3) -> tuple[int, tuple[int, ...]]:
     m = t.shape.m
     lengths: tuple[list[int], ...] = ([], [], [])  # row lengths grown so far
     breakdown = []
@@ -468,7 +463,7 @@ def _bkw_degree_cached(t: StdMultitableau3) -> tuple[int, tuple[int, ...]]:
             addable, removable = _same_residue_after(lengths, m, node, k)
             contribution += addable - removable
         breakdown.append(contribution - _MULTIPLICITY_CORRECTION[len(nodes)])
-    return sum(breakdown), tuple(breakdown)
+    return sum(breakdown), breakdown
 
 
 def _same_residue_after(

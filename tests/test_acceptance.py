@@ -40,9 +40,14 @@ def report(number: int, started: float, description: str):
     print(f"ACCEPTANCE {number:>2}: PASS ({elapsed:5.1f}s) {description}")
 
 
+# one Boundary per sign string, read by criteria 6-11 as `verify all` reads it
+BOUNDARIES = {}
+
+
 def exhaustive(check_name: str):
     for signs in checks.classical_sign_strings(MAX_N):
-        ok, counterexample = checks.CHECKS[check_name](signs)
+        boundary = BOUNDARIES.setdefault(signs, checks.Boundary(signs))
+        ok, counterexample = checks.CHECKS[check_name](boundary)
         assert ok, f"{check_name} failed on {signs}: {counterexample}"
 
 
@@ -133,7 +138,7 @@ def test_criterion_05_ladder_words_reproduced():
         assert str(lt_generators(rows)) == text, rows
     from sl3web.foamword import idempotent
 
-    word, _web = idempotent(Multipartition3(((2, 1), (1,), (2, 1))))
+    word = idempotent(Multipartition3(((2, 1), (1,), (2, 1))))
     assert str(word) == "F1 F3 F2 F2 F1 F3 F2"
     report(5, t0, "ladder words incl. hexagon and the seven-node idempotent word")
 

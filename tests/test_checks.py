@@ -17,19 +17,6 @@ from sl3web.ladderweb import enumerate_basis
 SIGNS = "+-+-"
 
 
-def _clear_caches():
-    bijection.survey.cache_clear()
-    flows.flow_vector.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def cold_survey():
-    # a patched iota must neither see nor leave a cached survey or flow vector
-    _clear_caches()
-    yield
-    _clear_caches()
-
-
 def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
     real = bijection.grow
 
@@ -39,7 +26,7 @@ def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
         return web, next(f for f in enumerate_flows(web) if f != flow)
 
     monkeypatch.setattr(bijection, "grow", another_flow)
-    ok, ce = checks.check_roundtrip(SIGNS)
+    ok, ce = checks.check_roundtrip(checks.Boundary(SIGNS))
     assert not ok
     assert ce["signs"] == SIGNS
     assert ce["reason"] == "grow did not invert"
@@ -54,7 +41,7 @@ def test_roundtrip_fails_when_iota_collides(monkeypatch):
         return first.setdefault(web, real(web, flow))
 
     monkeypatch.setattr(bijection, "iota", collide)
-    ok, ce = checks.check_roundtrip(SIGNS)
+    ok, ce = checks.check_roundtrip(checks.Boundary(SIGNS))
     assert not ok
     assert ce["reason"] == "iota not injective"
 
@@ -68,10 +55,13 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
         return real(web, flow)
 
     monkeypatch.setattr(bijection, "iota", counted)
+    flows = sum(len(enumerate_flows(web)) for _rows, web in enumerate_basis(SIGNS))
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     assert all(r["ok"] for r in results), results
+    assert len(calls) == flows
+    # a command keeps nothing for the next: the basis surveys the boundary anew
+    calls.clear()
     foamword.enumerate_cellular_basis(SIGNS)
-    flows = sum(len(enumerate_flows(web)) for _rows, web in enumerate_basis(SIGNS))
     assert len(calls) == flows
 
 
@@ -95,8 +85,8 @@ def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
 @pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])
 def test_off_pairing_fails_bracket_checks(monkeypatch, signs):
     monkeypatch.setattr(flows, "_pairing_exponent", lambda j: len(j) + 1 + sum(j))
-    assert not checks.check_graded_dim(signs)[0]
-    assert not checks.check_bracket_symmetry(signs)[0]
+    assert not checks.check_graded_dim(checks.Boundary(signs))[0]
+    assert not checks.check_bracket_symmetry(checks.Boundary(signs))[0]
 
 
 def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
@@ -104,10 +94,10 @@ def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
     first, _second = enumerate_basis(SIGNS)
     for mod in (bijection, checks):
         monkeypatch.setattr(mod, "enumerate_basis", lambda signs: [first, first])
-    ok, ce = checks.check_total_length(SIGNS)
+    ok, ce = checks.check_total_length(checks.Boundary(SIGNS))
     assert not ok
     assert ce["repeated_words"] == [str(first[1].word)]
-    ok, ce = checks.check_unitriangularity(SIGNS)
+    ok, ce = checks.check_unitriangularity(checks.Boundary(SIGNS))
     assert not ok
     assert ce["reason"] == "two basis webs share their defining state"
 
@@ -115,12 +105,46 @@ def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
 @pytest.mark.xfail(strict=True, reason="lt_generators gives two tableaux one web (ROADMAP item 1)")
 @pytest.mark.parametrize("signs", ["+--+---", "+---+--", "+-+-+-+-"])
 def test_basis_words_distinct_beyond_six_strands(signs):
-    assert checks.check_total_length(signs)[0]
+    assert checks.check_total_length(checks.Boundary(signs))[0]
 
 
-def test_flow_pairs_counts_matching_states():
+def test_graded_dim_at_one_counts_matching_states():
+    # bracket-symmetry's flow count: sum_j |a_j| * |b_j| over shared states
     (arc,) = bijection.survey("+-")
-    assert checks.flow_pairs(arc, arc) == 3
+    assert foamword.graded_dim_pair(arc, arc)(1) == 3
+
+
+BOUNDARIES = ["+-", "+++", SIGNS]
+
+
+def test_run_checks_reports_check_major_over_boundaries():
+    names = ["degree", "total-length", "bracket-symmetry"]
+    results = checks.run_checks(names, BOUNDARIES)
+    assert [(r["check"], r["signs"]) for r in results] == [
+        (name, signs) for name in names for signs in BOUNDARIES
+    ]
+    assert all(r["ok"] for r in results), results
+
+
+def test_verify_all_reads_each_boundary_once(monkeypatch):
+    calls: Counter = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(checks, name, counted)
+
+    for name in ("survey", "cellular_halves", "pairing"):
+        spy(name, getattr(checks, name))
+    results = checks.run_checks(list(checks.CHECKS), BOUNDARIES)
+    assert all(r["ok"] for r in results), results
+    webs = [len(enumerate_basis(signs)) for signs in BOUNDARIES]
+    assert calls == {
+        "survey": len(BOUNDARIES),
+        "cellular_halves": len(BOUNDARIES),
+        "pairing": sum(k * k for k in webs),
+    }
 
 
 def test_crash_inside_a_check_is_a_replayable_failure(monkeypatch):
@@ -205,8 +229,8 @@ def test_pair_without_dots_fails_basis_assembly(monkeypatch):
 def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
     real = foamword.cellular_halves
 
-    def drop_one(signs):
-        (shape, dots, halves), *rest = real(signs)
+    def drop_one(surveys):
+        (shape, dots, halves), *rest = real(surveys)
         return [(shape, dots, halves[1:]), *rest]
 
     monkeypatch.setattr(checks, "cellular_halves", drop_one)

@@ -209,7 +209,7 @@ ONE_NODE = '"shape":{"components":[[1],[],[]]'
         (["bij", "grow", "--tableau", '{%s,"m":true},"cells":[[1,1,1,1]]}' % ONE_NODE],
          "shape 'm' must be an integer"),
         (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,true]]}' % ONE_NODE],
-         "tableau cell [1, 1, 1, True] is not [row, col, comp, entry] in shape"),
+         "tableau cell [1, 1, 1, true] is not [row, col, comp, entry] in shape"),
         (["bij", "grow", "--tableau", '{%s},"cells":[[1,1,1,0]]}' % ONE_NODE],
          "tableau cell [1, 1, 1, 0] is not [row, col, comp, entry] in shape"),
         (["foam", "idem", "--shape", '{"components":[[true],[],[]]}'],

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from sl3web import foamword
-from sl3web.bijection import iota, survey_web
+from sl3web.bijection import iota, survey, survey_web
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, canonical_flow, enumerate_flows
 from sl3web.foamword import (
@@ -21,7 +21,7 @@ from sl3web.foamword import (
     permutation_word,
 )
 from sl3web.laurent import qint
-from sl3web.ladderweb import LTWord, enumerate_basis, web_from_tableau
+from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
 from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
 
 
@@ -37,14 +37,15 @@ THETA_SHAPE = mp((), (1,), (2,))
 
 
 def test_idempotent_word_example():
-    word, web = idempotent(mp((2, 1), (1,), (2, 1)))
+    shape = mp((2, 1), (1,), (2, 1))
+    word = idempotent(shape)
     assert str(word) == "F1 F3 F2 F2 F1 F3 F2"
-    assert web is not None
+    assert build_web(word, foamword.boundary_strand_count(shape), shape.m) is not None
 
 
 def test_idempotent_of_half_theta_shape():
     shape = mp((1,), (), (1, 1))
-    word, _web = idempotent(shape)
+    word = idempotent(shape)
     expected = tuple(
         (r, 1) for r in reversed(superstandard(shape).residue_sequence())
     )
@@ -52,7 +53,7 @@ def test_idempotent_of_half_theta_shape():
 
 
 def test_idempotent_of_empty_shape():
-    word, _web = idempotent(mp((), (), ()))
+    word = idempotent(mp((), (), ()))
     assert word == LTWord()
 
 
@@ -73,7 +74,7 @@ def test_orthogonality_holds_across_components():
     a = mp((1,), (), (1, 1))
     b = mp((), (1,), (1, 1))
     assert orthogonality_check(a, b)
-    assert idempotent(a)[0] == idempotent(b)[0]
+    assert idempotent(a) == idempotent(b)
 
 
 def test_orthogonality_equal_sequences_share_the_word():
@@ -86,7 +87,7 @@ def test_orthogonality_equal_sequences_share_the_word():
     for a, b in itertools.combinations({s for s in shapes}, 2):
         if orthogonality_check(a, b):
             found += 1
-            assert idempotent(a)[0] == idempotent(b)[0]
+            assert idempotent(a) == idempotent(b)
     assert found > 0
 
 
@@ -182,7 +183,7 @@ def test_classify_distant_residues():
 def _halves(signs):
     """(filling, lower half foam) for every flow over the boundary, as
     `cellular_halves` builds them."""
-    return [(t, half) for _s, _d, halves in cellular_halves(signs) for t, _deg, half in halves]
+    return [(t, half) for _s, _d, halves in cellular_halves(survey(signs)) for t, _deg, half in halves]
 
 
 def _half_of(web, flow):
@@ -264,7 +265,7 @@ def test_half_foam_matches_the_expanded_permutation():
 
 def test_half_foam_degree_mismatch_raises():
     t = iota(Y, canonical_flow(Y))
-    top, _web = idempotent(t.shape)
+    top = idempotent(t.shape)
     drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
     assert foamword._half_foam_from_tableau(t, Y.word, top, drop).degree == drop
     with pytest.raises(RuntimeError, match="half foam degree"):
@@ -323,7 +324,7 @@ def test_diagonal_foam_degree_is_twice_the_dots():
     # a diagonal foam is one filling's half, the dots and the same half reflected
     for signs in classical_sign_strings(4):
         diagonal = [f for f in enumerate_cellular_basis(signs) if f.top_tableau == f.bottom_tableau]
-        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(signs))
+        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(survey(signs)))
         for foam in diagonal:
             assert foam.degree == 2 * bkw_degree(foam.top_tableau)[0]
 
@@ -333,7 +334,7 @@ def test_involution_swaps_and_preserves():
     # pair is a basis foam too, and reflecting a word keeps its degree
     for signs in classical_sign_strings(5):
         foams = enumerate_cellular_basis(signs)
-        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(signs))
+        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(survey(signs)))
         by_pair = {(f.top_tableau, f.bottom_tableau): f for f in foams}
         for foam in foams:
             assert by_pair[foam.bottom_tableau, foam.top_tableau].degree == foam.degree

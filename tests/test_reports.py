@@ -21,3 +21,24 @@ def _script(name):
 )
 def test_report_script_reproduces_the_committed_report(script, report):
     assert _script(script).render() == (ROOT / "reports" / report).read_text()
+
+
+SURVEY_TABLE_N4 = """\
+   signs  c(S)  webs  flows  dim K_S
+      +-     2     1      3        3
+      -+     1     1      3        3
+     +++     3     1      6        6
+     ---     3     1      6        6
+    ++--     8     2     21       33
+    +-+-     7     2     18       24
+    +--+     6     2     21       33
+    -++-     6     2     21       33
+    -+-+     5     2     18       24
+    --++     4     2     21       33
+"""
+
+
+def test_survey_boundaries_table_up_to_four_strands(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["survey_boundaries.py", "4"])
+    assert _script("survey_boundaries").main() == 0
+    assert capsys.readouterr().out == SURVEY_TABLE_N4
