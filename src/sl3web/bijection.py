@@ -5,38 +5,45 @@ order: the k-th rung places a node with entry k into each component named
 by the moved color subset, at that component's unique fillable node whose
 residue equals the rung index.  The inverse `grow` reads a standard
 multitableau as a tower of weight diagrams and re-emits one ladder rung
-per level, recovering the web and the flow.
+per level, recovering the web and the flow; `roundtrip_holds` compares
+the rungs it reads with the web's, row lengths tracked entry by entry.
 
 Every rung also carries a classification (family, type, color) determined
-by which of its four edge germs are erased and by the flow; `iota`
-cross-checks each placement against the static move table, so a
-miscalibration of the state dictionary fails loudly.
+by which of its four edge germs are erased and by the flow; each placement
+is cross-checked against the static move table, so a miscalibration of
+the state dictionary fails loudly.
 
-`survey` is the one place that enumerates a boundary's flows and fills
-them; the checks, the cellular basis, the graded dimensions and the
-roundtrips all read its records.  It keeps nothing between calls: a
+`survey` is the one place that fills a boundary's flows; the checks, the
+cellular basis, the graded dimensions and the roundtrips all read its
+records.  It walks each web's flow-prefix tree once, placing a rung's
+nodes and adding their degree share at the prefix, so every prefix is
+filled and graded once; `iota` and `bkw_degree` stay the per-flow
+definitions it is tested against.  It keeps nothing between calls: a
 caller that reads one boundary several times holds on to the survey.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from sl3web.flows import (
-    COLORS, Flow, boundary_state, enumerate_flows, flow_from_moves, flow_to_colstrict,
+    COLORS, Flow, _bottom_subsets, boundary_state, flow_from_moves, flow_to_colstrict,
 )
-from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis
+from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
     Multipartition3,
     Node,
     StdMultitableau3,
-    bkw_degree,
+    _entry_degree,
     colstrict_to_multipartition,
 )
 
 
-@dataclass(frozen=True)
-class MoveKind:
+class MoveKind(NamedTuple):
+    """A rung's move; as a tuple it is its key in MOVE_TABLE."""
+
     family: str  # arc | y | h | shift_right | shift_left | empty_shift
     type: str | None  # 'a' or 'b'; None for empty_shift
     color: int | None  # 1, 0 or -1; None for empty_shift
@@ -114,13 +121,15 @@ def classify_step(web: LadderWeb, flow: Flow, k: int) -> MoveKind:
     if not 1 <= k <= len(order):
         raise ValueError(f"step {k} out of range 1..{len(order)}")
     i, j = order[k - 1]
-    below = web.layers[k - 1]
-    a, b = below[i - 1], below[i]
-    a_top, b_top = a - j, b + j
-    subsets = flow.layers[k - 1]
-    left, right = subsets[i - 1], subsets[i]
-    moved = flow.moves[k - 1]
+    below, subsets = web.layers[k - 1], flow.layers[k - 1]
+    return _classify(k, below[i - 1], below[i], j, subsets[i - 1], subsets[i], flow.moves[k - 1])
 
+
+def _classify(k: int, a: int, b: int, j: int, left: frozenset, right: frozenset,
+              moved: frozenset) -> MoveKind:
+    """The move kind of rung k taking weights (a, b) to (a - j, b + j) and
+    moving `moved` from the subset `left` onto the subset `right`."""
+    a_top, b_top = a - j, b + j
     erased_bl, erased_br = a in (0, 3), b in (0, 3)
     erased_tl, erased_tr = a_top in (0, 3), b_top in (0, 3)
 
@@ -170,6 +179,32 @@ def shape_of_boundary(web: LadderWeb, flow: Flow) -> Multipartition3:
     return colstrict_to_multipartition(flow_to_colstrict(web, flow))
 
 
+def _check_move(step: int, kind: MoveKind, moved: frozenset) -> None:
+    """Require the move table to place the rung's nodes into its moved colors."""
+    expected = MOVE_TABLE[kind]
+    if tuple(sorted(moved)) != expected:
+        raise RuntimeError(
+            f"step {step}: moved colors {sorted(moved)} do not match "
+            f"move {kind} placing into {expected}"
+        )
+
+
+def _next_node(lengths: list[int], l: int, res: int, m: int) -> Node:
+    """The node of residue res that rows of these lengths in component l take next.
+
+    A partition's next cells have distinct contents, so there is at most one.
+    """
+    for r, c in enumerate(lengths):
+        if c - r + m == res:
+            if r == 0 or lengths[r - 1] > c:
+                return Node(r + 1, c + 1, l)
+            break
+    raise RuntimeError(
+        f"component {l} offers 0 nodes of residue {res}; "
+        "the state dictionary and the diagram disagree"
+    )
+
+
 def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     """Standard filling of the boundary multipartition from a web with flow.
 
@@ -179,39 +214,17 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     prefix.
     """
     shape = shape_of_boundary(web, flow)
-    m = shape.m
     parts = [comp.parts for comp in shape.components]
     filled = [[[0] * length for length in p] for p in parts]
     front = [[0] * len(p) for p in parts]  # filled prefix length of every row
-
-    def fillable_node(l: int, res: int) -> Node:
-        lengths = front[l - 1]
-        hits = [
-            Node(r + 1, c + 1, l)
-            for r, c in enumerate(lengths)
-            if c < parts[l - 1][r]
-            and c - r + m == res
-            and (r == 0 or lengths[r - 1] > c)
-        ]
-        if len(hits) != 1:
-            raise RuntimeError(
-                f"component {l} offers {len(hits)} nodes of residue {res}; "
-                "the state dictionary and the shape disagree"
-            )
-        return hits[0]
-
     order = web.word.application_order()
     for step, (i, _j) in enumerate(order, start=1):
         moved = flow.moves[step - 1]
-        kind = classify_step(web, flow, step)
-        expected = MOVE_TABLE[(kind.family, kind.type, kind.color, kind.primed)]
-        if tuple(sorted(moved)) != expected:
-            raise RuntimeError(
-                f"step {step}: moved colors {sorted(moved)} do not match "
-                f"move {kind} placing into {expected}"
-            )
+        _check_move(step, classify_step(web, flow, step), moved)
         for l in sorted(moved):
-            node = fillable_node(l, i)
+            node = _next_node(front[l - 1], l, i, shape.m)
+            if node.col > parts[l - 1][node.row - 1]:
+                raise RuntimeError(f"component {l} has no room for residue {i} in {shape}")
             filled[l - 1][node.row - 1][node.col - 1] = step
             front[l - 1][node.row - 1] += 1
     return StdMultitableau3(shape, filled)
@@ -253,24 +266,27 @@ class WeightDiagram:
         return " ".join(self.window(lo, hi))
 
 
-def _occupancy_vectors(t: StdMultitableau3, j: int) -> list[list[int]]:
-    """Per component, the positions row_length(r) - (r - 1) of the truncation.
-
-    Row r of the truncation at j keeps the entries <= j of row r of t.
-    """
+def _occupancy(t: StdMultitableau3):
+    """Per level j = 0, 1, ..., max entry: the nodes holding entry j + 1 and
+    the row lengths of t cut at j, per component, padded with empty rows so
+    the trivial diagram shows below them.  The lengths are one list, grown
+    in place as the entries are added."""
     depth = max(t.shape.m, max(len(c) for c in t.shape.components), 1) + 1
-    out = []
-    for comp in t.rows:
-        lengths = [sum(v <= j for v in row) for row in comp]
-        lengths += [0] * (depth - len(lengths))
-        out.append([length - r for r, length in enumerate(lengths)])
-    return out
+    lengths = [[0] * depth for _ in range(3)]
+    occ = t.entries()
+    for j in range(1, t.max_entry + 2):
+        nodes = occ.get(j, ())
+        yield nodes, lengths
+        for node in nodes:
+            lengths[node.comp - 1][node.row - 1] += 1
 
 
-def _diagram_from_vectors(vectors, lo: int, hi: int) -> WeightDiagram:
+def _diagram(lengths, lo: int, hi: int) -> WeightDiagram:
+    """The weight diagram of the occupancy positions length(r) - (r - 1)."""
+    positions = [{length - r for r, length in enumerate(comp)} for comp in lengths]
     entries = []
     for p in range(lo, hi + 1):
-        holders = [l for l in (1, 2, 3) if p in set(vectors[l - 1])]
+        holders = [l for l in (1, 2, 3) if p in positions[l - 1]]
         count = len(holders)
         if count == 3:
             sym, star = "x", False
@@ -291,15 +307,26 @@ def _diagram_from_vectors(vectors, lo: int, hi: int) -> WeightDiagram:
 
 def weight_diagram_tower(t: StdMultitableau3) -> list[WeightDiagram]:
     """Tower of weight diagrams, one level per entry, trivial at the bottom."""
-    k = t.max_entry
-    depth = max(t.shape.m, max(len(c) for c in t.shape.components), 1) + 1
     hi = max((c.row_length(1) for c in t.shape.components), default=0) + 1
-    lo = -depth
-    out = []
-    for j in range(0, k + 1):
-        vectors = _occupancy_vectors(t, j)
-        out.append(_diagram_from_vectors(vectors, lo, hi))
-    return out
+    return [_diagram(lengths, -len(lengths[0]), hi) for _nodes, lengths in _occupancy(t)]
+
+
+def _read_word(t: StdMultitableau3) -> tuple[LTWord, tuple[frozenset, ...]]:
+    """The ladder word and the moved colors, one per level, that `grow` reads off t."""
+    m = t.shape.m
+    factors, moves = [], []
+    for j, (nodes, lengths) in enumerate(_occupancy(t), start=1):
+        if not nodes:
+            break
+        positions = {lengths[node.comp - 1][node.row - 1] - node.row + 1 for node in nodes}
+        if len(positions) != 1:
+            raise RuntimeError(f"entry {j} moves particles at several positions")
+        (p,) = positions
+        if p + m < 1:
+            raise RuntimeError(f"entry {j} yields non-positive ladder index {p + m}")
+        factors.append((p + m, len(nodes)))
+        moves.append(frozenset(node.comp for node in nodes))
+    return LTWord(tuple(reversed(factors))), tuple(moves)
 
 
 def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
@@ -312,26 +339,9 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     valid ladder web.
     """
     m = t.shape.m
-    k = t.max_entry
-    occ = t.entries()
-    factors_app: list[tuple[int, int]] = []
-    moves: list[frozenset] = []
-    for j in range(1, k + 1):
-        vectors = _occupancy_vectors(t, j - 1)
-        comps = [node.comp for node in occ[j]]
-        positions = {vectors[node.comp - 1][node.row - 1] for node in occ[j]}
-        if len(positions) != 1:
-            raise RuntimeError(f"entry {j} moves particles at several positions")
-        (p,) = positions
-        index = p + m
-        if index < 1:
-            raise RuntimeError(f"entry {j} yields non-positive ladder index {index}")
-        factors_app.append((index, len(comps)))
-        moves.append(frozenset(comps))
+    word, moves = _read_word(t)
     if n is None:
-        n = max((i + 1 for i, _ in factors_app), default=m + 1)
-        n = max(n, m)
-    word = LTWord(tuple(reversed(factors_app)))
+        n = max(max((i + 1 for i, _ in word), default=m + 1), m)
     web = build_web(word, n, m)
     if web is None:
         raise RuntimeError("grown word killed the highest weight vector")
@@ -339,9 +349,9 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
 
 
 def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
-    """Whether grow(t), for t = iota(web, flow), returns the web and flow unchanged."""
-    web2, flow2 = grow(t, n=web.n)
-    return web2.word == web.word and flow2.moves == flow.moves
+    """Whether grow(t), for t = iota(web, flow), returns the web and flow
+    unchanged: whether the word and moves it reads off t are theirs."""
+    return _read_word(t) == (web.word, flow.moves)
 
 
 # -- the boundary survey --------------------------------------------------------
@@ -359,16 +369,67 @@ class WebSurvey:
 
 
 def survey_web(web: LadderWeb) -> WebSurvey:
-    """Enumerate the flows on one web, with their states, fillings and degrees."""
+    """Enumerate the flows on one web, with their states, fillings and degrees.
+
+    One depth-first walk over the flow-prefix tree, in `enumerate_flows`
+    order.  A prefix node classifies its rung against MOVE_TABLE, places the
+    moved colors' nodes as `iota` does and adds that entry's share of
+    `bkw_degree`, on state the walk undoes when it backtracks.  The residue
+    shift is the web's: ell less the leading weight-3 strands on top, whose
+    rows are empty in every component.  So a leaf only checks the grown rows
+    against `shape_of_boundary`, computed with the state once per top layer.
+    """
+    order = web.word.application_order()
+    top = web.layers[-1]
+    m = web.ell - next((s for s, w in enumerate(top) if w != 3), len(top))
+    lengths = ([0] * m, [0] * m, [0] * m)  # row lengths grown so far, per component
+    rows = tuple([[] for _ in range(m)] for _ in range(3))  # and their entries
+    moves, layers = [], [_bottom_subsets(web)]
+    tops: dict = {}  # top layer -> (boundary state, shape, its row lengths)
     records, by_state = [], {}
-    for flow in enumerate_flows(web):
-        t = iota(web, flow)
-        j, d = boundary_state(web, flow), bkw_degree(t)[0]
-        records.append((j, d, flow, t))
-        by_state.setdefault(j, []).append(d)
+
+    def leaf(degree: int) -> None:
+        flow = Flow(web, tuple(moves), tuple(layers))
+        if layers[-1] not in tops:
+            shape = shape_of_boundary(web, flow)
+            if shape.m != m:
+                raise RuntimeError(f"shape {shape} of {web} does not have the web's shift {m}")
+            parts = [list(c.parts) + [0] * (m - len(c)) for c in shape.components]
+            tops[layers[-1]] = boundary_state(web, flow), shape, parts
+        state, shape, parts = tops[layers[-1]]
+        if list(lengths) != parts:
+            raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
+        filled = tuple(tuple(tuple(row) for row in comp if row) for comp in rows)
+        records.append((state, degree, flow, StdMultitableau3._trusted(shape, filled)))
+        by_state.setdefault(state, []).append(degree)
+
+    def walk(step: int, degree: int) -> None:
+        if step > len(order):
+            return leaf(degree)
+        i, j = order[step - 1]
+        below, cur = web.layers[step - 1], layers[-1]
+        for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
+            h = frozenset(combo)
+            _check_move(step, _classify(step, below[i - 1], below[i], j, cur[i - 1], cur[i], h), h)
+            nodes = [_next_node(lengths[l - 1], l, i, m) for l in combo]
+            grown = degree + _entry_degree(lengths, m, nodes, i)
+            for node in nodes:
+                rows[node.comp - 1][node.row - 1].append(step)
+            nxt = list(cur)
+            nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
+            moves.append(h)
+            layers.append(tuple(nxt))
+            walk(step + 1, grown)
+            moves.pop()
+            layers.pop()
+            for node in nodes:
+                lengths[node.comp - 1][node.row - 1] -= 1
+                rows[node.comp - 1][node.row - 1].pop()
+
+    walk(1, 0)
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
 
 
-def survey(signs: str) -> tuple[WebSurvey, ...]:
-    """The basis webs over a classical sign string, each surveyed once."""
-    return tuple(survey_web(web) for _rows, web in enumerate_basis(signs))
+def survey(basis: list[tuple[tuple, LadderWeb]]) -> tuple[WebSurvey, ...]:
+    """The webs of a basis, as `enumerate_basis` lists them, each surveyed once."""
+    return tuple(survey_web(web) for _rows, web in basis)

@@ -4,12 +4,12 @@ Each check reads one `Boundary` and returns (ok, counterexample), where the
 counterexample is a JSON payload that can be replayed through the command
 line.  `run_checks` builds one `Boundary` per sign string, hands it to every
 check and drops it before the next.  A `Boundary` builds on first read the
-`bijection.survey`, one `flows.flow_vector` per web (one more enumeration,
-weighed by rung exponents instead of filling degrees), their pairing per
-ordered pair of webs (the bracket of the glued pair) and the half foams of
-`foamword.cellular_halves`, never a basis foam: a pair is a lower half, the
-dots and a reflected upper half, so its degree and its involution follow
-from theirs.  An exception inside one check is a failing result.
+basis, its `bijection.survey`, one `flows.flow_vector` per web (one more
+enumeration, weighed by rung exponents instead of filling degrees), their
+pairing per ordered pair of webs (the bracket of the glued pair) and the
+half foams of `foamword.cellular_halves`, never a basis foam: a pair is a
+lower half, the dots and a reflected upper half, so its degree and its
+involution follow from theirs.  An exception inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -44,8 +44,12 @@ class Boundary:
         self.signs = signs
 
     @cached_property
+    def basis(self):
+        return enumerate_basis(self.signs)
+
+    @cached_property
     def surveys(self):
-        return survey(self.signs)
+        return survey(self.basis)
 
     @cached_property
     def vectors(self):
@@ -127,7 +131,7 @@ def check_unitriangularity(b: Boundary):
 
 def check_total_length(b: Boundary):
     """Basis words over one boundary share their total length and are pairwise distinct."""
-    words = [web.word for _rows, web in enumerate_basis(b.signs)]
+    words = [web.word for _rows, web in b.basis]
     lengths = {word.total_length for word in words}
     if len(lengths) > 1:
         return False, _payload(b.signs, total_lengths=sorted(lengths))

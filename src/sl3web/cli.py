@@ -207,7 +207,7 @@ def cmd_bij(args) -> int:
         return 0
     if args.action == "roundtrip":
         rows, all_ok = [], True
-        for entry in survey(args.signs):
+        for entry in survey(enumerate_basis(args.signs)):
             for idx, (_j, _d, flow, t) in enumerate(entry.records):
                 ok = roundtrip_holds(entry.web, flow, t)
                 all_ok &= ok

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 from sl3web.bijection import WebSurvey, survey
 from sl3web.laurent import LaurentPoly
-from sl3web.ladderweb import LTWord
+from sl3web.ladderweb import LTWord, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
     Node,
@@ -355,7 +355,7 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     """All basis foams over a classical sign string, deterministically keyed:
     one per boundary state and ordered pair of flows with that state."""
     keyed = []
-    for shape, dot_gens, lowers in cellular_halves(survey(str(S))):
+    for shape, dot_gens, lowers in cellular_halves(survey(enumerate_basis(S))):
         res = superstandard(shape).residue_sequence()
         uppers = [(t, d, lower.reflected()) for t, d, lower in lowers]
         for upper, lower in itertools.product(uppers, lowers):

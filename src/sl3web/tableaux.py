@@ -447,23 +447,27 @@ def bkw_degree(t: StdMultitableau3) -> tuple[int, list[int]]:
     leftmost component and the total is corrected by 0/1/3 for
     multiplicity 1/2/3.
     """
-    m = t.shape.m
     lengths: tuple[list[int], ...] = ([], [], [])  # row lengths grown so far
-    breakdown = []
     occ = t.entries()
-    for j in range(1, t.max_entry + 1):
-        nodes = occ[j]
-        k = t.shape.residue(nodes[0])
-        contribution = 0
-        for node in nodes:
-            grown = lengths[node.comp - 1]
-            if node.row > len(grown):
-                grown.append(0)
-            grown[node.row - 1] += 1
-            addable, removable = _same_residue_after(lengths, m, node, k)
-            contribution += addable - removable
-        breakdown.append(contribution - _MULTIPLICITY_CORRECTION[len(nodes)])
+    breakdown = [
+        _entry_degree(lengths, t.shape.m, occ[j], t.shape.residue(occ[j][0]))
+        for j in range(1, t.max_entry + 1)
+    ]
     return sum(breakdown), breakdown
+
+
+def _entry_degree(lengths: tuple[list[int], ...], m: int, nodes, k: int) -> int:
+    """One entry's share of the degree: its nodes, of residue k, grow the
+    row lengths in place one at a time, leftmost component first."""
+    contribution = 0
+    for node in nodes:
+        grown = lengths[node.comp - 1]
+        if node.row > len(grown):
+            grown.append(0)
+        grown[node.row - 1] += 1
+        addable, removable = _same_residue_after(lengths, m, node, k)
+        contribution += addable - removable
+    return contribution - _MULTIPLICITY_CORRECTION[len(nodes)]
 
 
 def _same_residue_after(

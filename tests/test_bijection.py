@@ -1,5 +1,7 @@
 """Webs with flows to standard fillings and back."""
 
+import itertools
+
 from sl3web.bijection import (
     MOVE_TABLE,
     classify_step,
@@ -7,11 +9,12 @@ from sl3web.bijection import (
     iota,
     roundtrip_holds,
     shape_of_boundary,
+    survey_web,
     weight_diagram_tower,
 )
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import boundary_state, enumerate_flows, flow_to_colstrict
-from sl3web.ladderweb import enumerate_basis, web_from_tableau
+from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
 from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
 
 HALF_THETA = web_from_tableau(((1, 1, 2), (2, 3, 3)))
@@ -212,3 +215,54 @@ def test_isotopy_invariance_of_circle_pair_degrees():
     nested = iota(NESTED, flow_with_state(NESTED, (0, 0, 0, 0)))
     split = iota(SPLIT, flow_with_state(SPLIT, (0, 0, 0, 0)))
     assert bkw_degree(nested)[0] == bkw_degree(split)[0]
+
+
+# -- the survey's prefix-tree walk against the reference maps ------------------------
+
+
+def _shift_rule(web):
+    """ell less the leading weight-3 strands of the top layer."""
+    top = web.layers[-1]
+    return web.ell - next((k for k, w in enumerate(top) if w != 3), len(top))
+
+
+def test_residue_shift_is_fixed_per_web():
+    # every small web, classical boundary or not: all flows' shapes share the shift
+    webs = [web for signs in classical_sign_strings(6) for _rows, web in enumerate_basis(signs)]
+    for n, ell in ((3, 1), (3, 2), (4, 2)):
+        for length in range(1, 4):
+            for factors in itertools.product(itertools.product(range(1, n), (1, 2)), repeat=length):
+                web = build_web(LTWord(factors), n, ell)
+                if web is not None:
+                    webs.append(web)
+    assert any(web.layers[-1][0] == 3 for web in webs)
+    for web in webs:
+        for flow in enumerate_flows(web):
+            assert shape_of_boundary(web, flow).m == _shift_rule(web), (web, flow)
+
+
+def test_survey_records_match_iota_and_bkw_degree():
+    for signs in classical_sign_strings(6):
+        for _rows, web in enumerate_basis(signs):
+            flows = enumerate_flows(web)
+            entry = survey_web(web)
+            assert [flow for _j, _d, flow, _t in entry.records] == flows
+            for (j, d, flow, t), ref in zip(entry.records, flows):
+                assert flow.layers == ref.layers
+                filled = iota(web, ref)
+                assert t == filled
+                assert d == bkw_degree(filled)[0]
+                assert j == boundary_state(web, ref)
+
+
+def test_roundtrip_reads_what_grow_grows():
+    for signs in classical_sign_strings(5):
+        for _rows, web in enumerate_basis(signs):
+            records = survey_web(web).records
+            # each filling against its own flow and against the next flow on the web
+            for (_j, _d, flow, t), (_j2, _d2, other, _t2) in zip(records, records[1:] + records[:1]):
+                grown, gflow = grow(t, n=web.n)
+                for f in (flow, other):
+                    same = grown.word == web.word and gflow.moves == f.moves
+                    assert roundtrip_holds(web, f, t) == same
+                assert roundtrip_holds(web, flow, t)

@@ -9,23 +9,25 @@ from collections import Counter
 
 import pytest
 
-from sl3web import bijection, checks, flows, foamword
+from sl3web import bijection, checks, flows, foamword, tableaux
 from sl3web.cli import main
 from sl3web.flows import enumerate_flows
 from sl3web.ladderweb import enumerate_basis
+from sl3web.tableaux import StdMultitableau3
 
 SIGNS = "+-+-"
 
 
 def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
-    real = bijection.grow
+    real = bijection._read_word
+    webs = {web.word: web for _rows, web in enumerate_basis(SIGNS)}
 
-    def another_flow(t, n=None):
-        # a legal flow on the same web, just not the one that was filled
-        web, flow = real(t, n=n)
-        return web, next(f for f in enumerate_flows(web) if f != flow)
+    def another_flow(t):
+        # the moves of a legal flow on the same web, just not the one that was filled
+        word, moves = real(t)
+        return word, next(f.moves for f in enumerate_flows(webs[word]) if f.moves != moves)
 
-    monkeypatch.setattr(bijection, "grow", another_flow)
+    monkeypatch.setattr(bijection, "_read_word", another_flow)
     ok, ce = checks.check_roundtrip(checks.Boundary(SIGNS))
     assert not ok
     assert ce["signs"] == SIGNS
@@ -33,28 +35,31 @@ def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
 
 
 def test_roundtrip_fails_when_iota_collides(monkeypatch):
-    real = bijection.iota
+    real = StdMultitableau3._trusted
     first: dict = {}
 
-    def collide(web, flow):
-        # every flow on a web gets the filling of that web's first flow
-        return first.setdefault(web, real(web, flow))
+    def collide(cls, shape, rows):
+        # every flow of one state gets the filling of the first flow filled with it
+        return first.setdefault(shape, real(shape, rows))
 
-    monkeypatch.setattr(bijection, "iota", collide)
+    monkeypatch.setattr(StdMultitableau3, "_trusted", classmethod(collide))
     ok, ce = checks.check_roundtrip(checks.Boundary(SIGNS))
     assert not ok
     assert ce["reason"] == "iota not injective"
 
 
 def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
-    real = bijection.iota
+    # the survey fills each flow once, on its prefix-tree walk; iota is not run
     calls = []
 
-    def counted(web, flow):
-        calls.append(flow)
-        return real(web, flow)
+    class Counted(StdMultitableau3):
+        @classmethod
+        def _trusted(cls, shape, rows):
+            calls.append(rows)
+            return super()._trusted(shape, rows)
 
-    monkeypatch.setattr(bijection, "iota", counted)
+    monkeypatch.setattr(bijection, "StdMultitableau3", Counted)
+    monkeypatch.setattr(bijection, "iota", None)
     flows = sum(len(enumerate_flows(web)) for _rows, web in enumerate_basis(SIGNS))
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     assert all(r["ok"] for r in results), results
@@ -66,7 +71,8 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
 
 
 def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
-    # the survey and the flow vector; the canonical flow is read off the survey
+    # only the flow vector: the survey walks its own prefix tree, and the
+    # canonical flow is read off the survey
     real = flows.enumerate_flows
     calls: Counter = Counter()
 
@@ -74,12 +80,11 @@ def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
         calls[web] += 1
         return real(web)
 
-    for mod in (flows, bijection):
-        monkeypatch.setattr(mod, "enumerate_flows", counted)
+    monkeypatch.setattr(flows, "enumerate_flows", counted)
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     assert all(r["ok"] for r in results), results
     assert len(calls) == len(enumerate_basis(SIGNS))
-    assert max(calls.values()) <= 2, calls
+    assert max(calls.values()) == 1, calls
 
 
 @pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])
@@ -92,8 +97,7 @@ def test_off_pairing_fails_bracket_checks(monkeypatch, signs):
 def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
     # the n >= 7 defect in small: one web twice, another missing
     first, _second = enumerate_basis(SIGNS)
-    for mod in (bijection, checks):
-        monkeypatch.setattr(mod, "enumerate_basis", lambda signs: [first, first])
+    monkeypatch.setattr(checks, "enumerate_basis", lambda signs: [first, first])
     ok, ce = checks.check_total_length(checks.Boundary(SIGNS))
     assert not ok
     assert ce["repeated_words"] == [str(first[1].word)]
@@ -110,7 +114,7 @@ def test_basis_words_distinct_beyond_six_strands(signs):
 
 def test_graded_dim_at_one_counts_matching_states():
     # bracket-symmetry's flow count: sum_j |a_j| * |b_j| over shared states
-    (arc,) = bijection.survey("+-")
+    (arc,) = bijection.survey(enumerate_basis("+-"))
     assert foamword.graded_dim_pair(arc, arc)(1) == 3
 
 
@@ -135,12 +139,13 @@ def test_verify_all_reads_each_boundary_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(checks, name, counted)
 
-    for name in ("survey", "cellular_halves", "pairing"):
+    for name in ("enumerate_basis", "survey", "cellular_halves", "pairing"):
         spy(name, getattr(checks, name))
     results = checks.run_checks(list(checks.CHECKS), BOUNDARIES)
     assert all(r["ok"] for r in results), results
     webs = [len(enumerate_basis(signs)) for signs in BOUNDARIES]
     assert calls == {
+        "enumerate_basis": len(BOUNDARIES),
         "survey": len(BOUNDARIES),
         "cellular_halves": len(BOUNDARIES),
         "pairing": sum(k * k for k in webs),
@@ -148,10 +153,10 @@ def test_verify_all_reads_each_boundary_once(monkeypatch):
 
 
 def test_crash_inside_a_check_is_a_replayable_failure(monkeypatch):
-    def broken(t, n=None):
+    def broken(t):
         raise RuntimeError("seeded invariant break")
 
-    monkeypatch.setattr(bijection, "grow", broken)
+    monkeypatch.setattr(bijection, "_read_word", broken)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["--format", "json", "verify", "roundtrip", "--signs", "+-"])
@@ -239,8 +244,9 @@ def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
 
 
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
-    frozen = _mutant(bijection, "front[l - 1][node.row - 1] += 1", "pass")
-    monkeypatch.setattr(checks, "survey", frozen.survey)
+    # the survey's rows grow where each entry's degree share is counted
+    frozen = _mutant(tableaux, "grown[node.row - 1] += 1", "pass")
+    monkeypatch.setattr(bijection, "_entry_degree", frozen._entry_degree)
     assert "offers 0 nodes" in _failure("roundtrip")["error"]
 
 

@@ -183,7 +183,7 @@ def test_classify_distant_residues():
 def _halves(signs):
     """(filling, lower half foam) for every flow over the boundary, as
     `cellular_halves` builds them."""
-    return [(t, half) for _s, _d, halves in cellular_halves(survey(signs)) for t, _deg, half in halves]
+    return [(t, half) for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))) for t, _deg, half in halves]
 
 
 def _half_of(web, flow):
@@ -324,7 +324,7 @@ def test_diagonal_foam_degree_is_twice_the_dots():
     # a diagonal foam is one filling's half, the dots and the same half reflected
     for signs in classical_sign_strings(4):
         diagonal = [f for f in enumerate_cellular_basis(signs) if f.top_tableau == f.bottom_tableau]
-        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(survey(signs)))
+        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))))
         for foam in diagonal:
             assert foam.degree == 2 * bkw_degree(foam.top_tableau)[0]
 
@@ -334,7 +334,7 @@ def test_involution_swaps_and_preserves():
     # pair is a basis foam too, and reflecting a word keeps its degree
     for signs in classical_sign_strings(5):
         foams = enumerate_cellular_basis(signs)
-        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(survey(signs)))
+        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))))
         by_pair = {(f.top_tableau, f.bottom_tableau): f for f in foams}
         for foam in foams:
             assert by_pair[foam.bottom_tableau, foam.top_tableau].degree == foam.degree
