@@ -376,8 +376,10 @@ def survey_web(web: LadderWeb) -> WebSurvey:
     moved colors' nodes as `iota` does and adds that entry's share of
     `bkw_degree`, on state the walk undoes when it backtracks.  The residue
     shift is the web's: ell less the leading weight-3 strands on top, whose
-    rows are empty in every component.  So a leaf only checks the grown rows
-    against `shape_of_boundary`, computed with the state once per top layer.
+    rows are empty in every component.  With the shift fixed and a residue
+    naming one row (`_next_node`), no placement needs the shape: a leaf
+    checks the grown rows against `shape_of_boundary`, computed with the
+    state once per top layer.
     """
     order = web.word.application_order()
     top = web.layers[-1]

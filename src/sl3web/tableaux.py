@@ -255,11 +255,12 @@ class StdMultitableau3:
 
     @classmethod
     def _trusted(cls, shape: Multipartition3, rows) -> "StdMultitableau3":
-        """A filling derived from a valid one, built without revalidation.
+        """A filling built without validation.
 
         ``rows`` must already be tuples of int tuples forming a standard
         filling of ``shape``; only code that derives it from a validated
-        filling calls this.
+        filling, or that places each entry by the rules `_validate` checks
+        (the survey's prefix-tree walk), calls this.
         """
         t = object.__new__(cls)
         t._init(shape, rows)
