@@ -214,7 +214,7 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     prefix.
     """
     shape = shape_of_boundary(web, flow)
-    parts = [comp.parts for comp in shape.components]
+    parts = shape.components
     filled = [[[0] * length for length in p] for p in parts]
     front = [[0] * len(p) for p in parts]  # filled prefix length of every row
     order = web.word.application_order()
@@ -307,7 +307,7 @@ def _diagram(lengths, lo: int, hi: int) -> WeightDiagram:
 
 def weight_diagram_tower(t: StdMultitableau3) -> list[WeightDiagram]:
     """Tower of weight diagrams, one level per entry, trivial at the bottom."""
-    hi = max((c.row_length(1) for c in t.shape.components), default=0) + 1
+    hi = max((c[0] for c in t.shape.components if c), default=0) + 1
     return [_diagram(lengths, -len(lengths[0]), hi) for _nodes, lengths in _occupancy(t)]
 
 
@@ -378,8 +378,8 @@ def survey_web(web: LadderWeb) -> WebSurvey:
     shift is the web's: ell less the leading weight-3 strands on top, whose
     rows are empty in every component.  With the shift fixed and a residue
     naming one row (`_next_node`), no placement needs the shape: a leaf
-    checks the grown rows against `shape_of_boundary`, computed with the
-    state once per top layer.
+    checks that the grown row lengths, with the web's shift, are the shape
+    `shape_of_boundary` reads off the flow.
     """
     order = web.word.application_order()
     top = web.layers[-1]
@@ -387,20 +387,14 @@ def survey_web(web: LadderWeb) -> WebSurvey:
     lengths = ([0] * m, [0] * m, [0] * m)  # row lengths grown so far, per component
     rows = tuple([[] for _ in range(m)] for _ in range(3))  # and their entries
     moves, layers = [], [_bottom_subsets(web)]
-    tops: dict = {}  # top layer -> (boundary state, shape, its row lengths)
     records, by_state = [], {}
 
     def leaf(degree: int) -> None:
         flow = Flow(web, tuple(moves), tuple(layers))
-        if layers[-1] not in tops:
-            shape = shape_of_boundary(web, flow)
-            if shape.m != m:
-                raise RuntimeError(f"shape {shape} of {web} does not have the web's shift {m}")
-            parts = [list(c.parts) + [0] * (m - len(c)) for c in shape.components]
-            tops[layers[-1]] = boundary_state(web, flow), shape, parts
-        state, shape, parts = tops[layers[-1]]
-        if list(lengths) != parts:
+        shape = shape_of_boundary(web, flow)
+        if Multipartition3(lengths, m=m) != shape:
             raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
+        state = boundary_state(web, flow)
         filled = tuple(tuple(tuple(row) for row in comp if row) for comp in rows)
         records.append((state, degree, flow, StdMultitableau3._trusted(shape, filled)))
         by_state.setdefault(state, []).append(degree)

@@ -22,7 +22,6 @@ from sl3web.flows import boundary_state, canonical_flow, flow_vector, pairing, t
 from sl3web.foamword import cellular_halves, graded_dim_pair
 from sl3web.ladderweb import enumerate_basis
 from sl3web.laurent import monomial
-from sl3web.tableaux import bkw_degree, superstandard
 
 
 def classical_sign_strings(max_n: int, min_n: int = 2) -> list[str]:
@@ -173,9 +172,11 @@ def check_graded_dim(b: Boundary):
 
 def check_homogeneity(b: Boundary):
     """A half weighs filling minus superstandard degree (`cellular_halves` raises
-    otherwise), also reflected; the dots weigh twice the superstandard degree."""
+    otherwise), also reflected; the dots weigh twice the superstandard degree,
+    which every half of the state hands on as its filling degree less its own."""
     for shape, dots, halves in b.halves:
-        want = 2 * bkw_degree(superstandard(shape))[0]
+        _t, d, half = halves[0]
+        want = 2 * (d - half.degree)
         got = sum(g.degree for g in dots)
         if got != want:
             return False, _payload(b.signs, shape=shape.to_json(), dot_degree=got, expected=want)

@@ -1,7 +1,8 @@
 """Command line front end: enumeration, conversion and verification.
 
 Exit status 0 on success, 1 on a verification failure (with a replayable
-counterexample payload), 2 on usage errors including malformed JSON.
+counterexample payload) or an internal error (one ``internal error:`` line),
+2 on usage errors including malformed JSON.
 A call builds only the sub-parser of the verb it names; root help builds all six.
 """
 
@@ -422,6 +423,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ def dot_placement(shape: Multipartition3) -> list[int]:
     lengths: tuple[list[int], ...] = ([], [], [])
     out = []
     for l, comp in enumerate(shape.components, start=1):
-        for r, length in enumerate(comp.parts, start=1):
+        for r, length in enumerate(comp, start=1):
             lengths[l - 1].append(0)
             for c in range(1, length + 1):
                 lengths[l - 1][r - 1] = c
@@ -335,7 +335,9 @@ def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, .
     generators and one (filling, filling degree, lower half foam) per flow.
 
     Each half is built once, from its survey record's filling and degree,
-    and a state's halves only when the caller moves on to that state.
+    and a state's halves only when the caller moves on to that state.  A
+    half weighs its filling degree less the state's superstandard degree,
+    which is computed once per state.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in surveys:

@@ -1,6 +1,8 @@
-"""Partitions, 3-multipartitions and standard multitableaux.
+"""3-multipartitions and standard multitableaux.
 
-Nodes live at 1-based (row, col) positions inside one of three components.
+A 3-multipartition is three partitions, each a plain weakly decreasing
+tuple of positive row lengths, with a residue shift.  Nodes live at 1-based
+(row, col) positions inside one of three components.
 Every node carries a ladder residue  ``col - row + m``  where the shift m is
 the maximal number of non-zero rows among the three components; m is fixed
 when a multipartition is created and is deliberately *not* recomputed when
@@ -14,7 +16,7 @@ import itertools
 import json
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class Node(NamedTuple):
@@ -32,83 +34,18 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)  # not JSON true/false
 
 
+def _row_length(comp: tuple[int, ...], row: int) -> int:
+    """Length of a partition's 1-based row, 0 past its last row."""
+    return comp[row - 1] if 1 <= row <= len(comp) else 0
+
+
 # The divided-power correction subtracted per entry of the given multiplicity.
 _MULTIPLICITY_CORRECTION = {1: 0, 2: 1, 3: 3}
 
 
-class Partition:
-    """A weakly decreasing tuple of positive ints (trailing zeros trimmed)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int] = ()):
-        ps = [int(p) for p in parts]
-        while ps and ps[-1] == 0:
-            ps.pop()
-        for a, b in zip(ps, ps[1:]):
-            if a < b:
-                raise ValueError(f"not weakly decreasing: {ps}")
-        if ps and ps[-1] < 0:
-            raise ValueError(f"negative part in {ps}")
-        object.__setattr__(self, "parts", tuple(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def row_length(self, row: int) -> int:
-        return self.parts[row - 1] if 1 <= row <= len(self.parts) else 0
-
-    def contains(self, row: int, col: int) -> bool:
-        return 1 <= row and 1 <= col <= self.row_length(row)
-
-    def addable_cells(self) -> list[tuple[int, int]]:
-        """Cells whose addition yields a partition, top row first."""
-        out = []
-        for r in range(1, len(self.parts) + 2):
-            c = self.row_length(r) + 1
-            if r == 1 or self.row_length(r - 1) >= c:
-                out.append((r, c))
-        return out
-
-    def removable_cells(self) -> list[tuple[int, int]]:
-        out = []
-        for r, length in enumerate(self.parts, start=1):
-            if length and length > self.row_length(r + 1):
-                out.append((r, length))
-        return out
-
-    def add_cell(self, row: int, col: int) -> "Partition":
-        if (row, col) not in self.addable_cells():
-            raise ValueError(f"cell {(row, col)} not addable to {self.parts}")
-        ps = list(self.parts) + [0] * (row - len(self.parts))
-        ps[row - 1] += 1
-        return Partition(ps)
-
-
 class Multipartition3:
-    """A triple of partitions with a fixed residue shift m.
+    """Three partitions, each a weakly decreasing tuple of positive row
+    lengths, with a fixed residue shift m.
 
     By default m is the maximal number of non-zero rows among the three
     components.  Pass ``m`` explicitly to keep a parent shape's shift when
@@ -118,13 +55,20 @@ class Multipartition3:
     __slots__ = ("components", "m")
 
     def __init__(self, components, m: int | None = None):
-        comps = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in components
-        )
+        comps = []
+        for comp in components:
+            ps = [int(p) for p in comp]
+            while ps and ps[-1] == 0:
+                ps.pop()
+            if any(a < b for a, b in zip(ps, ps[1:])):
+                raise ValueError(f"not weakly decreasing: {ps}")
+            if ps and ps[-1] < 0:
+                raise ValueError(f"negative part in {ps}")
+            comps.append(tuple(ps))
         if len(comps) != 3:
             raise ValueError("need exactly three components")
-        default_m = max((len(c) for c in comps), default=0)
-        object.__setattr__(self, "components", comps)
+        default_m = max(map(len, comps))
+        object.__setattr__(self, "components", tuple(comps))
         object.__setattr__(self, "m", default_m if m is None else int(m))
 
     def __setattr__(self, name, value):
@@ -141,15 +85,12 @@ class Multipartition3:
         return hash((self.components, self.m))
 
     def __repr__(self):
-        parts = ", ".join(str(list(c.parts)) for c in self.components)
+        parts = ", ".join(str(list(c)) for c in self.components)
         return f"Multipartition3(({parts}), m={self.m})"
 
     @property
     def size(self) -> int:
-        return sum(c.size for c in self.components)
-
-    def component(self, l: int) -> Partition:
-        return self.components[l - 1]
+        return sum(map(sum, self.components))
 
     def residue(self, node: Node) -> int:
         return residue(node, self.m)
@@ -166,20 +107,20 @@ class Multipartition3:
 
     def addable_nodes(self, k: int) -> list[Node]:
         """Addable nodes of residue k, ordered by the before/after order."""
-        out = []
-        for l, comp in enumerate(self.components, start=1):
-            for r, c in comp.addable_cells():
-                if residue(Node(r, c, l), self.m) == k:
-                    out.append(Node(r, c, l))
-        return sorted(out, key=lambda n: (n.comp, n.row))
+        return [
+            Node(r, length + 1, l)
+            for l, comp in enumerate(self.components, start=1)
+            for r, length in enumerate(comp + (0,), start=1)
+            if (r == 1 or comp[r - 2] > length) and length + 1 - r + self.m == k
+        ]
 
     def removable_nodes(self, k: int) -> list[Node]:
-        out = []
-        for l, comp in enumerate(self.components, start=1):
-            for r, c in comp.removable_cells():
-                if residue(Node(r, c, l), self.m) == k:
-                    out.append(Node(r, c, l))
-        return sorted(out, key=lambda n: (n.comp, n.row))
+        return [
+            Node(r, length, l)
+            for l, comp in enumerate(self.components, start=1)
+            for r, length in enumerate(comp, start=1)
+            if length > (comp + (0,))[r] and length - r + self.m == k
+        ]
 
     def nodes_after(self, node: Node, kind: str) -> list[Node]:
         """Addable or removable nodes of node's residue strictly after it."""
@@ -188,15 +129,18 @@ class Multipartition3:
         return [n for n in pool if self.strictly_after(n, node)]
 
     def add_node(self, node: Node) -> "Multipartition3":
-        comps = list(self.components)
-        comps[node.comp - 1] = comps[node.comp - 1].add_cell(node.row, node.col)
+        if node not in self.addable_nodes(self.residue(node)):
+            comp = self.components[node.comp - 1]
+            raise ValueError(f"cell {(node.row, node.col)} not addable to {comp}")
+        comps = [list(c) + [0] for c in self.components]
+        comps[node.comp - 1][node.row - 1] += 1
         return Multipartition3(comps, m=self.m)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "components": [list(c.parts) for c in self.components],
+            "components": [list(c) for c in self.components],
             "m": self.m,
         }
 
@@ -221,17 +165,11 @@ def dominates(a: Multipartition3, b: Multipartition3) -> bool:
     """Whether b is dominated by a (cumulative-sum inequalities)."""
     if a.size != b.size:
         raise ValueError(f"sizes differ: {a.size} vs {b.size}")
-    depth = max(
-        max((len(c) for c in a.components), default=0),
-        max((len(c) for c in b.components), default=0),
-    )
-    for l in range(1, 4):
-        prefix_a = sum(a.component(i).size for i in range(1, l))
-        prefix_b = sum(b.component(i).size for i in range(1, l))
-        run_a, run_b = prefix_a, prefix_b
-        for s in range(1, depth + 1):
-            run_a += a.component(l).row_length(s)
-            run_b += b.component(l).row_length(s)
+    run_a = run_b = 0  # nodes in earlier components and rows, in a and in b
+    for comp_a, comp_b in zip(a.components, b.components):
+        for length_a, length_b in itertools.zip_longest(comp_a, comp_b, fillvalue=0):
+            run_a += length_a
+            run_b += length_b
             if run_b > run_a:
                 return False
     return True
@@ -278,11 +216,9 @@ class StdMultitableau3:
     def _validate(self):
         if len(self.rows) != 3:
             raise ValueError("need three components of rows")
-        for l in range(1, 4):
-            comp = self.shape.component(l)
-            filled = self.rows[l - 1]
-            if tuple(len(r) for r in filled) != comp.parts:
-                raise ValueError(f"component {l} rows do not match shape {comp.parts}")
+        for l, (comp, filled) in enumerate(zip(self.shape.components, self.rows), start=1):
+            if tuple(len(r) for r in filled) != comp:
+                raise ValueError(f"component {l} rows do not match shape {comp}")
             for row in filled:
                 for a, b in zip(row, row[1:]):
                     if a >= b:
@@ -356,7 +292,7 @@ class StdMultitableau3:
                 if kept:
                     new_rows.append(kept)
             rows.append(tuple(new_rows))
-            comps.append(Partition(len(r) for r in new_rows))
+            comps.append([len(r) for r in new_rows])
         shape = Multipartition3(comps, m=self.shape.m)
         # kept entries form a prefix of every row and column: still standard
         return StdMultitableau3._trusted(shape, tuple(rows))
@@ -391,12 +327,10 @@ class StdMultitableau3:
         if not (isinstance(data, dict) and isinstance(data.get("cells"), list)):
             raise ValueError("tableau needs a 'shape' and a 'cells' list")
         shape = Multipartition3.from_json(data.get("shape"))
-        rows = [
-            [[0] * length for length in comp.parts] for comp in shape.components
-        ]
+        rows = [[[0] * length for length in comp] for comp in shape.components]
         for cell in data["cells"]:
             if not (_is_int_list(cell) and len(cell) == 4 and 1 <= cell[2] <= 3 and cell[3] > 0
-                    and shape.component(cell[2]).contains(cell[0], cell[1])):
+                    and 0 < cell[1] <= _row_length(shape.components[cell[2] - 1], cell[0])):
                 raise ValueError(f"tableau cell {json.dumps(cell)} is not [row, col, comp, entry] in shape")
             r, c, l, v = cell
             if rows[l - 1][r - 1][c - 1]:
@@ -415,7 +349,7 @@ def superstandard(shape: Multipartition3) -> StdMultitableau3:
     rows, next_entry = [], 1
     for comp in shape.components:
         comp_rows = []
-        for length in comp.parts:
+        for length in comp:
             comp_rows.append(tuple(range(next_entry, next_entry + length)))
             next_entry += length
         rows.append(tuple(comp_rows))
@@ -510,7 +444,7 @@ def standard_tableaux(shape: Multipartition3) -> list[StdMultitableau3]:
     lexicographic order of the chosen node sets along the way.
     """
     total = shape.size
-    parts = [comp.parts for comp in shape.components]
+    parts = shape.components
     filled = [[0] * len(p) for p in parts]  # filled prefix length of every row
     grid = [[[0] * length for length in p] for p in parts]
     results: list[StdMultitableau3] = []
@@ -579,7 +513,7 @@ def colstrict_to_multipartition(rows) -> Multipartition3:
         vals = [rows[r][c] - (r + 1) for r in range(len(rows))]
         if any(v < 0 for v in vals):
             raise ValueError(f"column {c + 1} has entries below the row filling")
-        comps.append(Partition(reversed(vals)))
+        comps.append(vals[::-1])
     return Multipartition3(comps)
 
 
@@ -589,11 +523,11 @@ def multipartition_to_colstrict(shape: Multipartition3, nrows: int):
     for r in range(1, nrows + 1):
         row = []
         for l in range(1, 4):
-            comp = shape.component(l)
+            comp = shape.components[l - 1]
             if len(comp) > nrows:
                 raise ValueError(f"component {l} has more than {nrows} rows")
             # partition was read bottom-up: its i-th part sits at row nrows - i
-            row.append(comp.row_length(nrows - r + 1) + r)
+            row.append(_row_length(comp, nrows - r + 1) + r)
         rows.append(tuple(row))
     out = tuple(rows)
     if not is_column_strict(out):

@@ -2,8 +2,11 @@
 
 import itertools
 
+import pytest
+
 from sl3web.bijection import (
     MOVE_TABLE,
+    _next_node,
     classify_step,
     grow,
     iota,
@@ -239,6 +242,13 @@ def test_residue_shift_is_fixed_per_web():
     for web in webs:
         for flow in enumerate_flows(web):
             assert shape_of_boundary(web, flow).m == _shift_rule(web), (web, flow)
+
+
+def test_next_node_needs_a_cell_above():
+    # residue m names row 2 of rows [1, 1]; its next cell (2, 2) has no cell above it
+    for m in (2, 3):
+        with pytest.raises(RuntimeError, match="offers 0 nodes of residue"):
+            _next_node([1, 1], 1, m, m)
 
 
 def test_survey_records_match_iota_and_bkw_degree():

@@ -152,6 +152,24 @@ def test_verify_all_reads_each_boundary_once(monkeypatch):
     }
 
 
+def test_verify_grades_each_superstandard_filling_once(monkeypatch):
+    calls = []
+    real = tableaux.bkw_degree
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    for module in (tableaux, bijection, foamword, checks):
+        if hasattr(module, "bkw_degree"):
+            monkeypatch.setattr(module, "bkw_degree", counted)
+    results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5, 5))
+    assert all(r["ok"] for r in results), results
+    # one call per boundary state: 360 states over the ten 5-strand boundaries
+    assert len(calls) == 360
+    assert all(t == tableaux.superstandard(t.shape) for t in calls)
+
+
 def test_crash_inside_a_check_is_a_replayable_failure(monkeypatch):
     def broken(t):
         raise RuntimeError("seeded invariant break")

@@ -150,12 +150,23 @@ def test_malformed_json_exits_two(capsys):
         ["flows", "enumerate", "--word", "F1", "--n", "-1"],
         ["flows", "enumerate", "--word", "F1", "--ell", "-1"],
         ["bracket", "--pair", "F1", "F1", "--n", "-2"],
+        ["foam", "idem", "--shape", '{"components":[[1,2],[],[]]}'],
+        ["bij", "grow", "--tableau",
+         '{"shape":{"components":[[1,-1],[],[]]},"cells":[[1,1,1,1]]}'],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_one_without_traceback(capsys):
+    # iota finds no node on a web whose top layer starts with a weight-3 strand
+    assert main(["bij", "iota", "--word", "F2", "--n", "3", "--ell", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -238,7 +238,7 @@ def test_truncate_extremes():
 
 def test_colstrict_worked_example():
     shape = colstrict_to_multipartition(((2, 1, 2), (4, 3, 4), (6, 5, 6)))
-    assert [c.parts for c in shape.components] == [(3, 2, 1), (2, 1), (3, 2, 1)]
+    assert shape.components == ((3, 2, 1), (2, 1), (3, 2, 1))
 
 
 def test_colstrict_row_filling_is_empty_shape():
@@ -248,7 +248,7 @@ def test_colstrict_row_filling_is_empty_shape():
 
 def test_colstrict_two_rows():
     shape = colstrict_to_multipartition(((1, 1, 2), (3, 2, 3)))
-    assert [c.parts for c in shape.components] == [(1,), (), (1, 1)]
+    assert shape.components == ((1,), (), (1, 1))
 
 
 def test_colstrict_rejects_bad_input():
