@@ -1,8 +1,9 @@
 """Command line front end: enumeration, conversion and verification.
 
-Exit status 0 on success, 1 on a verification failure (with a replayable
-counterexample payload) or an internal error (one ``internal error:`` line),
-2 on usage errors including malformed JSON.
+Exit status 0 on success; 1 on a verification failure (with a replayable
+counterexample payload) or on an exception that no payload parser turned into
+a usage error (one ``internal error:`` line); 2 on a usage error, rejected by
+argparse, by a payload parser below or by the ``--flow``/``--max-n`` range checks.
 A call builds only the sub-parser of the verb it names; root help builds all six.
 """
 
@@ -39,9 +40,6 @@ from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 
-VERBS = ("webs", "flows", "bij", "foam", "bracket", "verify")
-
-
 class UsageError(Exception):
     pass
 
@@ -64,7 +62,25 @@ def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
                 print("  ".join(f"{k}={row[k]}" for k in columns if k in row))
 
 
+# -- payload parsers: the only source of usage errors ------------------------
+
+
+def _signs(args, what: str) -> str:
+    """The --signs payload of `what`: a classical sign string.  Its weight is a
+    positive multiple of three, so it has at least two strands."""
+    if args.signs is None:
+        raise UsageError(f"{what} needs --signs")
+    try:
+        S = SignString(args.signs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    if not S or not S.is_classical:
+        raise UsageError(f"{what} needs a classical sign string, got {args.signs!r}")
+    return args.signs
+
+
 def _web_from_args(args) -> LadderWeb:
+    """The web named by --preset, or by --word on --n strands at level --ell."""
     if getattr(args, "preset", None):
         return preset_web(args.preset)
     if not args.word:
@@ -72,10 +88,13 @@ def _web_from_args(args) -> LadderWeb:
     for flag, value in (("n", args.n), ("ell", args.ell)):
         if value is not None and value < 0:
             raise UsageError(f"--{flag} must be non-negative, got {value}")
-    word = LTWord.parse(args.word)
-    n = max((i + 1 for i, _ in word.factors), default=2) if args.n is None else args.n
-    levels = range(n + 1) if args.ell is None else [args.ell]
-    webs = [web for ell in levels if (web := build_web(word, n, ell)) is not None]
+    try:
+        word = LTWord.parse(args.word)
+        n = max((i + 1 for i, _ in word.factors), default=2) if args.n is None else args.n
+        levels = range(n + 1) if args.ell is None else [args.ell]
+        webs = [web for ell in levels if (web := build_web(word, n, ell)) is not None]
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     if not webs:
         at = "every level" if args.ell is None else f"level {args.ell}"
         raise UsageError(f"word {word} is zero on {n} strands at {at}")
@@ -93,15 +112,24 @@ def _closed_from_pair(pair: list[str], args) -> ClosedWeb:
     if len(pair) == 2:
         u = _web_from_args(argparse.Namespace(word=pair[0], preset=None, n=args.n, ell=args.ell))
         v = _web_from_args(argparse.Namespace(word=pair[1], preset=None, n=args.n, ell=args.ell))
-        return ClosedWeb(u, v)
+        try:
+            return ClosedWeb(u, v)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     raise UsageError("--pair takes a preset name or two words")
 
 
-def _load_json(text: str, what: str):
+def _json_payload(text: str | None, flag: str, what: str, parse):
+    """`parse` applied to the JSON text of --`flag`; a ValueError it raises,
+    from a schema check, a constructor or a validation, is a usage error."""
+    if text is None:
+        raise UsageError(f"{what} needs --{flag}")
     try:
-        return json.loads(text)
+        return parse(json.loads(text))
     except json.JSONDecodeError as e:
-        raise UsageError(f"malformed {what} JSON at position {e.pos}: {e.msg}")
+        raise UsageError(f"malformed {flag} JSON at position {e.pos}: {e.msg}") from None
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 # -- verb implementations -----------------------------------------------------
@@ -109,9 +137,8 @@ def _load_json(text: str, what: str):
 
 def cmd_webs(args) -> int:
     if args.action == "list":
-        S = SignString(args.signs)
         rows, skipped = [], 0
-        for tableau, web in enumerate_basis(S):
+        for tableau, web in enumerate_basis(_signs(args, "webs list")):
             if web.word.total_length > args.max_total_length:
                 skipped += 1
                 continue
@@ -164,16 +191,13 @@ def cmd_flows(args) -> int:
                   f"weight={r['weight']}"
               ))
         return 0
-    if args.action == "expand":
-        web = _web_from_args(args)
-        expansion = tensor_expansion(flow_vector(web))
-        rows = [
-            {"state": json.dumps(list(j)), "coefficient": str(p)}
-            for j, p in sorted(expansion.items(), reverse=True)
-        ]
-        _emit(args, rows, ["state", "coefficient"])
-        return 0
-    raise UsageError(f"unknown flows action {args.action}")
+    expansion = tensor_expansion(flow_vector(_web_from_args(args)))
+    rows = [
+        {"state": json.dumps(list(j)), "coefficient": str(p)}
+        for j, p in sorted(expansion.items(), reverse=True)
+    ]
+    _emit(args, rows, ["state", "coefficient"])
+    return 0
 
 
 def cmd_bij(args) -> int:
@@ -190,9 +214,8 @@ def cmd_bij(args) -> int:
             print(t)
         return 0
     if args.action == "grow":
-        data = _load_json(args.tableau, "tableau")
-        t = StdMultitableau3.from_json(data)
-        web, flow = grow(t)
+        web, flow = grow(_json_payload(args.tableau, "tableau", "bij grow",
+                                       StdMultitableau3.from_json))
         payload = {
             "word": str(web.word),
             "n": web.n,
@@ -206,24 +229,21 @@ def cmd_bij(args) -> int:
             for k, v in payload.items():
                 print(f"{k}: {v}")
         return 0
-    if args.action == "roundtrip":
-        rows, all_ok = [], True
-        for entry in survey(enumerate_basis(args.signs)):
-            for idx, (_j, _d, flow, t) in enumerate(entry.records):
-                ok = roundtrip_holds(entry.web, flow, t)
-                all_ok &= ok
-                rows.append(
-                    {"word": str(entry.web.word), "flow": idx, "ok": ok}
-                )
-        _emit(args, rows, ["word", "flow", "ok"],
-              text_fn=lambda r: f"{'pass' if r['ok'] else 'FAIL'}  {r['word']}  flow {r['flow']}")
-        if args.format == "text":
-            print(
-                f"roundtrip {args.signs}: "
-                + ("all flow/web pairs roundtrip" if all_ok else "FAILURES above")
-            )
-        return 0 if all_ok else 1
-    raise UsageError(f"unknown bij action {args.action}")
+    signs = _signs(args, "bij roundtrip")
+    rows, all_ok = [], True
+    for entry in survey(enumerate_basis(signs)):
+        for idx, (_j, _d, flow, t) in enumerate(entry.records):
+            ok = roundtrip_holds(entry.web, flow, t)
+            all_ok &= ok
+            rows.append({"word": str(entry.web.word), "flow": idx, "ok": ok})
+    _emit(args, rows, ["word", "flow", "ok"],
+          text_fn=lambda r: f"{'pass' if r['ok'] else 'FAIL'}  {r['word']}  flow {r['flow']}")
+    if args.format == "text":
+        print(
+            f"roundtrip {signs}: "
+            + ("all flow/web pairs roundtrip" if all_ok else "FAILURES above")
+        )
+    return 0 if all_ok else 1
 
 
 def cmd_foam(args) -> int:
@@ -232,7 +252,7 @@ def cmd_foam(args) -> int:
         shape_text = functools.cache(lambda s: json.dumps(s.to_json(), sort_keys=True))
         cells_text = functools.cache(lambda t: json.dumps(t.to_json()["cells"]))
         rows = []
-        for foam in enumerate_cellular_basis(args.signs):
+        for foam in enumerate_cellular_basis(_signs(args, "foam basis")):
             rows.append(
                 {
                     "shape": shape_text(foam.shape),
@@ -244,9 +264,9 @@ def cmd_foam(args) -> int:
         _emit(args, rows, ["shape", "top", "bottom", "degree"])
         return 0
     if args.action == "dims":
-        rows = []
-        for a, b, br in checks.Boundary(args.signs).brackets:
-            gd, shifted = graded_dim_pair(a, b), br.shift(len(args.signs))
+        signs, rows = _signs(args, "foam dims"), []
+        for a, b, br in checks.Boundary(signs).brackets:
+            gd, shifted = graded_dim_pair(a, b), br.shift(len(signs))
             rows.append(
                 {
                     "top": str(a.web.word),
@@ -258,33 +278,34 @@ def cmd_foam(args) -> int:
             )
         _emit(args, rows, ["top", "bottom", "graded_dim", "shifted_bracket", "match"])
         return 0 if all(r["match"] for r in rows) else 1
-    if args.action == "idem":
-        data = _load_json(args.shape, "shape")
-        shape = Multipartition3.from_json(data)
-        word = idempotent(shape)
-        if (web := build_web(word, boundary_strand_count(shape), shape.m)) is None:
-            raise RuntimeError(f"idempotent word of {shape} killed the highest weight vector")
-        payload = {
-            "word": str(word),
-            "dots": dot_placement(shape),
-            "boundary": str(web.boundary),
-        }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            for k, v in payload.items():
-                print(f"{k}: {v}")
-        return 0
-    raise UsageError(f"unknown foam action {args.action}")
+    shape = _json_payload(args.shape, "shape", "foam idem", Multipartition3.from_json)
+    word = idempotent(shape)
+    if (web := build_web(word, boundary_strand_count(shape), shape.m)) is None:
+        raise RuntimeError(f"idempotent word of {shape} killed the highest weight vector")
+    payload = {
+        "word": str(word),
+        "dots": dot_placement(shape),
+        "boundary": str(web.boundary),
+    }
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for k, v in payload.items():
+            print(f"{k}: {v}")
+    return 0
+
+
+def cmd_bracket(args) -> int:
+    print(bracket(_closed_from_pair(args.pair, args)))
+    return 0
 
 
 def cmd_verify(args) -> int:
-    if args.signs and not SignString(args.signs).is_classical:
-        raise UsageError(f"verify needs a classical sign string, got {args.signs}")
     if args.max_n < 2:
         raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     names = list(checks.CHECKS) if args.check == "all" else [args.check]
-    signs_list = [args.signs] if args.signs else checks.classical_sign_strings(args.max_n)
+    signs_list = (checks.classical_sign_strings(args.max_n) if args.signs is None
+                  else [_signs(args, "verify")])
     results = checks.run_checks(names, signs_list)
     failures = [r for r in results if not r["ok"]]
     if args.format == "json":
@@ -298,6 +319,11 @@ def cmd_verify(args) -> int:
         for r in failures:
             print("counterexample:", json.dumps(r, sort_keys=True))
     return 1 if failures else 0
+
+
+COMMANDS = {"webs": cmd_webs, "flows": cmd_flows, "bij": cmd_bij, "foam": cmd_foam,
+            "bracket": cmd_bracket, "verify": cmd_verify}
+VERBS = tuple(COMMANDS)
 
 
 # -- parser -------------------------------------------------------------------
@@ -364,32 +390,6 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(args) -> int:
-    if args.verb == "webs":
-        if args.action == "list" and not args.signs:
-            raise UsageError("webs list needs --signs")
-        return cmd_webs(args)
-    if args.verb == "flows":
-        return cmd_flows(args)
-    if args.verb == "bij":
-        if args.action == "roundtrip" and not args.signs:
-            raise UsageError("bij roundtrip needs --signs")
-        return cmd_bij(args)
-    if args.verb == "foam":
-        if args.action in ("basis", "dims") and not args.signs:
-            raise UsageError(f"foam {args.action} needs --signs")
-        if args.action == "idem" and not args.shape:
-            raise UsageError("foam idem needs --shape")
-        return cmd_foam(args)
-    if args.verb == "bracket":
-        closed = _closed_from_pair(args.pair, args)
-        print(bracket(closed))
-        return 0
-    if args.verb == "verify":
-        return cmd_verify(args)
-    raise UsageError(f"unknown verb {args.verb}")
-
-
 def _normalize_argv(argv):
     """Join sign-string values onto their flag so leading '-' survives."""
     out, i = [], 0
@@ -416,11 +416,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return run(args)
+        return COMMANDS[args.verb](args)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

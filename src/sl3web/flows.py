@@ -270,17 +270,12 @@ def flow_to_colstrict(web: LadderWeb, flow: Flow):
     )
 
 
-def canonical_flow(web: LadderWeb, tableau=None, flows=None) -> Flow:
-    """The unique flow whose column-strict reading is the web's tableau.
-
-    The tableau defaults to the one the web was built from, and the flows
-    searched to all flows on the web.
-    """
-    if tableau is None:
-        tableau = web.tableau
-    if tableau is None:
-        raise ValueError("web carries no defining tableau; pass one explicitly")
-    wanted = tuple(tuple(r) for r in tableau)
+def canonical_flow(web: LadderWeb, flows=None) -> Flow:
+    """The unique flow whose column-strict reading is the tableau the web was
+    built from, searched among `flows` (default: all flows on the web)."""
+    if web.tableau is None:
+        raise ValueError("web carries no defining tableau")
+    wanted = tuple(tuple(r) for r in web.tableau)
     if flows is None:
         flows = enumerate_flows(web)
     matches = [f for f in flows if flow_to_colstrict(web, f) == wanted]

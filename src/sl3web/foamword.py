@@ -165,15 +165,10 @@ class Transposition:
         return f"t{self.j}"
 
 
-def minimal_permutation(
-    t: StdMultitableau3, reference: StdMultitableau3 | None = None
-) -> tuple[list[Transposition], list[StdMultitableau3]]:
-    """The `_swap_walk` carrying t (entries all distinct) to the reference,
-    with the fillings after each swap, the last one the reference."""
-    if reference is None:
-        reference = superstandard(t.shape)
-    if t.shape != reference.shape:
-        raise ValueError("fillings have different shapes")
+def minimal_permutation(t: StdMultitableau3) -> tuple[list[Transposition], list[StdMultitableau3]]:
+    """The `_swap_walk` carrying t (entries all distinct) to its shape's
+    superstandard filling, with the fillings after each swap, the last one
+    the superstandard."""
     occ = t.entries()
     if any(len(nodes) > 1 for nodes in occ.values()):
         raise ValueError("minimal permutation needs all-distinct entries")
@@ -188,7 +183,7 @@ def minimal_permutation(
         steps.append(StdMultitableau3._trusted(t.shape, rows))
 
     node_of = [occ[v][0] for v in range(1, len(occ) + 1)]
-    return _swap_walk(node_of, reference, t, record), steps
+    return _swap_walk(node_of, superstandard(t.shape), t, record), steps
 
 
 def _swap_walk(node_of: list[Node], reference: StdMultitableau3, source, on_swap=None):

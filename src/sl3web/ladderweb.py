@@ -154,14 +154,6 @@ class LTWord:
             factors.append((i, j))
         return cls(factors)
 
-    def to_json(self) -> list[list[int]]:
-        """JSON form lists factors in application order."""
-        return [[i, j] for i, j in self.application_order()]
-
-    @classmethod
-    def from_json(cls, data) -> "LTWord":
-        return cls(tuple(reversed([tuple(f) for f in data])))
-
 
 def highest_weight(n: int, ell: int) -> tuple[int, ...]:
     if ell > n:

@@ -131,13 +131,6 @@ class LaurentPoly:
             coeffs[e] = coeffs.get(e, 0) + s * c
         return cls(coeffs)
 
-    def to_json(self) -> dict[str, int]:
-        return {str(e): c for e, c in sorted(self._coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
-
 
 def _term_str(c: int, e: int) -> str:
     if e == 0:

@@ -13,7 +13,7 @@ from sl3web import bijection, checks, flows, foamword, tableaux
 from sl3web.cli import main
 from sl3web.flows import enumerate_flows
 from sl3web.ladderweb import enumerate_basis
-from sl3web.tableaux import StdMultitableau3
+from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 SIGNS = "+-+-"
 
@@ -266,6 +266,27 @@ def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
     frozen = _mutant(tableaux, "grown[node.row - 1] += 1", "pass")
     monkeypatch.setattr(bijection, "_entry_degree", frozen._entry_degree)
     assert "offers 0 nodes" in _failure("roundtrip")["error"]
+
+
+def _first_row_longer(shape):
+    comps = list(shape.components)
+    l = next(l for l, comp in enumerate(comps) if comp)
+    comps[l] = (comps[l][0] + 1, *comps[l][1:])
+    return Multipartition3(comps, m=shape.m)
+
+
+@pytest.mark.parametrize(
+    "bend",
+    [lambda shape: Multipartition3(shape.components, m=shape.m + 1), _first_row_longer],
+    ids=["shift", "row"],
+)
+def test_shape_other_than_the_grown_rows_fails_roundtrip(monkeypatch, capsys, bend):
+    # the survey leaf compares its grown rows and shift with the flow's shape
+    real = bijection.shape_of_boundary
+    monkeypatch.setattr(bijection, "shape_of_boundary", lambda web, flow: bend(real(web, flow)))
+    assert main(["verify", "roundtrip", "--signs", SIGNS]) == 1
+    out = capsys.readouterr().out
+    assert "verify roundtrip: 1 FAILURES" in out and "fills rows" in out
 
 
 def test_swapped_move_table_rows_fail_roundtrip(monkeypatch):

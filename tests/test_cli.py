@@ -153,6 +153,9 @@ def test_malformed_json_exits_two(capsys):
         ["foam", "idem", "--shape", '{"components":[[1,2],[],[]]}'],
         ["bij", "grow", "--tableau",
          '{"shape":{"components":[[1,-1],[],[]]},"cells":[[1,1,1,1]]}'],
+        ["verify", "all", "--signs", ""],
+        ["bij", "grow"],
+        ["bracket", "--pair", "F1", "F2 F1", "--n", "3", "--ell", "1"],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):
@@ -162,12 +165,31 @@ def test_malformed_payload_exits_two_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_internal_error_exits_one_without_traceback(capsys):
-    # iota finds no node on a web whose top layer starts with a weight-3 strand
-    assert main(["bij", "iota", "--word", "F2", "--n", "3", "--ell", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: RuntimeError: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def _raise(error):
+    def broken(web):
+        raise error
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "argv,patch,line",
+    [
+        # iota finds no node on a web whose top layer starts with a weight-3 strand
+        ("bij iota --word F2 --n 3 --ell 2", None, "internal error: RuntimeError: "),
+        # a library ValueError or KeyError outside the payload parsers is not a usage error
+        ("flows enumerate --preset arc", ValueError("boom"), "internal error: ValueError: boom\n"),
+        ("flows enumerate --preset arc", KeyError("boom"), "internal error: KeyError: 'boom'\n"),
+    ],
+    ids=["iota-weight-3-top", "value-error", "key-error"],
+)
+def test_internal_error_exits_one_without_traceback(capsys, monkeypatch, argv, patch, line):
+    if patch is not None:
+        monkeypatch.setattr(cli, "enumerate_flows", _raise(patch))
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_zero_word_is_usage_error(capsys):

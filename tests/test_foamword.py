@@ -243,7 +243,7 @@ def _old_half_generators(t):
             gens.append(FoamGen("digon_removal", -1, position=v, count=1))
         elif len(nodes) == 3:
             gens.append(FoamGen("theta_removal", -3, position=v, count=1))
-    seq, _steps = minimal_permutation(t.expand_repeats(), superstandard(t.shape))
+    seq, _steps = minimal_permutation(t.expand_repeats())
     for tr in seq:
         kind, deg = classify_transposition(tr.res_low, tr.res_high)
         gens.append(FoamGen(kind, deg, position=tr.j, count=2 if kind == "digon_removal" else 0))
