@@ -25,7 +25,6 @@ caller that reads one boundary several times holds on to the survey.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from sl3web.flows import (
@@ -233,8 +232,7 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
 # -- weight diagrams and the growth algorithm --------------------------------
 
 
-@dataclass(frozen=True)
-class WeightDiagram:
+class WeightDiagram(NamedTuple):
     """Z-graded entries over {x, o, +1, 0, -1}, optionally starred.
 
     Entries equal the trivial diagram (x at positions <= 0, o above)
@@ -357,15 +355,25 @@ def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
 # -- the boundary survey --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WebSurvey:
-    """A basis web with every flow on it enumerated and filled once."""
+    """A basis web with every flow on it filled once: per flow (state, filling degree,
+    flow, iota(web, flow)), and per state its degrees, which equality and hashing skip."""
 
-    web: LadderWeb
-    # per flow: (boundary state, filling degree, flow, filling iota(web, flow))
-    records: tuple[tuple, ...]
-    # boundary state -> filling degrees of the flows with that state, in flow order
-    by_state: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
+    __slots__ = ("web", "records", "by_state")
+
+    def __init__(self, web: LadderWeb, records: tuple[tuple, ...], by_state: dict):
+        object.__setattr__(self, "web", web)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "by_state", by_state)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WebSurvey is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, WebSurvey) and (self.web, self.records) == (other.web, other.records)
+
+    def __hash__(self):
+        return hash((self.web, self.records))
 
 
 def survey_web(web: LadderWeb) -> WebSurvey:

@@ -91,7 +91,10 @@ def _web_from_args(args) -> LadderWeb:
     try:
         word = LTWord.parse(args.word)
         n = max((i + 1 for i, _ in word.factors), default=2) if args.n is None else args.n
-        levels = range(n + 1) if args.ell is None else [args.ell]
+        # F_i applied first moves weight off a 3 onto a 0: only level i (or n, which
+        # raises when i is past the strands) can carry a non-empty word
+        levels = [args.ell] if args.ell is not None else (
+            [min(word.factors[-1][0], n)] if word.factors else range(n + 1))
         webs = [web for ell in levels if (web := build_web(word, n, ell)) is not None]
     except ValueError as e:
         raise UsageError(str(e)) from None

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from sl3web.laurent import LaurentPoly, monomial, qfactorial
 from sl3web.ladderweb import LadderWeb
@@ -84,14 +84,26 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 # -- flows on a single ladder web -------------------------------------------
 
 
-@dataclass(frozen=True)
 class Flow:
     """Moved color subsets per rung, in application order, and strand subsets
-    per layer, bottom to top; built by `enumerate_flows` or `flow_from_moves`."""
+    per layer, bottom to top; built by `enumerate_flows` or `flow_from_moves`.
+    Equality and hashing skip the layers, which the web and moves fix."""
 
-    web: LadderWeb
-    moves: tuple[frozenset, ...]
-    layers: tuple[tuple[frozenset, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("web", "moves", "layers")
+
+    def __init__(self, web: LadderWeb, moves: tuple[frozenset, ...], layers):
+        object.__setattr__(self, "web", web)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "layers", layers)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Flow is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Flow) and (self.web, self.moves) == (other.web, other.moves)
+
+    def __hash__(self):
+        return hash((self.web, self.moves))
 
     @property
     def exponent(self) -> int:
@@ -173,18 +185,15 @@ def boundary_state(web: LadderWeb, flow: Flow) -> tuple[int, ...]:
 # -- closed webs as glued pairs ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedWeb:
+class ClosedWeb(NamedTuple("_Glued", [("u", LadderWeb), ("v", LadderWeb)])):
     """The closed web obtained by reflecting v and gluing it on top of u."""
 
-    u: LadderWeb
-    v: LadderWeb
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u.boundary != self.v.boundary:
-            raise ValueError(
-                f"boundaries differ: {self.u.boundary} vs {self.v.boundary}"
-            )
+    def __new__(cls, u: LadderWeb, v: LadderWeb):
+        if u.boundary != v.boundary:
+            raise ValueError(f"boundaries differ: {u.boundary} vs {v.boundary}")
+        return super().__new__(cls, u, v)
 
 
 def _pairing_exponent(j: tuple[int, ...]) -> int:
@@ -214,8 +223,7 @@ def bracket(web) -> LaurentPoly:
 # -- the flow-by-flow definition of the closed bracket ---------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFlow:
+class ClosedFlow(NamedTuple):
     bottom: Flow
     top: Flow
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from sl3web.bijection import WebSurvey, survey
 from sl3web.laurent import LaurentPoly
@@ -36,8 +36,7 @@ from sl3web.tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class FoamGen:
+class FoamGen(NamedTuple):
     """One foam generator with its degree contribution; build it with `_gen`."""
 
     kind: str  # zip | unzip | digon_removal | theta_removal | shift | dots | identity
@@ -72,24 +71,35 @@ def _reflect(g: FoamGen) -> FoamGen:
     return _gen(kind, g.degree, g.position, g.count, not g.mirrored)
 
 
-@dataclass(frozen=True)
 class FoamWord:
     """Generator list between two ladder words; its degree is summed once, on first read."""
 
-    bottom: LTWord
-    top: LTWord
-    generators: tuple[FoamGen, ...]
+    __slots__ = ("bottom", "top", "generators", "_degree")
 
-    @cached_property
+    def __init__(self, bottom: LTWord, top: LTWord, generators: tuple[FoamGen, ...]):
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_degree", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FoamWord is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FoamWord) and (self.bottom, self.top, self.generators) == (
+            other.bottom, other.top, other.generators)
+
+    def __hash__(self):
+        return hash((self.bottom, self.top, self.generators))
+
+    @property
     def degree(self) -> int:
-        return sum(g.degree for g in self.generators)
+        if self._degree is None:
+            object.__setattr__(self, "_degree", sum(g.degree for g in self.generators))
+        return self._degree
 
     def reflected(self) -> "FoamWord":
-        return FoamWord(
-            bottom=self.top,
-            top=self.bottom,
-            generators=tuple(map(_reflect, reversed(self.generators))),
-        )
+        return FoamWord(self.top, self.bottom, tuple(map(_reflect, reversed(self.generators))))
 
     def __str__(self):
         gens = " . ".join(str(g) for g in self.generators) or "id"
@@ -153,8 +163,7 @@ def dot_placement(shape: Multipartition3) -> list[int]:
 # -- permutations between fillings ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transposition:
+class Transposition(NamedTuple):
     """Swap of entries j and j+1, with the residues at those positions."""
 
     j: int
@@ -275,8 +284,7 @@ def _half_foam_from_tableau(
     return word
 
 
-@dataclass(frozen=True)
-class BasisFoam:
+class BasisFoam(NamedTuple):
     """Cellular basis element indexed by a shape and two fillings."""
 
     shape: Multipartition3

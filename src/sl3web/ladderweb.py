@@ -10,7 +10,6 @@ of weight from strand i to strand i+1; a step that leaves the interval
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 SIGN_TO_WEIGHT = {"o": 0, "+": 1, "-": 2, "x": 3}
 WEIGHT_TO_SIGN = {v: k for k, v in SIGN_TO_WEIGHT.items()}
@@ -172,16 +171,28 @@ def apply_F(weights, i: int, j: int):
     return weights[: i - 1] + (a, b) + weights[i + 1 :]
 
 
-@dataclass(frozen=True)
 class LadderWeb:
-    """A ladder word together with its cached weight layers."""
+    """A ladder word with its weight layers, bottom to top, and the defining
+    semi-standard tableau, if any, which equality and hashing skip."""
 
-    word: LTWord
-    n: int
-    ell: int
-    layers: tuple[tuple[int, ...], ...]  # bottom to top, length = word length + 1
-    # defining semi-standard tableau, when built from one
-    tableau: tuple | None = field(default=None, compare=False)
+    __slots__ = ("word", "n", "ell", "layers", "tableau")
+
+    def __init__(self, word: LTWord, n: int, ell: int, layers, tableau=None):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "tableau", tableau)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LadderWeb is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, LadderWeb) and (self.word, self.n, self.ell, self.layers) == (
+            other.word, other.n, other.ell, other.layers)
+
+    def __hash__(self):
+        return hash((self.word, self.n, self.ell, self.layers))
 
     @property
     def boundary(self) -> SignString:

@@ -6,6 +6,7 @@ import pytest
 
 from sl3web.bijection import (
     MOVE_TABLE,
+    WebSurvey,
     _next_node,
     classify_step,
     grow,
@@ -263,6 +264,21 @@ def test_survey_records_match_iota_and_bkw_degree():
                 assert t == filled
                 assert d == bkw_degree(filled)[0]
                 assert j == boundary_state(web, ref)
+
+
+def test_survey_equality_ignores_by_state_and_stays_hashable():
+    entry = survey_web(HALF_THETA)
+    bare = WebSurvey(entry.web, entry.records, {})
+    assert bare == entry and hash(bare) == hash(entry)
+    assert len({bare, entry, survey_web(NESTED)}) == 2
+
+
+def test_bijection_records_are_immutable():
+    t = superstandard(Multipartition3(((1,), (), (1, 1))))
+    records = ((survey_web(HALF_THETA), "records"), (weight_diagram_tower(t)[1], "entries"))
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
 
 
 def test_roundtrip_reads_what_grow_grows():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sl3web import cli
+from sl3web import cli, ladderweb
 from sl3web.cli import build_parser, main
 
 
@@ -215,6 +215,34 @@ def test_explicit_zero_strands_or_level_is_honoured(capsys, argv, err):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize(
+    "word,n,levels,code,err",
+    [
+        ("F10000", [], [10000], 0, ""),
+        ("F2^2", ["--n", "2"], [2], 2, "error: index 2 out of range for 2 strands\n"),
+        ("F9", ["--n", "3"], [3], 2, "error: index 9 out of range for 3 strands\n"),
+        ("F5 F1", ["--n", "3"], [1], 2, "error: index 5 out of range for 3 strands\n"),
+        ("F1^2 F1^2", [], [1], 2, "error: word F1^2 F1^2 is zero on 2 strands at every level\n"),
+        ("1", ["--n", "0"], [0], 0, ""),
+        ("1", [], [0, 1, 2], 2, "error: level of 1 is ambiguous on 2 strands; pass --ell\n"),
+    ],
+)
+def test_word_without_level_is_built_at_its_first_index(capsys, monkeypatch, word, n, levels,
+                                                        code, err):
+    # F_i applied first needs a 3 on strand i and a 0 on strand i + 1, so no other
+    # level can carry the word; the empty word fits every level
+    built = []
+
+    def build_web(word, n, ell):
+        built.append(ell)
+        return ladderweb.build_web(word, n, ell)
+
+    monkeypatch.setattr(cli, "build_web", build_web)
+    assert main(["webs", "show", "--word", word, *n]) == code
+    assert capsys.readouterr().err == err
+    assert built == levels
 
 
 @pytest.mark.parametrize("max_n", ["1", "0", "-1"])

@@ -9,6 +9,7 @@ from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
     COLORS,
     ClosedWeb,
+    Flow,
     boundary_state,
     bracket,
     canonical_flow,
@@ -184,6 +185,26 @@ def test_single_word_theta_bracket_agrees():
 def test_nested_circles_bracket_is_square():
     nested = web_from_tableau(((1, 2, 3), (2, 4, 4)))
     assert bracket(ClosedWeb(nested, nested)) == qint(3) * qint(3)
+
+
+def test_closed_web_needs_one_boundary():
+    with pytest.raises(ValueError, match="boundaries differ"):
+        ClosedWeb(ARC, Y)
+
+
+def test_flow_equality_and_hash_ignore_layers():
+    flow = enumerate_flows(Y)[0]
+    bare = Flow(flow.web, flow.moves, ())
+    assert bare == flow and hash(bare) == hash(flow)
+    assert bare != enumerate_flows(Y)[1]
+
+
+def test_flow_records_are_immutable():
+    closed = ClosedWeb(Y, Y)
+    records = ((enumerate_flows(Y)[0], "moves"), (closed, "u"), (closed_flows(closed)[0], "top"))
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_bracket_rejects_open_web():

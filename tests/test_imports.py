@@ -1,6 +1,10 @@
-"""No module in src/, scripts/ or tests/ imports a name it never uses."""
+"""No module in src/, scripts/ or tests/ imports a name it never uses, and the
+command line imports no stdlib module that only slows its cold start."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,18 @@ def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nprint(c)\n") == [
         "os (line 1)", "b (line 2)",
     ]
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process, and these two cost more to import than
+    # all of sl3web; compare with the interpreter's own modules, whatever site loads
+    script = (
+        "import sys; bare = set(sys.modules); import sl3web.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    added = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "sl3web.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added)

@@ -15,6 +15,7 @@ from sl3web.ladderweb import (
     enumerate_basis,
     lt_generators,
     semistandard_tableaux,
+    web_from_tableau,
 )
 
 
@@ -156,6 +157,15 @@ def test_webs_never_die_and_boundaries_match():
         for rows, web in enumerate_basis(signs):
             assert web is not ZERO
             assert web.boundary == SignString(signs)
+
+
+def test_web_equality_and_hash_ignore_the_tableau():
+    tagged = web_from_tableau(((1, 2, 3),))
+    plain = build_web(tagged.word, tagged.n, tagged.ell)
+    assert (plain.tableau, tagged.tableau) == (None, ((1, 2, 3),))
+    assert plain == tagged and hash(plain) == hash(tagged)
+    with pytest.raises(AttributeError):
+        tagged.tableau = None
 
 
 def test_total_length_constant_over_each_boundary():
