@@ -370,7 +370,8 @@ class WebSurvey:
         raise AttributeError("WebSurvey is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, WebSurvey) and (self.web, self.records) == (other.web, other.records)
+        return isinstance(other, WebSurvey) and (self.web, self.records) == (
+            other.web, other.records)
 
     def __hash__(self):
         return hash((self.web, self.records))

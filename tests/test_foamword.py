@@ -299,7 +299,8 @@ def test_generators_are_interned_and_reflect_back():
 def test_foam_records_are_immutable():
     foam = enumerate_cellular_basis("+++")[0]
     seq, _steps = minimal_permutation(StdMultitableau3(THETA_SHAPE, ((), ((3,),), ((1, 2),))))
-    records = ((foam, "word"), (foam.word, "generators"), (foam.word.generators[0], "kind"), (seq[0], "j"))
+    records = ((foam, "word"), (foam.word, "generators"), (foam.word.generators[0], "kind"),
+               (seq[0], "j"))
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
