@@ -4,12 +4,13 @@ Each check reads one `Boundary` and returns (ok, counterexample), where the
 counterexample is a JSON payload that can be replayed through the command
 line.  `run_checks` builds one `Boundary` per sign string, hands it to every
 check and drops it before the next.  A `Boundary` builds on first read the
-basis, its `bijection.survey`, one `flows.flow_vector` per web (one more
-enumeration, weighed by rung exponents instead of filling degrees), their
-pairing per ordered pair of webs (the bracket of the glued pair) and the
-half foams of `foamword.cellular_halves`, never a basis foam: a pair is a
-lower half, the dots and a reflected upper half, so its degree and its
-involution follow from theirs.  An exception inside one check is a failing result.
+basis, its `bijection.survey` (the only enumeration of the boundary's flows),
+one `flows.flow_vector` per web (the survey's flows weighed by rung exponents
+instead of filling degrees), their pairing per ordered pair of webs (the
+bracket of the glued pair) and the half foams of `foamword.cellular_halves`,
+never a basis foam: a pair is a lower half, the dots and a reflected upper
+half, so its degree and its involution follow from theirs.  An exception
+inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Boundary:
 
     @cached_property
     def vectors(self):
-        return [flow_vector(entry.web) for entry in self.surveys]
+        return [flow_vector(f for _j, _d, f, _t in entry.records) for entry in self.surveys]
 
     @cached_property
     def brackets(self):
@@ -105,7 +106,7 @@ def check_unitriangularity(b: Boundary):
     """Tensor coefficients: 1 at the defining state, rest lower; defining states distinct."""
     leaders: dict[tuple[int, ...], str] = {}
     for entry, vector in zip(b.surveys, b.vectors):
-        cf = canonical_flow(entry.web, flows=[flow for _j, _d, flow, _t in entry.records])
+        cf = canonical_flow(entry.web, (f for _j, _d, f, _t in entry.records))
         leading = boundary_state(entry.web, cf)
         expansion = tensor_expansion(vector)
         if expansion.get(leading) != monomial(0):

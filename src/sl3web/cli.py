@@ -194,7 +194,7 @@ def cmd_flows(args) -> int:
                   f"weight={r['weight']}"
               ))
         return 0
-    expansion = tensor_expansion(flow_vector(_web_from_args(args)))
+    expansion = tensor_expansion(flow_vector(enumerate_flows(_web_from_args(args))))
     rows = [
         {"state": json.dumps(list(j)), "coefficient": str(p)}
         for j, p in sorted(expansion.items(), reverse=True)

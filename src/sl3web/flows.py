@@ -10,11 +10,13 @@ Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
 the sum over rungs is the weight of the flow on a web with boundary.  The
 flow vector A_w(j) of a web sums q^-weight over its flows of boundary state
-j; nothing keeps it, so a caller that reads it twice holds on to it.  A
-closed web, presented as a pair (u, v) glued along a common boundary, adds
-one plus the boundary state per strand, so its bracket is the `pairing`
-sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors; `closed_flows`
-and `closed_weight` are the flow-by-flow definition it is tested against.
+j.  `flow_vector` enumerates nothing: it sums the flows it is handed, which
+`bracket` and the command line take from `enumerate_flows` and the checks
+from the survey that already holds them.  A closed web, presented as a pair
+(u, v) glued along a common boundary, adds one plus the boundary state per
+strand, so its bracket is the `pairing` sum_j q^-(len j + sum j) A_u(j)
+A_v(j) of the two vectors; `closed_flows` and `closed_weight` are the
+flow-by-flow definition it is tested against.
 The convention is pinned by reports/calibration.md and by the exact
 divided-power identity checked in _transition_poly.
 """
@@ -150,11 +152,11 @@ def enumerate_flows(web: LadderWeb) -> list[Flow]:
     return [Flow(web, moves, layers) for moves, layers in partial]
 
 
-def flow_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
-    """Sum of q^-exponent over the flows of the web, per boundary state."""
+def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:
+    """Sum of q^-exponent over the given flows of one web, per boundary state."""
     counts: dict[tuple[int, ...], Counter] = {}
-    for f in enumerate_flows(web):
-        counts.setdefault(boundary_state(web, f), Counter())[-f.exponent] += 1
+    for f in flows:
+        counts.setdefault(boundary_state(f.web, f), Counter())[-f.exponent] += 1
     return {j: LaurentPoly(c) for j, c in counts.items()}
 
 
@@ -212,11 +214,11 @@ def pairing(left: dict, right: dict) -> LaurentPoly:
 def bracket(web) -> LaurentPoly:
     """Kuperberg bracket of a closed web: sum of q^(-weight) over its flows."""
     if isinstance(web, ClosedWeb):
-        return pairing(flow_vector(web.u), flow_vector(web.v))
+        return pairing(*(flow_vector(enumerate_flows(half)) for half in web))
     if isinstance(web, LadderWeb):
         if any(w in (1, 2) for w in web.layers[-1]):
             raise ValueError(f"web with boundary {web.boundary} is not closed")
-        return flow_vector(web).get((), LaurentPoly())
+        return flow_vector(enumerate_flows(web)).get((), LaurentPoly())
     raise TypeError(f"cannot take the bracket of {web!r}")
 
 
@@ -278,14 +280,12 @@ def flow_to_colstrict(web: LadderWeb, flow: Flow):
     )
 
 
-def canonical_flow(web: LadderWeb, flows=None) -> Flow:
+def canonical_flow(web: LadderWeb, flows) -> Flow:
     """The unique flow whose column-strict reading is the tableau the web was
-    built from, searched among `flows` (default: all flows on the web)."""
+    built from, searched among `flows`, which are all the flows on the web."""
     if web.tableau is None:
         raise ValueError("web carries no defining tableau")
     wanted = tuple(tuple(r) for r in web.tableau)
-    if flows is None:
-        flows = enumerate_flows(web)
     matches = [f for f in flows if flow_to_colstrict(web, f) == wanted]
     if len(matches) != 1:
         raise RuntimeError(

@@ -176,40 +176,42 @@ class Transposition(NamedTuple):
 
 def minimal_permutation(t: StdMultitableau3) -> tuple[list[Transposition], list[StdMultitableau3]]:
     """The `_swap_walk` carrying t (entries all distinct) to its shape's
-    superstandard filling, with the fillings after each swap, the last one
-    the superstandard."""
+    superstandard filling, as transpositions with the fillings after each
+    swap, the last one the superstandard."""
     occ = t.entries()
     if any(len(nodes) > 1 for nodes in occ.values()):
         raise ValueError("minimal permutation needs all-distinct entries")
 
+    m = t.shape.m
     grid = [[list(row) for row in comp] for comp in t.rows]  # node -> entry
+    seq: list[Transposition] = []
     steps: list[StdMultitableau3] = []
-
-    def record(v: int, low: Node, high: Node) -> None:
+    node_of = [occ[v][0] for v in range(1, len(occ) + 1)]
+    for v, low, high in _swap_walk(node_of, superstandard(t.shape), t):
+        seq.append(Transposition(v, residue(low, m), residue(high, m)))
         grid[low.comp - 1][low.row - 1][low.col - 1] = v + 1
         grid[high.comp - 1][high.row - 1][high.col - 1] = v
         rows = tuple(tuple(map(tuple, comp)) for comp in grid)
         steps.append(StdMultitableau3._trusted(t.shape, rows))
-
-    node_of = [occ[v][0] for v in range(1, len(occ) + 1)]
-    return _swap_walk(node_of, superstandard(t.shape), t, record), steps
+    return seq, steps
 
 
-def _swap_walk(node_of: list[Node], reference: StdMultitableau3, source, on_swap=None):
-    """Transpositions, applied in order, moving the entries onto the reference.
+def _swap_walk(
+    node_of: list[Node], reference: StdMultitableau3, source
+) -> Iterator[tuple[int, Node, Node]]:
+    """The swaps (v, low, high) of entries v and v + 1, in order, moving the
+    entries onto the reference; low held v and high v + 1 before the swap.
 
     ``node_of[v - 1]`` holds entry v of a standard all-distinct filling and
-    is updated in place; ``on_swap(v, low, high)`` sees every swap.  For
-    j = 1, 2, ... in turn, the value w on j's reference node is walked down
-    by t(w-1), ..., tj; entries below j already sit on their reference
-    nodes.  A swap of consecutive entries keeps the filling standard exactly
-    when j + 1 is neither immediately right of nor below j in one component
+    is updated in place before each swap is yielded.  For j = 1, 2, ... in
+    turn, the value w on j's reference node is walked down by t(w-1), ...,
+    tj; entries below j already sit on their reference nodes.  A swap of
+    consecutive entries keeps the filling standard exactly when j + 1 is
+    neither immediately right of nor below j in one component
     (`swap_keeps_standard`); one that breaks it raises RuntimeError.
     """
-    m = reference.shape.m
     target = reference.entries()
     entry_at = {node: v for v, node in enumerate(node_of, start=1)}
-    seq: list[Transposition] = []
     for j in range(1, len(node_of) + 1):
         (goal,) = target[j]
         w = entry_at[goal]
@@ -222,12 +224,9 @@ def _swap_walk(node_of: list[Node], reference: StdMultitableau3, source, on_swap
                     f"transposition t{v} left the standard fillings on the way "
                     f"from {source} to {reference}"
                 )
-            seq.append(Transposition(v, residue(low, m), residue(high, m)))
             node_of[v - 1], node_of[v] = high, low
             entry_at[low], entry_at[high] = v + 1, v
-            if on_swap is not None:
-                on_swap(v, low, high)
-    return seq
+            yield v, low, high
 
 
 def permutation_word(seq: list[Transposition]) -> str:
@@ -271,9 +270,10 @@ def _half_foam_from_tableau(
         elif len(nodes) == 3:
             gens.append(_gen("theta_removal", -3, v, 1, False))
         node_of.extend(nodes)
-    for tr in _swap_walk(node_of, superstandard(t.shape), t):
-        kind, deg = classify_transposition(tr.res_low, tr.res_high)
-        gens.append(_gen(kind, deg, tr.j, 2 if kind == "digon_removal" else 0, False))
+    m = t.shape.m
+    for v, low, high in _swap_walk(node_of, superstandard(t.shape), t):
+        kind, deg = classify_transposition(residue(low, m), residue(high, m))
+        gens.append(_gen(kind, deg, v, 2 if kind == "digon_removal" else 0, False))
     if not gens:
         gens.append(_gen("identity", 0, None, 0, False))
     word = FoamWord(bottom=bottom, top=top, generators=tuple(gens))

@@ -37,10 +37,6 @@ class LaurentPoly:
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -67,10 +63,6 @@ class LaurentPoly:
     def bar(self) -> "LaurentPoly":
         """Exponent negation q -> q^-1."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
-    @property
-    def is_bar_symmetric(self) -> bool:
-        return self == self.bar()
 
     def __call__(self, value):
         """Evaluate at a numeric value of q (value must be invertible)."""

@@ -171,7 +171,7 @@ def test_grow_superstandard_of_canonical_shapes():
 
     for signs in classical_sign_strings(4):
         for rows, web in enumerate_basis(signs):
-            shape = iota(web, canonical_flow(web)).shape
+            shape = iota(web, canonical_flow(web, enumerate_flows(web))).shape
             grown, gflow = grow(superstandard(shape))
             assert flow_to_colstrict(grown, gflow) == rows
 

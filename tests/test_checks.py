@@ -70,9 +70,10 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
     assert len(calls) == flows
 
 
-def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
-    # only the flow vector: the survey walks its own prefix tree, and the
-    # canonical flow is read off the survey
+def test_checks_enumerate_no_flows(monkeypatch):
+    # the survey walks its own prefix tree, and the flow vectors and the
+    # canonical flow are read off the survey's flows; the count wraps every
+    # module that holds enumerate_flows by name, so no import escapes it
     real = flows.enumerate_flows
     calls: Counter = Counter()
 
@@ -80,11 +81,31 @@ def test_checks_enumerate_each_web_at_most_twice(monkeypatch):
         calls[web] += 1
         return real(web)
 
-    monkeypatch.setattr(flows, "enumerate_flows", counted)
+    for module in (flows, bijection, checks, foamword):
+        if getattr(module, "enumerate_flows", None) is real:
+            monkeypatch.setattr(module, "enumerate_flows", counted)
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     assert all(r["ok"] for r in results), results
-    assert len(calls) == len(enumerate_basis(SIGNS))
-    assert max(calls.values()) == 1, calls
+    assert not calls, calls
+
+
+def test_survey_fed_vectors_equal_enumerated_vectors():
+    webs = 0
+    for signs in checks.classical_sign_strings(6):
+        b = checks.Boundary(signs)
+        for entry, vector in zip(b.surveys, b.vectors):
+            assert vector == flows.flow_vector(enumerate_flows(entry.web)), (signs, entry.web)
+            webs += 1
+    assert webs == 176  # every basis web over the 42 boundaries with n <= 6
+
+
+def test_negated_weight_rule_fails_the_weight_checks(monkeypatch):
+    # the survey-fed flow vectors still see a wrong rung exponent
+    real = flows.transition_exponent
+    monkeypatch.setattr(flows, "transition_exponent", lambda *sets: -real(*sets))
+    results = checks.run_checks(list(checks.CHECKS), [SIGNS])
+    failed = {r["check"] for r in results if not r["ok"]}
+    assert failed == {"degree", "bracket-symmetry", "graded-dim"}, results
 
 
 @pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])

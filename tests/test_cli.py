@@ -192,6 +192,18 @@ def test_internal_error_exits_one_without_traceback(capsys, monkeypatch, argv, p
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.xfail(strict=True, reason="iota: a rung from (1, 2) to (0, 3) matches no move")
+@pytest.mark.parametrize(
+    "word,n,ell", [("F1 F3 F2 F2^2", "4", "2"), ("F1 F1^2", "2", "1")], ids=["-+-+", "closed"]
+)
+def test_iota_with_a_rung_into_a_weight_3_strand_is_no_internal_error(capsys, word, n, ell):
+    # in both webs, rung 2 takes weights (1, 2) to (0, 3)
+    code = main(["bij", "iota", "--word", word, "--n", n, "--ell", ell])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "internal error:" not in err
+
+
 def test_zero_word_is_usage_error(capsys):
     assert main(["flows", "enumerate", "--word", "F1^3 F1^3", "--n", "2", "--ell", "1"]) == 2
     capsys.readouterr()

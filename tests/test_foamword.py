@@ -194,7 +194,7 @@ def _half_of(web, flow):
 
 
 def test_half_foam_theta_canonical():
-    foam = _half_of(Y, canonical_flow(Y))
+    foam = _half_of(Y, canonical_flow(Y, enumerate_flows(Y)))
     kinds = [g.kind for g in foam.generators]
     assert kinds.count("unzip") == 1
     assert kinds.count("digon_removal") == 1
@@ -252,19 +252,19 @@ def _old_half_generators(t):
 
 def test_half_foam_matches_the_expanded_permutation():
     halves = 0
-    for signs in classical_sign_strings(5):
+    for signs in classical_sign_strings(6):
         for t, foam in _halves(signs):
             assert foam.generators == _old_half_generators(t), t
             halves += 1
     assert halves == sum(
         len(enumerate_flows(web))
-        for signs in classical_sign_strings(5)
+        for signs in classical_sign_strings(6)
         for _rows, web in enumerate_basis(signs)
     )
 
 
 def test_half_foam_degree_mismatch_raises():
-    t = iota(Y, canonical_flow(Y))
+    t = iota(Y, canonical_flow(Y, enumerate_flows(Y)))
     top = idempotent(t.shape)
     drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
     assert foamword._half_foam_from_tableau(t, Y.word, top, drop).degree == drop

@@ -41,7 +41,7 @@ def test_qint_rejects_nonpositive():
 
 def test_additive_inverse():
     q = monomial(1)
-    assert (q + q.scale(-1)).is_zero
+    assert q + q.scale(-1) == LaurentPoly()
 
 
 def test_shift_of_qint_two():
@@ -67,7 +67,7 @@ def test_canonical_text_form():
 
 def test_parse_canonical_form():
     assert LaurentPoly.parse("q^3 + 2*q + 2*q^-1 + q^-3") == qint(2) * qint(3)
-    assert LaurentPoly.parse("0").is_zero
+    assert LaurentPoly.parse("0") == LaurentPoly()
     assert LaurentPoly.parse("-q + 4") == ply({1: -1, 0: 4})
 
 
@@ -95,4 +95,5 @@ def test_zero_is_neutral_and_text_roundtrips(p):
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
 @settings(max_examples=40)
 def test_qint_products_bar_symmetric(a, b):
-    assert (qint(a) * qint(b)).is_bar_symmetric
+    p = qint(a) * qint(b)
+    assert p == p.bar()
