@@ -286,7 +286,8 @@ def test_flows_carry_their_layers():
 def test_unitriangularity_exhaustive_small():
     for signs in classical_sign_strings(5):
         for entry in survey(enumerate_basis(signs)):
-            expansion = tensor_expansion(flow_vector(enumerate_flows(entry.web)))
-            leading = boundary_state(entry.web, canonical_flow(entry.web, enumerate_flows(entry.web)))
+            fs = enumerate_flows(entry.web)
+            expansion = tensor_expansion(flow_vector(fs))
+            leading = boundary_state(entry.web, canonical_flow(entry.web, fs))
             assert expansion[leading] == LaurentPoly({0: 1})
             assert all(j <= leading for j in expansion)
