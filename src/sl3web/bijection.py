@@ -377,7 +377,7 @@ class WebSurvey:
         return hash((self.web, self.records))
 
 
-def survey_web(web: LadderWeb) -> WebSurvey:
+def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     """Enumerate the flows on one web, with their states, fillings and degrees.
 
     One depth-first walk over the flow-prefix tree, in `enumerate_flows`
@@ -388,7 +388,10 @@ def survey_web(web: LadderWeb) -> WebSurvey:
     rows are empty in every component.  With the shift fixed and a residue
     naming one row (`_next_node`), no placement needs the shape: a leaf
     checks that the grown row lengths, with the web's shift, are the shape
-    `shape_of_boundary` reads off the flow.
+    `shape_of_boundary` reads off the flow.  A top layer fixes the state and
+    the shape, so `states` maps it to (state, shape, row lengths padded to
+    the shift), read off its first flow; `survey` shares the map between the
+    webs of a boundary, which share ell and top weights.
     """
     order = web.word.application_order()
     top = web.layers[-1]
@@ -400,12 +403,14 @@ def survey_web(web: LadderWeb) -> WebSurvey:
 
     def leaf(degree: int) -> None:
         flow = Flow(web, tuple(moves), tuple(layers))
-        shape = shape_of_boundary(web, flow)
-        # trailing zeros pad each row-length tuple to m; rows grown out of order differ
-        if shape.m != m or any(tuple(grown) != comp + (0,) * (m - len(comp))
-                               for grown, comp in zip(lengths, shape.components)):
+        if (known := states.get(layers[-1])) is None:
+            shape = shape_of_boundary(web, flow)
+            padded = tuple(list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components)
+            known = states[layers[-1]] = (boundary_state(web, flow), shape, padded)
+        state, shape, padded = known
+        # rows grown out of order, or with another shift than the shape's, differ
+        if lengths != padded:
             raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
-        state = boundary_state(web, flow)
         filled = tuple(tuple(tuple(row) for row in comp if row) for comp in rows)
         records.append((state, degree, flow, StdMultitableau3._trusted(shape, filled)))
         by_state.setdefault(state, []).append(degree)
@@ -439,4 +444,5 @@ def survey_web(web: LadderWeb) -> WebSurvey:
 
 def survey(basis: list[tuple[tuple, LadderWeb]]) -> tuple[WebSurvey, ...]:
     """The webs of a basis, as `enumerate_basis` lists them, each surveyed once."""
-    return tuple(survey_web(web) for _rows, web in basis)
+    states: dict = {}  # a boundary state's shape is read once, by its first flow
+    return tuple(survey_web(web, states) for _rows, web in basis)

@@ -37,7 +37,7 @@ from sl3web.foamword import (
 )
 from sl3web.ladderweb import LadderWeb, LTWord, SignString, build_web, enumerate_basis
 from sl3web.presets import PRESET_NAMES, preset_web
-from sl3web.tableaux import Multipartition3, StdMultitableau3
+from sl3web.tableaux import Multipartition3, StdMultitableau3, tableau_cells
 
 
 class UsageError(Exception):
@@ -251,16 +251,17 @@ def cmd_bij(args) -> int:
 
 def cmd_foam(args) -> int:
     if args.action == "basis":
-        # each shape and filling recurs in many foams: serialise it once
-        shape_text = functools.cache(lambda s: json.dumps(s.to_json(), sort_keys=True))
-        cells_text = functools.cache(lambda t: json.dumps(t.to_json()["cells"]))
+        # each shape and filling recurs in many foams: serialise it once, keyed by its tuples
+        shape_text = functools.cache(lambda comps, m: json.dumps(
+            Multipartition3(comps, m).to_json(), sort_keys=True))
+        cells_text = functools.cache(lambda rows: json.dumps(tableau_cells(rows)))
         rows = []
         for foam in enumerate_cellular_basis(_signs(args, "foam basis")):
             rows.append(
                 {
-                    "shape": shape_text(foam.shape),
-                    "top": cells_text(foam.top_tableau),
-                    "bottom": cells_text(foam.bottom_tableau),
+                    "shape": shape_text(foam.shape.components, foam.shape.m),
+                    "top": cells_text(foam.top_tableau.rows),
+                    "bottom": cells_text(foam.bottom_tableau.rows),
                     "degree": foam.degree,
                 }
             )

@@ -5,11 +5,13 @@ list of generators (zips, unzips, digon removals, shifts, dots, identity)
 together with bottom and top ladder words; its degree is the sum of the
 generator degrees.  Signs are not modeled.
 
-The cellular basis splits into halves and pairs.  Each flow's half foam
-walks its expanded filling to the superstandard one (`cellular_halves`);
-the basis reflects each half once, joins two halves of one boundary state
-around the dots and sums its degree once.  `_gen` and `_reflect` intern
-the generators.
+The cellular basis splits into halves and pairs.  Per boundary state,
+`cellular_halves` builds one frame of its nodes' residues and neighbours
+(`_frame`), and each flow's half foam walks its expanded filling to the
+superstandard one on the frame's integers (`_swap_walk`).  The basis
+reflects each half once, joins two halves of one state around the dots,
+weighs the pair by its parts and emits the pairs in key order unsorted.
+`_gen` and `_reflect` intern the generators.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ from sl3web.tableaux import (
     _same_residue_after,
     bkw_degree,
     multipartition_to_colstrict,
-    residue,
     superstandard,
-    swap_keeps_standard,
 )
 
 
@@ -71,39 +71,25 @@ def _reflect(g: FoamGen) -> FoamGen:
     return _gen(kind, g.degree, g.position, g.count, not g.mirrored)
 
 
-class FoamWord:
-    """Generator list between two ladder words; its degree is summed once, on first read."""
+class FoamWord(NamedTuple):
+    """Generator list between two ladder words, with its degree, the sum of
+    the generators' degrees; build it with `_word`."""
 
-    __slots__ = ("bottom", "top", "generators", "_degree")
-
-    def __init__(self, bottom: LTWord, top: LTWord, generators: tuple[FoamGen, ...]):
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_degree", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FoamWord is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FoamWord) and (self.bottom, self.top, self.generators) == (
-            other.bottom, other.top, other.generators)
-
-    def __hash__(self):
-        return hash((self.bottom, self.top, self.generators))
-
-    @property
-    def degree(self) -> int:
-        if self._degree is None:
-            object.__setattr__(self, "_degree", sum(g.degree for g in self.generators))
-        return self._degree
+    bottom: LTWord
+    top: LTWord
+    generators: tuple[FoamGen, ...]
+    degree: int
 
     def reflected(self) -> "FoamWord":
-        return FoamWord(self.top, self.bottom, tuple(map(_reflect, reversed(self.generators))))
+        return _word(self.top, self.bottom, tuple(map(_reflect, reversed(self.generators))))
 
     def __str__(self):
         gens = " . ".join(str(g) for g in self.generators) or "id"
         return f"[{self.bottom}] => [{self.top}] : {gens} (deg {self.degree})"
+
+
+def _word(bottom: LTWord, top: LTWord, generators: tuple[FoamGen, ...]) -> FoamWord:
+    return FoamWord(bottom, top, generators, sum(g.degree for g in generators))
 
 
 # -- idempotents and dots ------------------------------------------------------
@@ -113,11 +99,15 @@ def idempotent(shape: Multipartition3) -> LTWord:
     """Undivided ladder word of a shape.
 
     The word has one factor per node, indexed by the residue sequence of
-    the shape's superstandard filling; on `boundary_strand_count(shape)`
-    strands at level m it never kills the highest weight vector.
+    the shape's superstandard filling (`_frame`); on
+    `boundary_strand_count(shape)` strands at level m it never kills the
+    highest weight vector.
     """
-    res = superstandard(shape).residue_sequence()
-    return LTWord(tuple((r, 1) for r in reversed(res)))
+    return _idempotent(_frame(shape)[0])
+
+
+def _idempotent(residues: tuple[int, ...]) -> LTWord:
+    return LTWord(tuple((r, 1) for r in reversed(residues)))
 
 
 def boundary_strand_count(shape: Multipartition3) -> int:
@@ -146,10 +136,7 @@ def dot_placement(shape: Multipartition3) -> list[int]:
             lengths[l - 1].append(0)
             for c in range(1, length + 1):
                 lengths[l - 1][r - 1] = c
-                node = Node(r, c, l)
-                after, _removable = _same_residue_after(
-                    lengths, shape.m, node, residue(node, shape.m)
-                )
+                after, _removable = _same_residue_after(lengths, shape.m, Node(r, c, l), c - r + shape.m)
                 if after > 2:
                     raise RuntimeError(
                         f"node {len(out) + 1} of {shape} has {after} same-residue "
@@ -174,55 +161,77 @@ class Transposition(NamedTuple):
         return f"t{self.j}"
 
 
+def _frame(shape: Multipartition3) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Per node of the shape in reading order (component, row, column, as
+    the superstandard filling numbers them): its residue, and the reading
+    indices of its right and lower neighbours (-1 where there is none), on
+    which a swap may not put the next entry (`swap_keeps_standard`)."""
+    residues, blocked = [], []
+    for comp in shape.components:
+        for r, length in enumerate(comp):
+            below = comp[r + 1] if r + 1 < len(comp) else 0
+            for c in range(length):
+                i = len(residues)
+                residues.append(c - r + shape.m)
+                blocked.append((i + 1 if c + 1 < length else -1, i + length if c < below else -1))
+    return tuple(residues), tuple(blocked)
+
+
+def _node_order(rows) -> tuple[list[int], list[int]]:
+    """A filling's entries in reading order, and its nodes' reading indices
+    in entry order, repeats leftmost component first: the nodes of the
+    expanded filling (`expand_repeats`) holding 1, 2, ..."""
+    flat = [v for comp in rows for row in comp for v in row]
+    return flat, sorted(range(len(flat)), key=flat.__getitem__)
+
+
 def minimal_permutation(t: StdMultitableau3) -> tuple[list[Transposition], list[StdMultitableau3]]:
     """The `_swap_walk` carrying t (entries all distinct) to its shape's
     superstandard filling, as transpositions with the fillings after each
     swap, the last one the superstandard."""
-    occ = t.entries()
-    if any(len(nodes) > 1 for nodes in occ.values()):
+    flat, node_of = _node_order(t.rows)
+    if len(set(flat)) != len(flat):
         raise ValueError("minimal permutation needs all-distinct entries")
-
-    m = t.shape.m
-    grid = [[list(row) for row in comp] for comp in t.rows]  # node -> entry
+    residues, blocked = _frame(t.shape)
     seq: list[Transposition] = []
     steps: list[StdMultitableau3] = []
-    node_of = [occ[v][0] for v in range(1, len(occ) + 1)]
-    for v, low, high in _swap_walk(node_of, superstandard(t.shape), t):
-        seq.append(Transposition(v, residue(low, m), residue(high, m)))
-        grid[low.comp - 1][low.row - 1][low.col - 1] = v + 1
-        grid[high.comp - 1][high.row - 1][high.col - 1] = v
-        rows = tuple(tuple(map(tuple, comp)) for comp in grid)
+    for v, low, high in _swap_walk(node_of, blocked, t):
+        seq.append(Transposition(v, residues[low], residues[high]))
+        flat[low], flat[high] = v + 1, v
+        it = iter(flat)
+        rows = tuple(tuple(tuple(itertools.islice(it, n)) for n in comp) for comp in t.shape.components)
         steps.append(StdMultitableau3._trusted(t.shape, rows))
     return seq, steps
 
 
 def _swap_walk(
-    node_of: list[Node], reference: StdMultitableau3, source
-) -> Iterator[tuple[int, Node, Node]]:
+    node_of: list[int], blocked: tuple[tuple[int, int], ...], source
+) -> Iterator[tuple[int, int, int]]:
     """The swaps (v, low, high) of entries v and v + 1, in order, moving the
-    entries onto the reference; low held v and high v + 1 before the swap.
+    entries onto the superstandard filling; low held v and high v + 1
+    before the swap.  Nodes are reading indices (`_frame`).
 
     ``node_of[v - 1]`` holds entry v of a standard all-distinct filling and
     is updated in place before each swap is yielded.  For j = 1, 2, ... in
-    turn, the value w on j's reference node is walked down by t(w-1), ...,
-    tj; entries below j already sit on their reference nodes.  A swap of
-    consecutive entries keeps the filling standard exactly when j + 1 is
-    neither immediately right of nor below j in one component
-    (`swap_keeps_standard`); one that breaks it raises RuntimeError.
+    turn, the value w on the j-th node is walked down by t(w-1), ..., tj;
+    entries below j already sit on their nodes.  A swap of consecutive
+    entries keeps the filling standard exactly when high is not ``low``'s
+    right or lower neighbour (``blocked[low]``); one that breaks it raises
+    RuntimeError.
     """
-    target = reference.entries()
-    entry_at = {node: v for v, node in enumerate(node_of, start=1)}
+    entry_at = [0] * len(node_of)
+    for v, node in enumerate(node_of, start=1):
+        entry_at[node] = v
     for j in range(1, len(node_of) + 1):
-        (goal,) = target[j]
-        w = entry_at[goal]
+        w = entry_at[j - 1]
         if w < j:
             raise RuntimeError("target node holds a smaller entry; not reachable")
         for v in range(w - 1, j - 1, -1):
             low, high = node_of[v - 1], node_of[v]
-            if not swap_keeps_standard(low, high):
+            if high in blocked[low]:
                 raise RuntimeError(
                     f"transposition t{v} left the standard fillings on the way "
-                    f"from {source} to {reference}"
+                    f"from {source} to the superstandard filling"
                 )
             node_of[v - 1], node_of[v] = high, low
             entry_at[low], entry_at[high] = v + 1, v
@@ -250,33 +259,28 @@ def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
 
 # -- half foams and the basis ---------------------------------------------------
 
+# (kind, degree, count) of a swap by the residue of its low node less that of
+# its high node, as `classify_transposition` has it; any other difference shifts
+_SWAP_KINDS = {0: ("digon_removal", -2, 2), -1: ("zip", 1, 0), 1: ("unzip", 1, 0)}
+_SHIFT = ("shift", 0, 0)
+_FACE_KINDS = {2: ("digon_removal", -1), 3: ("theta_removal", -3)}
+
 
 def _half_foam_from_tableau(
-    t: StdMultitableau3, bottom: LTWord, top: LTWord, drop: int
+    t: StdMultitableau3, frame: tuple, bottom: LTWord, top: LTWord, drop: int
 ) -> FoamWord:
-    """Half foam of a filling whose degree exceeds the superstandard one by ``drop``.
-
-    The expanded filling numbers the nodes of each entry consecutively,
-    leftmost component first, so its nodes in entry order are read straight
-    off ``t.entries()``.
-    """
-    occ = t.entries()
-    gens: list[FoamGen] = []
-    node_of: list[Node] = []
-    for v in range(1, t.max_entry + 1):
-        nodes = occ[v]
-        if len(nodes) == 2:
-            gens.append(_gen("digon_removal", -1, v, 1, False))
-        elif len(nodes) == 3:
-            gens.append(_gen("theta_removal", -3, v, 1, False))
-        node_of.extend(nodes)
-    m = t.shape.m
-    for v, low, high in _swap_walk(node_of, superstandard(t.shape), t):
-        kind, deg = classify_transposition(residue(low, m), residue(high, m))
-        gens.append(_gen(kind, deg, v, 2 if kind == "digon_removal" else 0, False))
+    """Half foam of a filling whose degree exceeds the superstandard one by
+    ``drop``, walked on the frame of its shape: one face removal per
+    repeated entry, then one generator per swap of its expanded filling."""
+    residues, blocked = frame
+    flat, node_of = _node_order(t.rows)
+    gens = [_gen(*_FACE_KINDS[k], v, 1, False) for v, k in sorted(Counter(flat).items()) if k > 1]
+    for v, low, high in _swap_walk(node_of, blocked, t):
+        kind, deg, count = _SWAP_KINDS.get(residues[low] - residues[high], _SHIFT)
+        gens.append(_gen(kind, deg, v, count, False))
     if not gens:
         gens.append(_gen("identity", 0, None, 0, False))
-    word = FoamWord(bottom=bottom, top=top, generators=tuple(gens))
+    word = _word(bottom, top, tuple(gens))
     if word.degree != drop:
         raise RuntimeError(
             f"half foam degree {word.degree} != degree drop {drop} for {t}"
@@ -311,17 +315,15 @@ def _assemble_basis_foam(
 ) -> BasisFoam:
     """Compose the bottom half, the dots and the already reflected top half.
 
-    Each half comes as (filling, filling degree, half foam word).
+    Each half comes as (filling, filling degree, half foam word); the pair
+    weighs its halves and its dots, which must make the two filling degrees.
     """
     t_top, d_top, upper = top
     t_bot, d_bot, lower = bottom
-    word = FoamWord(
-        bottom=lower.bottom,
-        top=upper.top,
-        generators=lower.generators + dot_gens + upper.generators,
-    )
-    if word.degree != d_top + d_bot:
-        raise RuntimeError(f"basis foam degree {word.degree} != {d_top + d_bot} for {shape}")
+    degree = lower.degree + sum(g.degree for g in dot_gens) + upper.degree
+    if degree != d_top + d_bot:
+        raise RuntimeError(f"basis foam degree {degree} != {d_top + d_bot} for {shape}")
+    word = FoamWord(lower.bottom, upper.top, lower.generators + dot_gens + upper.generators, degree)
     return BasisFoam(shape, t_top, t_bot, word)
 
 
@@ -338,9 +340,9 @@ def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, .
     generators and one (filling, filling degree, lower half foam) per flow.
 
     Each half is built once, from its survey record's filling and degree,
-    and a state's halves only when the caller moves on to that state.  A
-    half weighs its filling degree less the state's superstandard degree,
-    which is computed once per state.
+    and a state's halves only when the caller moves on to that state.  The
+    state's frame (`_frame`), its idempotent and its superstandard degree
+    are computed once; a half weighs its filling degree less the latter.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in surveys:
@@ -348,26 +350,35 @@ def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, .
             groups.setdefault(j, []).append((t, d, entry.web.word))
     for group in groups.values():
         shape = group[0][0].shape
-        top = idempotent(shape)
+        frame = _frame(shape)
+        top = _idempotent(frame[0])
         d_sup = bkw_degree(superstandard(shape))[0]
-        lowers = [
-            (t, d, _half_foam_from_tableau(t, bottom, top, d - d_sup)) for t, d, bottom in group
-        ]
+        lowers = [(t, d, _half_foam_from_tableau(t, frame, bottom, top, d - d_sup))
+                  for t, d, bottom in group]
         yield shape, _dot_generators(shape), lowers
 
 
 def enumerate_cellular_basis(S) -> list[BasisFoam]:
-    """All basis foams over a classical sign string, deterministically keyed:
-    one per boundary state and ordered pair of flows with that state."""
-    keyed = []
-    for shape, dot_gens, lowers in cellular_halves(survey(enumerate_basis(S))):
-        res = superstandard(shape).residue_sequence()
-        uppers = [(t, d, lower.reflected()) for t, d, lower in lowers]
-        for upper, lower in itertools.product(uppers, lowers):
-            foam = _assemble_basis_foam(shape, upper, lower, dot_gens)
-            keyed.append(((res, upper[0].rows, lower[0].rows), foam))
-    keyed.sort(key=lambda kf: kf[0])
-    return [foam for _key, foam in keyed]
+    """All basis foams over a classical sign string, as a list: one per
+    boundary state and ordered pair of flows with that state, in key order
+    (residue sequence, top filling's rows, bottom filling's rows).
+
+    States with one residue sequence (one idempotent, the halves' top word)
+    are taken together; each state's halves are sorted once, and the
+    group's reflected halves once, so no pair is sorted.
+    """
+    groups: dict[tuple, list] = {}
+    for shape, dots, lowers in cellular_halves(survey(enumerate_basis(S))):
+        residues = tuple(r for r, _k in reversed(lowers[0][2].top.factors))
+        groups.setdefault(residues, []).append((shape, dots, sorted(lowers, key=lambda h: h[0].rows)))
+    basis = []
+    for residues in sorted(groups):
+        uppers = [((t, d, lower.reflected()), state)
+                  for state in groups[residues] for t, d, lower in state[2]]
+        uppers.sort(key=lambda us: us[0][0].rows)
+        for upper, (shape, dots, lowers) in uppers:
+            basis.extend(_assemble_basis_foam(shape, upper, lower, dots) for lower in lowers)
+    return basis
 
 
 def graded_dim_pair(a: WebSurvey, b: WebSurvey) -> LaurentPoly:

@@ -315,12 +315,7 @@ class StdMultitableau3:
         return StdMultitableau3(self.shape, grid)
 
     def to_json(self) -> dict:
-        cells = []
-        for l, comp in enumerate(self.rows, start=1):
-            for r, row in enumerate(comp, start=1):
-                for c, v in enumerate(row, start=1):
-                    cells.append([r, c, l, v])
-        return {"shape": self.shape.to_json(), "cells": cells}
+        return {"shape": self.shape.to_json(), "cells": tableau_cells(self.rows)}
 
     @classmethod
     def from_json(cls, data: dict) -> "StdMultitableau3":
@@ -341,6 +336,12 @@ class StdMultitableau3:
                 if 0 in row:
                     raise ValueError(f"tableau cell {[r, row.index(0) + 1, l]} is missing")
         return cls(shape, rows)
+
+
+def tableau_cells(rows) -> list[list[int]]:
+    """[row, col, comp, entry] per node of a filling's rows, in reading order."""
+    return [[r, c, l, v] for l, comp in enumerate(rows, start=1)
+            for r, row in enumerate(comp, start=1) for c, v in enumerate(row, start=1)]
 
 
 @lru_cache(maxsize=None)

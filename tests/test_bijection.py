@@ -254,9 +254,10 @@ def test_next_node_needs_a_cell_above():
 
 def test_survey_records_match_iota_and_bkw_degree():
     for signs in classical_sign_strings(6):
+        states = {}  # shared by the boundary's webs, as `survey` shares it
         for _rows, web in enumerate_basis(signs):
             flows = enumerate_flows(web)
-            entry = survey_web(web)
+            entry = survey_web(web, states)
             assert [flow for _j, _d, flow, _t in entry.records] == flows
             for (j, d, flow, t), ref in zip(entry.records, flows):
                 assert flow.layers == ref.layers
@@ -267,15 +268,15 @@ def test_survey_records_match_iota_and_bkw_degree():
 
 
 def test_survey_equality_ignores_by_state_and_stays_hashable():
-    entry = survey_web(HALF_THETA)
+    entry = survey_web(HALF_THETA, {})
     bare = WebSurvey(entry.web, entry.records, {})
     assert bare == entry and hash(bare) == hash(entry)
-    assert len({bare, entry, survey_web(NESTED)}) == 2
+    assert len({bare, entry, survey_web(NESTED, {})}) == 2
 
 
 def test_bijection_records_are_immutable():
     t = superstandard(Multipartition3(((1,), (), (1, 1))))
-    records = ((survey_web(HALF_THETA), "records"), (weight_diagram_tower(t)[1], "entries"))
+    records = ((survey_web(HALF_THETA, {}), "records"), (weight_diagram_tower(t)[1], "entries"))
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, ())
@@ -284,7 +285,7 @@ def test_bijection_records_are_immutable():
 def test_roundtrip_reads_what_grow_grows():
     for signs in classical_sign_strings(5):
         for _rows, web in enumerate_basis(signs):
-            records = survey_web(web).records
+            records = survey_web(web, {}).records
             # each filling against its own flow and against the next flow on the web
             for (_j, _d, flow, t), (_j2, _d2, other, _t2) in zip(records, records[1:] + records[:1]):
                 grown, gflow = grow(t, n=web.n)

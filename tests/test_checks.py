@@ -191,6 +191,23 @@ def test_verify_grades_each_superstandard_filling_once(monkeypatch):
     assert all(t == tableaux.superstandard(t.shape) for t in calls)
 
 
+@pytest.mark.parametrize("module, name", [(bijection, "shape_of_boundary"), (foamword, "_frame")])
+def test_verify_reads_each_state_once(monkeypatch, module, name):
+    # a state's shape (per survey) and its frame (per boundary's halves), not a flow's
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5, 5))
+    assert all(r["ok"] for r in results), results
+    # 360 states over the ten 5-strand boundaries, which have 618 flows
+    assert len(calls) == 360
+
+
 def test_crash_inside_a_check_is_a_replayable_failure(monkeypatch):
     def broken(t):
         raise RuntimeError("seeded invariant break")
@@ -270,6 +287,16 @@ def test_pair_without_dots_fails_basis_assembly(monkeypatch):
         foamword.enumerate_cellular_basis(SIGNS)
 
 
+def test_digon_swap_taken_for_a_shift_fails_homogeneity(monkeypatch):
+    # the half's degree no longer makes its filling's degree drop
+    monkeypatch.setitem(foamword._SWAP_KINDS, 0, ("shift", 0, 0))
+    ce = _failure("homogeneity")
+    assert ce["error"].startswith("RuntimeError: half foam degree")
+    assert ce["replay"] == f"sl3web verify homogeneity --signs {SIGNS}"
+    with pytest.raises(RuntimeError, match="half foam degree"):
+        foamword.enumerate_cellular_basis(SIGNS)
+
+
 def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
     real = foamword.cellular_halves
 
@@ -321,8 +348,8 @@ def test_swapped_move_table_rows_fail_roundtrip(monkeypatch):
 def test_unitriangular_reads_a_unique_canonical_flow_off_the_survey(monkeypatch):
     real = bijection.survey_web
 
-    def doubled(web):
-        entry = real(web)
+    def doubled(web, states):
+        entry = real(web, states)
         return bijection.WebSurvey(entry.web, entry.records * 2, entry.by_state)
 
     monkeypatch.setattr(bijection, "survey_web", doubled)

@@ -1,6 +1,7 @@
 """Symbolic foams: idempotents, dots, permutations, basis, dimensions."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,14 @@ from sl3web.foamword import (
 )
 from sl3web.laurent import qint
 from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
-from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
+from sl3web.tableaux import (
+    Multipartition3,
+    StdMultitableau3,
+    bkw_degree,
+    residue,
+    superstandard,
+    swap_keeps_standard,
+)
 
 
 def mp(*comps, m=None):
@@ -140,11 +148,37 @@ def test_permutation_worked_example():
     ]
 
 
+def _blocking_every_node(monkeypatch):
+    """Seed a frame whose neighbour test forbids every swap."""
+    real = foamword._frame
+
+    def blocking(shape):
+        residues, _blocked = real(shape)
+        return residues, (tuple(range(len(residues))),) * len(residues)
+
+    monkeypatch.setattr(foamword, "_frame", blocking)
+
+
 def test_permutation_raises_when_a_swap_breaks_standardness(monkeypatch):
-    monkeypatch.setattr(foamword, "swap_keeps_standard", lambda low, high: False)
+    _blocking_every_node(monkeypatch)
     start = StdMultitableau3(mp((1,), (), (1,)), (((2,),), (), ((1,),)))
     with pytest.raises(RuntimeError, match="left the standard fillings"):
         minimal_permutation(start)
+
+
+def test_frame_neighbours_are_the_swaps_that_break_standardness():
+    shapes = {t.shape for signs in classical_sign_strings(6)
+              for entry in survey(enumerate_basis(signs)) for _j, _d, _f, t in entry.records}
+    pairs = 0
+    for shape in shapes:
+        nodes = superstandard(shape).expand_repeats().entries()
+        nodes = [node for (node,) in (nodes[v] for v in range(1, shape.size + 1))]
+        residues, blocked = foamword._frame(shape)
+        assert list(residues) == [residue(node, shape.m) for node in nodes]
+        for (a, low), (b, high) in itertools.permutations(enumerate(nodes), 2):
+            assert (b in blocked[a]) == (not swap_keeps_standard(low, high)), (shape, low, high)
+            pairs += 1
+    assert len(shapes) > 100 and pairs > 10000
 
 
 def test_permutation_of_reference_is_empty():
@@ -267,13 +301,14 @@ def test_half_foam_degree_mismatch_raises():
     t = iota(Y, canonical_flow(Y, enumerate_flows(Y)))
     top = idempotent(t.shape)
     drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
-    assert foamword._half_foam_from_tableau(t, Y.word, top, drop).degree == drop
+    frame = foamword._frame(t.shape)
+    assert foamword._half_foam_from_tableau(t, frame, Y.word, top, drop).degree == drop
     with pytest.raises(RuntimeError, match="half foam degree"):
-        foamword._half_foam_from_tableau(t, Y.word, top, drop + 1)
+        foamword._half_foam_from_tableau(t, frame, Y.word, top, drop + 1)
 
 
 def test_half_foam_raises_when_a_swap_breaks_standardness(monkeypatch):
-    monkeypatch.setattr(foamword, "swap_keeps_standard", lambda low, high: False)
+    _blocking_every_node(monkeypatch)
     with pytest.raises(RuntimeError, match="left the standard fillings"):
         _halves(str(Y.boundary))
 
@@ -330,6 +365,23 @@ def test_circle_pair_basis_counts_match_dimension():
     assert len(foams) == dim
 
 
+def _key(foam):
+    return (superstandard(foam.shape).residue_sequence(), foam.top_tableau.rows,
+            foam.bottom_tableau.rows)
+
+
+def test_basis_comes_in_key_order():
+    # ---+++ has 18 residue sequences that several states share
+    shapes = {f.shape for f in enumerate_cellular_basis("---+++")}
+    shared = Counter(superstandard(shape).residue_sequence() for shape in shapes)
+    assert sum(1 for k in shared.values() if k > 1) == 18
+    for signs in classical_sign_strings(5) + ["---+++"]:
+        foams = enumerate_cellular_basis(signs)
+        assert isinstance(foams, list)
+        assert foams == sorted(foams, key=_key), signs
+        assert len({_key(f) for f in foams}) == len(foams)
+
+
 def test_diagonal_foam_degree_is_twice_the_dots():
     # a diagonal foam is one filling's half, the dots and the same half reflected
     for signs in classical_sign_strings(4):
@@ -360,7 +412,7 @@ def test_involution_swaps_and_preserves():
 def _graded_dim(rows):
     """Graded dimension of the basis web of column-strict rows with itself."""
     web = web_from_tableau(rows)
-    return graded_dim_pair(survey_web(web), survey_web(web)).shift(-web.n)
+    return graded_dim_pair(survey_web(web, {}), survey_web(web, {})).shift(-web.n)
 
 
 def test_graded_dim_theta_shape():
