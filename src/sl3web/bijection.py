@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from sl3web import flows
 from sl3web.flows import (
     COLORS, Flow, _bottom_subsets, boundary_state, flow_from_moves, flow_to_colstrict,
 )
@@ -382,8 +383,9 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
 
     One depth-first walk over the flow-prefix tree, in `enumerate_flows`
     order.  A prefix node classifies its rung against MOVE_TABLE, places the
-    moved colors' nodes as `iota` does and adds that entry's share of
-    `bkw_degree`, on state the walk undoes when it backtracks.  The residue
+    moved colors' nodes as `iota` does, adds that entry's share of
+    `bkw_degree` and the rung's `flows.transition_exponent` to the flow's
+    weight, on state the walk undoes when it backtracks.  The residue
     shift is the web's: ell less the leading weight-3 strands on top, whose
     rows are empty in every component.  With the shift fixed and a residue
     naming one row (`_next_node`), no placement needs the shape: a leaf
@@ -401,8 +403,8 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     moves, layers = [], [_bottom_subsets(web)]
     records, by_state = [], {}
 
-    def leaf(degree: int) -> None:
-        flow = Flow(web, tuple(moves), tuple(layers))
+    def leaf(degree: int, exponent: int) -> None:
+        flow = Flow(web, tuple(moves), tuple(layers), exponent)
         if (known := states.get(layers[-1])) is None:
             shape = shape_of_boundary(web, flow)
             padded = tuple(list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components)
@@ -415,9 +417,9 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
         records.append((state, degree, flow, StdMultitableau3._trusted(shape, filled)))
         by_state.setdefault(state, []).append(degree)
 
-    def walk(step: int, degree: int) -> None:
+    def walk(step: int, degree: int, exponent: int) -> None:
         if step > len(order):
-            return leaf(degree)
+            return leaf(degree, exponent)
         i, j = order[step - 1]
         below, cur = web.layers[step - 1], layers[-1]
         for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
@@ -431,14 +433,15 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
             nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
             moves.append(h)
             layers.append(tuple(nxt))
-            walk(step + 1, grown)
+            # the rule is read off the module, so patching flows.transition_exponent reaches here
+            walk(step + 1, grown, exponent + flows.transition_exponent(cur[i - 1], cur[i], h))
             moves.pop()
             layers.pop()
             for node in nodes:
                 lengths[node.comp - 1][node.row - 1] -= 1
                 rows[node.comp - 1][node.row - 1].pop()
 
-    walk(1, 0)
+    walk(1, 0, 0)
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
 
 

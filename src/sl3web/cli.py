@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import re
 import io
 import json
+import re
 import sys
 from collections import Counter
 
@@ -44,9 +44,18 @@ class UsageError(Exception):
     pass
 
 
+# one flat row's keys and values, laid out as json.dumps(rows, indent=2) lays them out
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+# the JSON text of each subset of the colors, as json.dumps(sorted(subset)) writes it
+_SUBSET_TEXT = {frozenset(s): json.dumps(s)
+                for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])}
+
+
 def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
     if args.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        # json.dumps(rows, indent=2, sort_keys=True), through the C encoder: rows are flat
+        body = ",\n".join("  {\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in rows)
+        print(f"[\n{body}\n]" if rows else "[]")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
@@ -180,10 +189,11 @@ def cmd_flows(args) -> int:
             rows.append(
                 {
                     "flow": idx,
-                    "moves": json.dumps([sorted(h) for h in flow.moves]),
-                    "strands": json.dumps(
-                        [[sorted(s) for s in layer] for layer in flow.layers]
-                    ),
+                    "moves": "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
+                    "strands": "[" + ", ".join(
+                        "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]"
+                        for layer in flow.layers
+                    ) + "]",
                     "state": json.dumps(list(boundary_state(web, flow))),
                     "weight": flow.exponent,
                 }
@@ -203,9 +213,24 @@ def cmd_flows(args) -> int:
     return 0
 
 
+def _iota_web(args) -> LadderWeb:
+    """The web of `bij iota`, refused on the two kinds of web that iota fills
+    no flow of: a top layer starting with a weight-3 strand shifts every
+    residue, and a rung whose two strands both end there (a cap) has no move."""
+    web = _web_from_args(args)
+    if web.layers[-1][:1] == (3,):
+        raise UsageError(f"iota needs a top layer without leading weight-3 strands, "
+                         f"got {' '.join(map(str, web.layers[-1]))}")
+    for step, (i, j) in enumerate(web.word.application_order(), start=1):
+        if j < 3 and web.layers[step - 1][i - 1:i + 1] == (j, 3 - j):
+            raise UsageError(f"iota has no move for rung {step}: both its strands end there, "
+                             f"weights ({j},{3 - j})->(0,3)")
+    return web
+
+
 def cmd_bij(args) -> int:
     if args.action == "iota":
-        web = _web_from_args(args)
+        web = _iota_web(args)
         flows = enumerate_flows(web)
         if not 0 <= args.flow < len(flows):
             raise UsageError(f"--flow must be 0..{len(flows) - 1}")

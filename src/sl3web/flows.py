@@ -8,7 +8,8 @@ application order.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
-the sum over rungs is the weight of the flow on a web with boundary.  The
+the sum over rungs is the weight of the flow on a web with boundary, summed
+as the flow grows rung by rung and carried by the flow as `exponent`.  The
 flow vector A_w(j) of a web sums q^-weight over its flows of boundary state
 j.  `flow_vector` enumerates nothing: it sums the flows it is handed, which
 `bracket` and the command line take from `enumerate_flows` and the checks
@@ -87,16 +88,19 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 
 
 class Flow:
-    """Moved color subsets per rung, in application order, and strand subsets
-    per layer, bottom to top; built by `enumerate_flows` or `flow_from_moves`.
-    Equality and hashing skip the layers, which the web and moves fix."""
+    """Moved color subsets per rung, in application order, strand subsets
+    per layer, bottom to top, and the weight: the rungs' transition exponents
+    summed.  Built by `enumerate_flows`, `flow_from_moves` or the survey.
+    Equality and hashing skip the layers and the weight, which the web and
+    moves fix."""
 
-    __slots__ = ("web", "moves", "layers")
+    __slots__ = ("web", "moves", "layers", "exponent")
 
-    def __init__(self, web: LadderWeb, moves: tuple[frozenset, ...], layers):
+    def __init__(self, web: LadderWeb, moves: tuple[frozenset, ...], layers, exponent: int):
         object.__setattr__(self, "web", web)
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flow is immutable")
@@ -106,14 +110,6 @@ class Flow:
 
     def __hash__(self):
         return hash((self.web, self.moves))
-
-    @property
-    def exponent(self) -> int:
-        e = 0
-        for step, (i, _j) in enumerate(self.web.word.application_order()):
-            left, right = self.layers[step][i - 1], self.layers[step][i]
-            e += transition_exponent(left, right, self.moves[step])
-        return e
 
 
 def _bottom_subsets(web: LadderWeb) -> tuple[frozenset, ...]:
@@ -126,30 +122,32 @@ def flow_from_moves(web: LadderWeb, moves) -> Flow:
     order = web.word.application_order()
     if len(moves) != len(order):
         raise ValueError(f"{len(moves)} moves for {len(order)} rungs")
-    layers = [_bottom_subsets(web)]
+    layers, exponent = [_bottom_subsets(web)], 0
     for step, ((i, j), h) in enumerate(zip(order, moves)):
         cur = list(layers[-1])
         if len(h) != j or not h <= cur[i - 1] or (h & cur[i]):
             raise ValueError(f"illegal move {sorted(h)} at step {step + 1}")
+        exponent += transition_exponent(cur[i - 1], cur[i], h)
         cur[i - 1], cur[i] = cur[i - 1] - h, cur[i] | h
         layers.append(tuple(cur))
-    return Flow(web, tuple(moves), tuple(layers))
+    return Flow(web, tuple(moves), tuple(layers), exponent)
 
 
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
-    partial = [((), (_bottom_subsets(web),))]  # (moves, layers) per flow prefix
+    partial = [((), (_bottom_subsets(web),), 0)]  # (moves, layers, weight) per flow prefix
     for i, j in web.word.application_order():
         grown = []
-        for moves, layers in partial:
+        for moves, layers, exponent in partial:
             cur = layers[-1]
             for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
                 h = frozenset(combo)
                 nxt = list(cur)
                 nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
-                grown.append((moves + (h,), layers + (tuple(nxt),)))
+                grown.append((moves + (h,), layers + (tuple(nxt),),
+                              exponent + transition_exponent(cur[i - 1], cur[i], h)))
         partial = grown
-    return [Flow(web, moves, layers) for moves, layers in partial]
+    return [Flow(web, moves, layers, exponent) for moves, layers, exponent in partial]
 
 
 def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:

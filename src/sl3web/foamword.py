@@ -27,10 +27,7 @@ from sl3web.laurent import LaurentPoly
 from sl3web.ladderweb import LTWord, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
-    Node,
     StdMultitableau3,
-    _same_residue_after,
-    bkw_degree,
     multipartition_to_colstrict,
     superstandard,
 )
@@ -127,24 +124,17 @@ def orthogonality_check(a: Multipartition3, b: Multipartition3) -> bool:
 
 def dot_placement(shape: Multipartition3) -> list[int]:
     """Dots per node step: addable nodes of equal residue after each node
-    of the superstandard filling, counted in its truncation."""
-    # the superstandard filling grows the shape in reading order
-    lengths: tuple[list[int], ...] = ([], [], [])
-    out = []
-    for l, comp in enumerate(shape.components, start=1):
-        for r, length in enumerate(comp, start=1):
-            lengths[l - 1].append(0)
-            for c in range(1, length + 1):
-                lengths[l - 1][r - 1] = c
-                after, _removable = _same_residue_after(lengths, shape.m, Node(r, c, l), c - r + shape.m)
-                if after > 2:
-                    raise RuntimeError(
-                        f"node {len(out) + 1} of {shape} has {after} same-residue "
-                        "addable nodes after it; such a shape is killed and must "
-                        "not arise here"
-                    )
-                out.append(after)
-    return out
+    of the superstandard filling, counted in its truncation.
+
+    The superstandard filling grows the shape in reading order, so after a
+    node (r, c) of component l every later row is empty.  The first cell of
+    the next row has residue m - r, never the node's c - r + m; the first
+    cells of the 3 - l later components have residue m, the node's exactly
+    when c = r.  The dots sum to the superstandard filling's degree.
+    """
+    return [3 - l if c == r else 0
+            for l, comp in enumerate(shape.components, start=1)
+            for r, length in enumerate(comp, start=1) for c in range(1, length + 1)]
 
 
 # -- permutations between fillings ---------------------------------------------
@@ -327,12 +317,8 @@ def _assemble_basis_foam(
     return BasisFoam(shape, t_top, t_bot, word)
 
 
-def _dot_generators(shape: Multipartition3) -> tuple[FoamGen, ...]:
-    return tuple(
-        _gen("dots", 2 * mk, k, mk, False)
-        for k, mk in enumerate(dot_placement(shape), start=1)
-        if mk
-    )
+def _dot_generators(dots: list[int]) -> tuple[FoamGen, ...]:
+    return tuple(_gen("dots", 2 * mk, k, mk, False) for k, mk in enumerate(dots, start=1) if mk)
 
 
 def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
@@ -341,8 +327,9 @@ def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, .
 
     Each half is built once, from its survey record's filling and degree,
     and a state's halves only when the caller moves on to that state.  The
-    state's frame (`_frame`), its idempotent and its superstandard degree
-    are computed once; a half weighs its filling degree less the latter.
+    state's frame (`_frame`), its idempotent and its dots are computed once;
+    a half weighs its filling degree less the superstandard degree, the sum
+    of the dots.
     """
     groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
     for entry in surveys:
@@ -352,10 +339,11 @@ def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, .
         shape = group[0][0].shape
         frame = _frame(shape)
         top = _idempotent(frame[0])
-        d_sup = bkw_degree(superstandard(shape))[0]
+        dots = dot_placement(shape)
+        d_sup = sum(dots)
         lowers = [(t, d, _half_foam_from_tableau(t, frame, bottom, top, d - d_sup))
                   for t, d, bottom in group]
-        yield shape, _dot_generators(shape), lowers
+        yield shape, _dot_generators(dots), lowers
 
 
 def enumerate_cellular_basis(S) -> list[BasisFoam]:

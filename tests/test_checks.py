@@ -173,22 +173,16 @@ def test_verify_all_reads_each_boundary_once(monkeypatch):
     }
 
 
-def test_verify_grades_each_superstandard_filling_once(monkeypatch):
-    calls = []
-    real = tableaux.bkw_degree
-
-    def counted(t):
-        calls.append(t)
-        return real(t)
-
-    for module in (tableaux, bijection, foamword, checks):
-        if hasattr(module, "bkw_degree"):
-            monkeypatch.setattr(module, "bkw_degree", counted)
+def test_verify_builds_no_superstandard_filling(monkeypatch):
+    # a state's superstandard degree is the sum of its dots, which are a closed form;
+    # a call to either definition would make a check fail
+    for name in ("bkw_degree", "superstandard"):
+        real = getattr(tableaux, name)
+        for module in (tableaux, bijection, foamword, checks):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, None)
     results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5, 5))
     assert all(r["ok"] for r in results), results
-    # one call per boundary state: 360 states over the ten 5-strand boundaries
-    assert len(calls) == 360
-    assert all(t == tableaux.superstandard(t.shape) for t in calls)
 
 
 @pytest.mark.parametrize("module, name", [(bijection, "shape_of_boundary"), (foamword, "_frame")])
@@ -271,7 +265,16 @@ def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
 
 
 def test_dots_dropped_at_their_source_fail_homogeneity(monkeypatch):
-    monkeypatch.setattr(foamword, "_dot_generators", lambda shape: ())
+    # one dot short on every dotted node of the closed form: the superstandard
+    # degree summed from it is short too, so no half weighs its degree drop
+    real = foamword.dot_placement
+    monkeypatch.setattr(foamword, "dot_placement", lambda shape: [max(k - 1, 0) for k in real(shape)])
+    ce = _failure("homogeneity")
+    assert ce["error"].startswith("RuntimeError: half foam degree")
+
+
+def test_dot_generators_dropped_fail_homogeneity(monkeypatch):
+    monkeypatch.setattr(foamword, "_dot_generators", lambda dots: ())
     ce = _failure("homogeneity")
     assert ce["dot_degree"] == 0 and ce["expected"] > 0
 

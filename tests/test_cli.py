@@ -1,7 +1,12 @@
 """Command-line front end: verbs, formats, exit codes, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -52,6 +57,19 @@ def test_flows_enumerate_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 3
     assert {r["weight"] for r in rows} == {0, -1, -2}
+
+
+ROWS = [
+    {"quote": 'say "hi"', "slash": "a\\b\\", "text": "h\u00e9llo \u2603", "yes": True, "no": False,
+     "n": -3, "zero": 0},
+    {"single": "[[1, 2], []]"},
+]
+
+
+@pytest.mark.parametrize("rows", [ROWS, ROWS[1:], []], ids=["mixed", "single-key", "empty"])
+def test_json_rows_are_laid_out_as_indent_two_dumps(capsys, rows):
+    cli._emit(argparse.Namespace(format="json"), rows, [])
+    assert capsys.readouterr().out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def test_flows_expand(capsys):
@@ -175,33 +193,58 @@ def _raise(error):
 @pytest.mark.parametrize(
     "argv,patch,line",
     [
-        # iota finds no node on a web whose top layer starts with a weight-3 strand
-        ("bij iota --word F2 --n 3 --ell 2", None, "internal error: RuntimeError: "),
         # a library ValueError or KeyError outside the payload parsers is not a usage error
         ("flows enumerate --preset arc", ValueError("boom"), "internal error: ValueError: boom\n"),
         ("flows enumerate --preset arc", KeyError("boom"), "internal error: KeyError: 'boom'\n"),
     ],
-    ids=["iota-weight-3-top", "value-error", "key-error"],
+    ids=["value-error", "key-error"],
 )
 def test_internal_error_exits_one_without_traceback(capsys, monkeypatch, argv, patch, line):
-    if patch is not None:
-        monkeypatch.setattr(cli, "enumerate_flows", _raise(patch))
+    monkeypatch.setattr(cli, "enumerate_flows", _raise(patch))
     assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(line) and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.xfail(strict=True, reason="iota: a rung from (1, 2) to (0, 3) matches no move")
 @pytest.mark.parametrize(
     "word,n,ell", [("F1 F3 F2 F2^2", "4", "2"), ("F1 F1^2", "2", "1")], ids=["-+-+", "closed"]
 )
 def test_iota_with_a_rung_into_a_weight_3_strand_is_no_internal_error(capsys, word, n, ell):
-    # in both webs, rung 2 takes weights (1, 2) to (0, 3)
+    # in both webs, rung 2 takes weights (1, 2) or (2, 1) to (0, 3): a cap
     code = main(["bij", "iota", "--word", word, "--n", n, "--ell", ell])
     err = capsys.readouterr().err
-    assert code in (0, 2), err
-    assert "internal error:" not in err
+    assert code == 2, err
+    assert err.startswith("error: iota has no move for rung 2: both its strands end there")
+
+
+def test_iota_refuses_a_top_layer_starting_with_weight_3(capsys):
+    # iota's residues assume no leading weight-3 strand on top; (3, 3, 0) -> (3, 2, 1)
+    code = main(["bij", "iota", "--word", "F2", "--n", "3", "--ell", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: iota needs a top layer without leading weight-3 strands, got 3 2 1\n")
+
+
+def test_iota_sweep_exits_zero_or_two_on_every_flow():
+    # every web of one to three factors F_i^(j), j <= 2, on 2-4 strands at levels 1-2;
+    # iota fills every flow of a web or none, and the command refuses the latter
+    webs = {web for n in (2, 3, 4) for ell in (1, 2) for k in (1, 2, 3)
+            for word in itertools.product(itertools.product(range(1, n), (1, 2)), repeat=k)
+            if (web := ladderweb.build_web(ladderweb.LTWord(word), n, ell)) is not None}
+    codes: Counter = Counter()
+    for web in webs:
+        seen = set()
+        for flow in range(len(cli.enumerate_flows(web))):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                seen.add(main(["bij", "iota", "--word", str(web.word), "--n", str(web.n),
+                               "--ell", str(web.ell), "--flow", str(flow)]))
+            assert "internal error:" not in err.getvalue(), (web, flow)
+        codes[tuple(seen)] += 1
+    # 26 webs with a leading weight-3 strand on top and 25 with a cap are refused
+    assert codes == {(0,): 63, (2,): 51}
 
 
 def test_zero_word_is_usage_error(capsys):

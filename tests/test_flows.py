@@ -21,6 +21,7 @@ from sl3web.flows import (
     flow_to_colstrict,
     flow_vector,
     tensor_expansion,
+    transition_exponent,
 )
 from sl3web.laurent import LaurentPoly, monomial, qint
 from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
@@ -194,7 +195,7 @@ def test_closed_web_needs_one_boundary():
 
 def test_flow_equality_and_hash_ignore_layers():
     flow = enumerate_flows(Y)[0]
-    bare = Flow(flow.web, flow.moves, ())
+    bare = Flow(flow.web, flow.moves, (), flow.exponent)
     assert bare == flow and hash(bare) == hash(flow)
     assert bare != enumerate_flows(Y)[1]
 
@@ -281,6 +282,30 @@ def test_flows_carry_their_layers():
         flow_from_moves(HALF_THETA, moves[:-1])
     with pytest.raises(ValueError, match="illegal move"):
         flow_from_moves(HALF_THETA, (frozenset({1, 2}),) * len(moves))
+
+
+def _summed_weight(flow):
+    """The weight as defined: the rungs' transition exponents, summed over
+    the application order on the flow's own layers."""
+    return sum(
+        transition_exponent(flow.layers[step][i - 1], flow.layers[step][i], flow.moves[step])
+        for step, (i, _j) in enumerate(flow.web.word.application_order())
+    )
+
+
+def test_flows_carry_their_summed_weight():
+    # each builder sums the weight as the flow grows; all three agree with the sum
+    checked = 0
+    for signs in classical_sign_strings(6):
+        for entry in survey(enumerate_basis(signs)):
+            enumerated = enumerate_flows(entry.web)
+            surveyed = [f for _j, _d, f, _t in entry.records]
+            assert surveyed == enumerated
+            for built in (*enumerated, *surveyed):
+                from_moves = flow_from_moves(entry.web, built.moves)
+                assert built.exponent == from_moves.exponent == _summed_weight(built), built.moves
+                checked += 1
+    assert checked == 2 * 6030  # every flow on the 176 basis webs with n <= 6, twice
 
 
 def test_unitriangularity_exhaustive_small():

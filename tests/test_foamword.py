@@ -25,8 +25,11 @@ from sl3web.laurent import qint
 from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
 from sl3web.tableaux import (
     Multipartition3,
+    Node,
     StdMultitableau3,
+    _same_residue_after,
     bkw_degree,
+    colstrict_to_multipartition,
     residue,
     superstandard,
     swap_keeps_standard,
@@ -126,6 +129,40 @@ def test_dots_equal_superstandard_degree():
                 dots = dot_placement(shape)
                 assert breakdown == dots
                 assert total == sum(dots)
+
+
+def _walked_dots(shape):
+    """The dots as first computed: grow the shape node by node in reading
+    order and count the addable nodes of the node's residue after it."""
+    lengths = ([], [], [])
+    out = []
+    for l, comp in enumerate(shape.components, start=1):
+        for r, length in enumerate(comp, start=1):
+            lengths[l - 1].append(0)
+            for c in range(1, length + 1):
+                lengths[l - 1][r - 1] = c
+                after, _removable = _same_residue_after(lengths, shape.m, Node(r, c, l),
+                                                        c - r + shape.m)
+                out.append(after)
+    return out
+
+
+def _state_shapes(signs):
+    """The shape of every boundary state of a classical sign string: each
+    strand holds one color ('+') or two ('-'), each color ell strands."""
+    ell = sum(1 if s == "+" else 2 for s in signs) // 3
+    choices = [list(itertools.combinations((1, 2, 3), 1 if s == "+" else 2)) for s in signs]
+    for subsets in itertools.product(*choices):
+        columns = [[k for k, held in enumerate(subsets, start=1) if c in held] for c in (1, 2, 3)]
+        if all(len(column) == ell for column in columns):
+            yield colstrict_to_multipartition(tuple(zip(*columns)))
+
+
+def test_dots_closed_form_matches_the_node_by_node_walk():
+    shapes = {shape for signs in classical_sign_strings(7) for shape in _state_shapes(signs)}
+    assert len(shapes) == 12588  # every boundary state's shape with n <= 7
+    for shape in shapes:
+        assert dot_placement(shape) == _walked_dots(shape), shape
 
 
 # -- minimal permutations ----------------------------------------------------------

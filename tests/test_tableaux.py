@@ -398,11 +398,7 @@ def test_dots_match_truncation_definition():
             len(sup.truncate(k).shape.nodes_after(sup.nodes_with_entry(k)[0], "addable"))
             for k in range(1, shape.size + 1)
         ]
-        if max(want, default=0) > 2:
-            with pytest.raises(RuntimeError):
-                dot_placement(shape)
-        else:
-            assert dot_placement(shape) == want, shape
+        assert dot_placement(shape) == want, shape
 
 
 def test_standard_tableaux_order_is_pinned():
