@@ -356,26 +356,13 @@ def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
 # -- the boundary survey --------------------------------------------------------
 
 
-class WebSurvey:
+class WebSurvey(NamedTuple):
     """A basis web with every flow on it filled once: per flow (state, filling degree,
-    flow, iota(web, flow)), and per state its degrees, which equality and hashing skip."""
+    flow, iota(web, flow)), and per state its degrees."""
 
-    __slots__ = ("web", "records", "by_state")
-
-    def __init__(self, web: LadderWeb, records: tuple[tuple, ...], by_state: dict):
-        object.__setattr__(self, "web", web)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "by_state", by_state)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WebSurvey is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, WebSurvey) and (self.web, self.records) == (
-            other.web, other.records)
-
-    def __hash__(self):
-        return hash((self.web, self.records))
+    web: LadderWeb
+    records: tuple[tuple, ...]
+    by_state: dict
 
 
 def survey_web(web: LadderWeb, states: dict) -> WebSurvey:

@@ -105,8 +105,8 @@ def check_degree_duality(b: Boundary):
 def check_unitriangularity(b: Boundary):
     """Tensor coefficients: 1 at the defining state, rest lower; defining states distinct."""
     leaders: dict[tuple[int, ...], str] = {}
-    for entry, vector in zip(b.surveys, b.vectors):
-        cf = canonical_flow(entry.web, (f for _j, _d, f, _t in entry.records))
+    for (tableau, _web), entry, vector in zip(b.basis, b.surveys, b.vectors):
+        cf = canonical_flow(entry.web, tableau, (f for _j, _d, f, _t in entry.records))
         leading = boundary_state(entry.web, cf)
         expansion = tensor_expansion(vector)
         if expansion.get(leading) != monomial(0):

@@ -35,7 +35,7 @@ from sl3web.foamword import (
     graded_dim_pair,
     idempotent,
 )
-from sl3web.ladderweb import LadderWeb, LTWord, SignString, build_web, enumerate_basis
+from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, sign_weights
 from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import Multipartition3, StdMultitableau3, tableau_cells
 
@@ -80,10 +80,10 @@ def _signs(args, what: str) -> str:
     if args.signs is None:
         raise UsageError(f"{what} needs --signs")
     try:
-        S = SignString(args.signs)
+        sign_weights(args.signs)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if not S or not S.is_classical:
+    if not args.signs or not set(args.signs) <= {"+", "-"}:
         raise UsageError(f"{what} needs a classical sign string, got {args.signs!r}")
     return args.signs
 
@@ -158,7 +158,7 @@ def cmd_webs(args) -> int:
                 {
                     "tableau": "/".join("".join(map(str, r)) for r in tableau),
                     "word": str(web.word),
-                    "boundary": str(web.boundary),
+                    "boundary": web.boundary,
                     "length": web.word.length,
                     "total_length": web.word.total_length,
                 }
@@ -249,7 +249,7 @@ def cmd_bij(args) -> int:
             "n": web.n,
             "ell": web.ell,
             "moves": [sorted(h) for h in flow.moves],
-            "boundary": str(web.boundary),
+            "boundary": web.boundary,
         }
         if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
@@ -314,7 +314,7 @@ def cmd_foam(args) -> int:
     payload = {
         "word": str(word),
         "dots": dot_placement(shape),
-        "boundary": str(web.boundary),
+        "boundary": web.boundary,
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -365,9 +365,10 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         description="Webs as ladder words, flows, fillings and symbolic foams.",
         epilog=(
             "CSV columns per verb: webs list (tableau, word, boundary, length, "
-            "total_length); flows enumerate (flow, moves, state, weight); flows "
-            "expand (state, coefficient); foam basis (shape, top, bottom, degree); "
-            "foam dims (top, bottom, graded_dim, shifted_bracket, match)."
+            "total_length); webs show (layer, weights); flows enumerate (flow, "
+            "moves, strands, state, weight); flows expand (state, coefficient); "
+            "bij roundtrip (word, flow, ok); foam basis (shape, top, bottom, "
+            "degree); foam dims (top, bottom, graded_dim, shifted_bracket, match)."
         ),
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -87,29 +87,15 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 # -- flows on a single ladder web -------------------------------------------
 
 
-class Flow:
+class Flow(NamedTuple):
     """Moved color subsets per rung, in application order, strand subsets
     per layer, bottom to top, and the weight: the rungs' transition exponents
-    summed.  Built by `enumerate_flows`, `flow_from_moves` or the survey.
-    Equality and hashing skip the layers and the weight, which the web and
-    moves fix."""
+    summed.  Built by `enumerate_flows`, `flow_from_moves` or the survey."""
 
-    __slots__ = ("web", "moves", "layers", "exponent")
-
-    def __init__(self, web: LadderWeb, moves: tuple[frozenset, ...], layers, exponent: int):
-        object.__setattr__(self, "web", web)
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flow is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Flow) and (self.web, self.moves) == (other.web, other.moves)
-
-    def __hash__(self):
-        return hash((self.web, self.moves))
+    web: LadderWeb
+    moves: tuple[frozenset, ...]
+    layers: tuple[tuple[frozenset, ...], ...]
+    exponent: int
 
 
 def _bottom_subsets(web: LadderWeb) -> tuple[frozenset, ...]:
@@ -278,12 +264,10 @@ def flow_to_colstrict(web: LadderWeb, flow: Flow):
     )
 
 
-def canonical_flow(web: LadderWeb, flows) -> Flow:
-    """The unique flow whose column-strict reading is the tableau the web was
-    built from, searched among `flows`, which are all the flows on the web."""
-    if web.tableau is None:
-        raise ValueError("web carries no defining tableau")
-    wanted = tuple(tuple(r) for r in web.tableau)
+def canonical_flow(web: LadderWeb, tableau, flows) -> Flow:
+    """The unique flow whose column-strict reading is `tableau`, the one the web
+    was built from, searched among `flows`, which are all the flows on the web."""
+    wanted = tuple(tuple(r) for r in tableau)
     matches = [f for f in flows if flow_to_colstrict(web, f) == wanted]
     if len(matches) != 1:
         raise RuntimeError(

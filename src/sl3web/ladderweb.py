@@ -10,6 +10,7 @@ of weight from strand i to strand i+1; a step that leaves the interval
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 SIGN_TO_WEIGHT = {"o": 0, "+": 1, "-": 2, "x": 3}
 WEIGHT_TO_SIGN = {v: k for k, v in SIGN_TO_WEIGHT.items()}
@@ -18,73 +19,25 @@ WEIGHT_TO_SIGN = {v: k for k, v in SIGN_TO_WEIGHT.items()}
 ZERO = None
 
 
-class SignString:
-    """An enhanced sign string over {o, +, -, x} with derived weights."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs):
-        if isinstance(signs, SignString):
-            signs = signs.signs
-        if isinstance(signs, str):
-            signs = tuple(signs)
-        signs = tuple(signs)
-        for s in signs:
-            if s not in SIGN_TO_WEIGHT:
-                raise ValueError(f"bad sign {s!r}; expected one of o + - x")
-        total = sum(SIGN_TO_WEIGHT[s] for s in signs)
-        if total % 3:
-            raise ValueError(f"total weight {total} of {''.join(signs)} not divisible by 3")
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignString is immutable")
-
-    def __iter__(self):
-        return iter(self.signs)
-
-    def __len__(self):
-        return len(self.signs)
-
-    def __getitem__(self, i):
-        return self.signs[i]
-
-    def __eq__(self, other):
-        if isinstance(other, (str, tuple)):
-            other = SignString(other)
-        return isinstance(other, SignString) and self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
-
-    def __str__(self):
-        return "".join(self.signs)
-
-    def __repr__(self):
-        return f"SignString({self!s})"
-
-    def weights(self) -> tuple[int, ...]:
-        return tuple(SIGN_TO_WEIGHT[s] for s in self.signs)
-
-    @property
-    def is_classical(self) -> bool:
-        return all(s in "+-" for s in self.signs)
-
-    @property
-    def ell(self) -> int:
-        return sum(self.weights()) // 3
+def sign_weights(signs: str) -> tuple[int, ...]:
+    """Weights of an enhanced sign string over {o, +, -, x}; ValueError when a
+    sign is unknown or the total weight is not a multiple of three."""
+    for s in signs:
+        if s not in SIGN_TO_WEIGHT:
+            raise ValueError(f"bad sign {s!r}; expected one of o + - x")
+    weights = tuple(SIGN_TO_WEIGHT[s] for s in signs)
+    if sum(weights) % 3:
+        raise ValueError(f"total weight {sum(weights)} of {signs} not divisible by 3")
+    return weights
 
 
-def c_of_S(S) -> int:
+def c_of_S(S: str) -> int:
     """Node-count constant of a classical sign string."""
-    S = SignString(S)
-    if not S.is_classical:
+    weights = sign_weights(S)
+    if not set(S) <= {"+", "-"}:
         raise ValueError(f"c(S) needs a classical sign string, got {S}")
-    ell = S.ell
-    total = 0
-    for k, s in enumerate(S.signs, start=1):
-        total += k if s == "+" else 2 * k
-    return total - 3 * ell * (ell + 1) // 2
+    ell = sum(weights) // 3
+    return sum(k * w for k, w in enumerate(weights, start=1)) - 3 * ell * (ell + 1) // 2
 
 
 class LTWord:
@@ -171,38 +124,23 @@ def apply_F(weights, i: int, j: int):
     return weights[: i - 1] + (a, b) + weights[i + 1 :]
 
 
-class LadderWeb:
-    """A ladder word with its weight layers, bottom to top, and the defining
-    semi-standard tableau, if any, which equality and hashing skip."""
+class LadderWeb(NamedTuple):
+    """A ladder word with its weight layers, bottom to top."""
 
-    __slots__ = ("word", "n", "ell", "layers", "tableau")
-
-    def __init__(self, word: LTWord, n: int, ell: int, layers, tableau=None):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "tableau", tableau)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LadderWeb is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, LadderWeb) and (self.word, self.n, self.ell, self.layers) == (
-            other.word, other.n, other.ell, other.layers)
-
-    def __hash__(self):
-        return hash((self.word, self.n, self.ell, self.layers))
+    word: LTWord
+    n: int
+    ell: int
+    layers: tuple[tuple[int, ...], ...]
 
     @property
-    def boundary(self) -> SignString:
-        return SignString(tuple(WEIGHT_TO_SIGN[w] for w in self.layers[-1]))
+    def boundary(self) -> str:
+        return "".join(WEIGHT_TO_SIGN[w] for w in self.layers[-1])
 
     def __str__(self):
         return f"{self.word} on {self.n} strands (level {self.ell})"
 
 
-def build_web(word: LTWord, n: int, ell: int, tableau=None):
+def build_web(word: LTWord, n: int, ell: int):
     """Apply the word to the highest weight sequence; ZERO if any step dies."""
     layers = [highest_weight(n, ell)]
     for i, j in word.application_order():
@@ -210,7 +148,7 @@ def build_web(word: LTWord, n: int, ell: int, tableau=None):
         if nxt is ZERO:
             return ZERO
         layers.append(nxt)
-    return LadderWeb(word=word, n=n, ell=ell, layers=tuple(layers), tableau=tableau)
+    return LadderWeb(word, n, ell, tuple(layers))
 
 
 # -- the ladder-word algorithm on semi-standard tableaux --------------------
@@ -329,7 +267,7 @@ def web_from_tableau(rows, n: int | None = None):
     if n is None:
         n = max((max(row) for row in rows if row), default=ell)
     word = lt_generators(rows)
-    web = build_web(word, n, ell, tableau=rows)
+    web = build_web(word, n, ell)
     if web is ZERO:
         raise RuntimeError(f"ladder word of {rows} killed the highest weight vector")
     return web
@@ -372,19 +310,17 @@ def semistandard_tableaux(ell: int, content: tuple[int, ...]) -> list[tuple]:
     return out
 
 
-def enumerate_basis(S) -> list[tuple[tuple, LadderWeb]]:
+def enumerate_basis(S: str) -> list[tuple[tuple, LadderWeb]]:
     """All (tableau, web) pairs for a classical sign string.
 
     Entry k appears once for a plus and twice for a minus; one basis web
     per semi-standard tableau with that content.
     """
-    S = SignString(S)
-    if not S.is_classical:
+    content = sign_weights(S)
+    if not set(S) <= {"+", "-"}:
         raise ValueError(f"basis enumeration needs a classical sign string, got {S}")
-    content = tuple(SIGN_TO_WEIGHT[s] for s in S.signs)
-    ell = S.ell
     out = []
-    for rows in semistandard_tableaux(ell, content):
+    for rows in semistandard_tableaux(sum(content) // 3, content):
         web = web_from_tableau(rows, n=len(S))
         if web.boundary != S:
             raise RuntimeError(f"tableau {rows} produced boundary {web.boundary}, wanted {S}")

@@ -8,8 +8,6 @@ arbitrary precision.
 
 from __future__ import annotations
 
-import re
-
 
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients."""
@@ -17,14 +15,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        acc: dict[int, int] = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, c in items:
-                e = int(e)
-                c = int(c)
-                acc[e] = acc.get(e, 0) + c
-        object.__setattr__(self, "_coeffs", {e: c for e, c in acc.items() if c})
+        object.__setattr__(self, "_coeffs", {e: c for e, c in (coeffs or {}).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -33,9 +24,6 @@ class LaurentPoly:
 
     def items(self):
         return self._coeffs.items()
-
-    def coefficient(self, exponent: int) -> int:
-        return self._coeffs.get(exponent, 0)
 
     # -- ring operations ------------------------------------------------
 
@@ -56,9 +44,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k, i.e. raise every exponent by k."""
         return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
-
-    def scale(self, a: int) -> "LaurentPoly":
-        return LaurentPoly({e: a * c for e, c in self._coeffs.items()})
 
     def bar(self) -> "LaurentPoly":
         """Exponent negation q -> q^-1."""
@@ -98,30 +83,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self!s})"
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical textual form, e.g. "q^3 + 2*q + 2*q^-1"."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        # A term is [sign] [coeff*] q [^exp]; exponents may be negative.
-        tokens = re.findall(r"([+-]?)((?:\d+\*?)?q(?:\^-?\d+)?|\d+)", text.replace(" ", ""))
-        coeffs: dict[int, int] = {}
-        for sign, term in tokens:
-            if not term:
-                continue
-            s = -1 if sign == "-" else 1
-            m = re.fullmatch(r"(?:(\d+)\*?)?q(?:\^(-?\d+))?", term)
-            if m:
-                c = int(m.group(1)) if m.group(1) else 1
-                e = int(m.group(2)) if m.group(2) else 1
-            elif re.fullmatch(r"\d+", term):
-                c, e = int(term), 0
-            else:
-                raise ValueError(f"cannot parse Laurent term {term!r}")
-            coeffs[e] = coeffs.get(e, 0) + s * c
-        return cls(coeffs)
 
 
 def _term_str(c: int, e: int) -> str:

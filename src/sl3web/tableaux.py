@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -344,7 +343,6 @@ def tableau_cells(rows) -> list[list[int]]:
             for r, row in enumerate(comp, start=1) for c, v in enumerate(row, start=1)]
 
 
-@lru_cache(maxsize=None)
 def superstandard(shape: Multipartition3) -> StdMultitableau3:
     """The filling with 1..k in reading order, component by component."""
     rows, next_entry = [], 1

@@ -1,11 +1,13 @@
 """Every check reads one survey per boundary and can still fail."""
 
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from sl3web.ladderweb import enumerate_basis
 from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 SIGNS = "+-+-"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
@@ -106,6 +109,35 @@ def test_negated_weight_rule_fails_the_weight_checks(monkeypatch):
     results = checks.run_checks(list(checks.CHECKS), [SIGNS])
     failed = {r["check"] for r in results if not r["ok"]}
     assert failed == {"degree", "bracket-symmetry", "graded-dim"}, results
+
+
+def _failing_boundaries(max_n):
+    """{check: boundaries it fails} for every check over n <= max_n."""
+    failing: dict = {}
+    for r in checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(max_n)):
+        if not r["ok"]:
+            failing.setdefault(r["check"], []).append(r["signs"])
+    return failing
+
+
+def test_multiplicity_correction_off_by_one_fails_the_degree_checks(monkeypatch):
+    # a triple entry corrected by 2, not 3: only the three boundaries with such a rung see it
+    monkeypatch.setattr(tableaux, "_MULTIPLICITY_CORRECTION", {1: 0, 2: 1, 3: 2})
+    triples = ["+--++-", "+--+-+", "+---++"]
+    assert _failing_boundaries(6) == dict.fromkeys(
+        ("degree", "graded-dim", "homogeneity", "cellular"), triples)
+
+
+def test_weight_rule_counting_below_fails_degree_and_unitriangular(monkeypatch):
+    # reports/calibration.md's +below rule gives the circle and theta their weights
+    spec = importlib.util.spec_from_file_location(
+        "calibration_report", ROOT / "scripts" / "calibration_report.py")
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    monkeypatch.setattr(flows, "transition_exponent",
+                        lambda *sets: report.variant_exponent(1, "below", *sets))
+    every = checks.classical_sign_strings(4)
+    assert _failing_boundaries(4) == {"degree": every, "unitriangular": every}
 
 
 @pytest.mark.parametrize("signs", ["+-", "+++", SIGNS])

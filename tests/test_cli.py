@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -451,6 +452,29 @@ def test_pinned_output_of_foam_basis(capsys, signs, fmt, code, sha):
 # answers: usage errors at the root and in a verb, and help.  The last three
 # name a verb after a token the root parser reads first.  Help and usage wrap
 # at COLUMNS, so it is fixed at 80.
+CSV_COMMANDS = [
+    ["webs", "list", "--signs", "+-"],
+    ["webs", "show", "--preset", "arc"],
+    ["flows", "enumerate", "--preset", "arc"],
+    ["flows", "expand", "--preset", "arc"],
+    ["bij", "roundtrip", "--signs", "+-"],
+    ["foam", "basis", "--signs", "+-"],
+    ["foam", "dims", "--signs", "+-"],
+]
+
+
+def test_help_lists_the_csv_header_of_every_verb(capsys):
+    headers = {}
+    for argv in CSV_COMMANDS:
+        assert main(["--format", "csv", *argv]) == 0, argv
+        header = capsys.readouterr().out.splitlines()[0]
+        headers[" ".join(argv[:2])] = header.replace(",", ", ")
+    assert main(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    epilog = help_text[help_text.index("CSV columns per verb: "):]
+    assert dict(re.findall(r"(\w+ \w+) \(([^)]*)\)", epilog)) == headers
+
+
 PINNED_PARSER = [
     ("", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),
     ("--format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),
@@ -462,12 +486,12 @@ PINNED_PARSER = [
     ("bracket", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "53278c2f14e09bce83a253e7c50cbddab50aaa322c78a73e4ccbf944f749c40e"),
     ("webs", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a161d9cf6b35391f930af273c5687483de5aa9157ff0a44fb177e54c8d030f05"),
     ("webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "095ae8525240ef8335d2ae26589c71034a1db1fda2ed9948f0b50e3e79a0f74e"),
-    ("--help", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("--help", 0, "748a225899d117331d4b0c771e64e92a749f469964d4fc5096df648ff08019d1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("flows --help", 0, "ff3ffec1307374ddbfefcb3ec802aff58769f8e2de89b607f50deed1ca6aca6a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("-h flows", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("-h flows", 0, "748a225899d117331d4b0c771e64e92a749f469964d4fc5096df648ff08019d1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("frobnicate webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "2870ddc45942fe275999956eab2185b8617fba6646d6b54111c275ebf2a3c802"),
     ("--format webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "692ffaf760480b3c119a63f049b165bbaf7d0b70628fc4c2513213423fbeddaf"),
-    ("--he webs list", 0, "95ef5603e64a459d2081f6712db3681641dc612cf994a822b0c666b2e571a16e", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("--he webs list", 0, "748a225899d117331d4b0c771e64e92a749f469964d4fc5096df648ff08019d1", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
 

@@ -1,5 +1,6 @@
-"""No module in src/, scripts/ or tests/ imports a name it never uses, and the
-command line imports no stdlib module that only slows its cold start."""
+"""No module in src/, scripts/ or tests/ imports a name it never uses, the
+command line imports no stdlib module that only slows its cold start, and a
+record in src/ takes its equality from its fields."""
 
 import ast
 import os
@@ -59,3 +60,18 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     ).stdout.split()
     assert "sl3web.cli" in added
     assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
+def test_only_validated_values_define_their_own_equality():
+    # every other class with data is a NamedTuple: equal fields, equal records
+    values = {"LTWord", "Multipartition3", "StdMultitableau3", "LaurentPoly"}
+    owners = {
+        node.name
+        for path in FILES if path.is_relative_to(ROOT / "src")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__", "__setattr__")
+            for f in node.body
+        )
+    }
+    assert owners <= values

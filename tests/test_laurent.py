@@ -1,5 +1,7 @@
 """Exact Laurent arithmetic: ring axioms, quantum integers, text forms."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +43,7 @@ def test_qint_rejects_nonpositive():
 
 def test_additive_inverse():
     q = monomial(1)
-    assert q + q.scale(-1) == LaurentPoly()
+    assert q + q * monomial(0, -1) == LaurentPoly()
 
 
 def test_shift_of_qint_two():
@@ -65,12 +67,6 @@ def test_canonical_text_form():
     assert str(ply({0: -3, 2: 1})) == "q^2 - 3"
 
 
-def test_parse_canonical_form():
-    assert LaurentPoly.parse("q^3 + 2*q + 2*q^-1 + q^-3") == qint(2) * qint(3)
-    assert LaurentPoly.parse("0") == LaurentPoly()
-    assert LaurentPoly.parse("-q + 4") == ply({1: -1, 0: 4})
-
-
 def test_evaluation_counts_terms():
     assert (qint(2) * qint(3))(1) == 6
 
@@ -89,7 +85,10 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60)
 def test_zero_is_neutral_and_text_roundtrips(p):
     assert p + LaurentPoly() == p
-    assert LaurentPoly.parse(str(p)) == p
+    # read back as Python at q = 100, the text gives p's value, which fixes p:
+    # its coefficients are base-100 digits of at most 9 in absolute value
+    q = Fraction(100)
+    assert eval(str(p).replace("^", "**"), {"q": q}) == p(q)
 
 
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
