@@ -24,12 +24,10 @@ caller that reads one boundary several times holds on to the survey.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from sl3web import flows
 from sl3web.flows import (
-    COLORS, Flow, _bottom_subsets, boundary_state, flow_from_moves, flow_to_colstrict,
+    COLORS, Flow, _bottom_subsets, _moves, _top_state, flow_from_moves, flow_to_colstrict,
 )
 from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
@@ -369,18 +367,19 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     """Enumerate the flows on one web, with their states, fillings and degrees.
 
     One depth-first walk over the flow-prefix tree, in `enumerate_flows`
-    order.  A prefix node classifies its rung against MOVE_TABLE, places the
-    moved colors' nodes as `iota` does, adds that entry's share of
-    `bkw_degree` and the rung's `flows.transition_exponent` to the flow's
-    weight, on state the walk undoes when it backtracks.  The residue
-    shift is the web's: ell less the leading weight-3 strands on top, whose
-    rows are empty in every component.  With the shift fixed and a residue
-    naming one row (`_next_node`), no placement needs the shape: a leaf
-    checks that the grown row lengths, with the web's shift, are the shape
-    `shape_of_boundary` reads off the flow.  A top layer fixes the state and
-    the shape, so `states` maps it to (state, shape, row lengths padded to
-    the shift), read off its first flow; `survey` shares the map between the
-    webs of a boundary, which share ell and top weights.
+    order, reading a rung's moves off `flows._moves` once per web.  A prefix
+    node classifies its rung against MOVE_TABLE, places the moved colors'
+    nodes as `iota` does, and adds that entry's share of `bkw_degree` and the
+    move's exponent to the flow's weight, on state the walk undoes when it
+    backtracks.  The residue shift is the web's: ell less the leading
+    weight-3 strands on top, whose rows are empty in every component.  With
+    the shift fixed and a residue naming one row (`_next_node`), no
+    placement needs the shape: a leaf checks that the grown row lengths,
+    with the web's shift, are the shape `shape_of_boundary` reads off the
+    flow.  A top layer fixes the state and the shape, so `states` maps it to
+    (state, shape, row lengths padded to the shift), read off its first
+    flow, and the leaf hands the state to its flow; `survey` shares the map
+    between the webs of a boundary, which share ell and top weights.
     """
     order = web.word.application_order()
     top = web.layers[-1]
@@ -389,14 +388,16 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     rows = tuple([[] for _ in range(m)] for _ in range(3))  # and their entries
     moves, layers = [], [_bottom_subsets(web)]
     records, by_state = [], {}
+    table: dict = {}  # (left, right, j) -> _moves, for this web only
 
     def leaf(degree: int, exponent: int) -> None:
-        flow = Flow(web, tuple(moves), tuple(layers), exponent)
         if (known := states.get(layers[-1])) is None:
+            flow = Flow(web, tuple(moves), tuple(layers), exponent, _top_state(layers[-1]))
             shape = shape_of_boundary(web, flow)
             padded = tuple(list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components)
-            known = states[layers[-1]] = (boundary_state(web, flow), shape, padded)
+            known = states[layers[-1]] = (flow.state, shape, padded)
         state, shape, padded = known
+        flow = Flow(web, tuple(moves), tuple(layers), exponent, state)
         # rows grown out of order, or with another shift than the shape's, differ
         if lengths != padded:
             raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
@@ -409,19 +410,19 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
             return leaf(degree, exponent)
         i, j = order[step - 1]
         below, cur = web.layers[step - 1], layers[-1]
-        for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
-            h = frozenset(combo)
+        key = (cur[i - 1], cur[i], j)
+        if (legal := table.get(key)) is None:
+            legal = table[key] = _moves(*key)
+        head, tail = cur[:i - 1], cur[i + 1:]
+        for h, left, right, e, combo in legal:
             _check_move(step, _classify(step, below[i - 1], below[i], j, cur[i - 1], cur[i], h), h)
             nodes = [_next_node(lengths[l - 1], l, i, m) for l in combo]
             grown = degree + _entry_degree(lengths, m, nodes, i)
             for node in nodes:
                 rows[node.comp - 1][node.row - 1].append(step)
-            nxt = list(cur)
-            nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
             moves.append(h)
-            layers.append(tuple(nxt))
-            # the rule is read off the module, so patching flows.transition_exponent reaches here
-            walk(step + 1, grown, exponent + flows.transition_exponent(cur[i - 1], cur[i], h))
+            layers.append(head + (left, right) + tail)
+            walk(step + 1, grown, exponent + e)
             moves.pop()
             layers.pop()
             for node in nodes:

@@ -19,7 +19,7 @@ import itertools
 from functools import cached_property
 
 from sl3web.bijection import roundtrip_holds, survey
-from sl3web.flows import boundary_state, canonical_flow, flow_vector, pairing, tensor_expansion
+from sl3web.flows import canonical_flow, flow_vector, pairing, tensor_expansion
 from sl3web.foamword import cellular_halves, graded_dim_pair
 from sl3web.ladderweb import enumerate_basis
 from sl3web.laurent import monomial
@@ -106,8 +106,7 @@ def check_unitriangularity(b: Boundary):
     """Tensor coefficients: 1 at the defining state, rest lower; defining states distinct."""
     leaders: dict[tuple[int, ...], str] = {}
     for (tableau, _web), entry, vector in zip(b.basis, b.surveys, b.vectors):
-        cf = canonical_flow(entry.web, tableau, (f for _j, _d, f, _t in entry.records))
-        leading = boundary_state(entry.web, cf)
+        leading = canonical_flow(entry.web, tableau, (f for _j, _d, f, _t in entry.records)).state
         expansion = tensor_expansion(vector)
         if expansion.get(leading) != monomial(0):
             return False, _payload(

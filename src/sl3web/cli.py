@@ -3,7 +3,8 @@
 Exit status 0 on success; 1 on a verification failure (with a replayable
 counterexample payload) or on an exception that no payload parser turned into
 a usage error (one ``internal error:`` line); 2 on a usage error, rejected by
-argparse, by a payload parser below or by the ``--flow``/``--max-n`` range checks.
+argparse, by a payload parser below, by the ``--flow``/``--max-n`` range checks
+or by ``--format csv`` on a verb that writes no CSV rows.
 A call builds only the sub-parser of the verb it names; root help builds all six.
 """
 
@@ -22,7 +23,6 @@ from sl3web import checks
 from sl3web.bijection import grow, iota, roundtrip_holds, survey
 from sl3web.flows import (
     ClosedWeb,
-    boundary_state,
     bracket,
     enumerate_flows,
     flow_vector,
@@ -184,17 +184,18 @@ def cmd_webs(args) -> int:
 def cmd_flows(args) -> int:
     if args.action == "enumerate":
         web = _web_from_args(args)
+        # flows share their layers and states: each one's text is written once
+        layer_text = functools.cache(
+            lambda layer: "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]")
+        state_text = functools.cache(lambda state: json.dumps(list(state)))
         rows = []
         for idx, flow in enumerate(enumerate_flows(web)):
             rows.append(
                 {
                     "flow": idx,
                     "moves": "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
-                    "strands": "[" + ", ".join(
-                        "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]"
-                        for layer in flow.layers
-                    ) + "]",
-                    "state": json.dumps(list(boundary_state(web, flow))),
+                    "strands": "[" + ", ".join(map(layer_text, flow.layers)) + "]",
+                    "state": state_text(flow.state),
                     "weight": flow.exponent,
                 }
             )
@@ -236,10 +237,7 @@ def cmd_bij(args) -> int:
             raise UsageError(f"--flow must be 0..{len(flows) - 1}")
         flow = flows[args.flow]
         t = iota(web, flow)
-        if args.format == "json":
-            print(json.dumps(t.to_json(), sort_keys=True))
-        else:
-            print(t)
+        print(json.dumps(t.to_json(), sort_keys=True) if args.format == "json" else t)
         return 0
     if args.action == "grow":
         web, flow = grow(_json_payload(args.tableau, "tableau", "bij grow",
@@ -251,11 +249,8 @@ def cmd_bij(args) -> int:
             "moves": [sorted(h) for h in flow.moves],
             "boundary": web.boundary,
         }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            for k, v in payload.items():
-                print(f"{k}: {v}")
+        print(json.dumps(payload, sort_keys=True) if args.format == "json"
+              else "\n".join(f"{k}: {v}" for k, v in payload.items()))
         return 0
     signs = _signs(args, "bij roundtrip")
     rows, all_ok = [], True
@@ -316,11 +311,8 @@ def cmd_foam(args) -> int:
         "dots": dot_placement(shape),
         "boundary": web.boundary,
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+    print(json.dumps(payload, sort_keys=True) if args.format == "json"
+          else "\n".join(f"{k}: {v}" for k, v in payload.items()))
     return 0
 
 
@@ -353,6 +345,9 @@ def cmd_verify(args) -> int:
 COMMANDS = {"webs": cmd_webs, "flows": cmd_flows, "bij": cmd_bij, "foam": cmd_foam,
             "bracket": cmd_bracket, "verify": cmd_verify}
 VERBS = tuple(COMMANDS)
+# the verbs and actions that write CSV rows, as the root help lists them
+CSV_WRITERS = ("webs list", "webs show", "flows enumerate", "flows expand", "bij roundtrip",
+               "foam basis", "foam dims")
 
 
 # -- parser -------------------------------------------------------------------
@@ -446,6 +441,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        name = f"{args.verb} {getattr(args, 'action', '')}".rstrip()
+        if args.format == "csv" and name not in CSV_WRITERS:
+            raise UsageError(f"{name} writes no CSV; CSV is written by: {', '.join(CSV_WRITERS)}")
         return COMMANDS[args.verb](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,20 +4,21 @@ A flow assigns to every edge of a ladder web a subset of the three colors
 {1, 2, 3} whose size is the edge label; at every rung the subset leaving a
 strand is carried across and must land on colors absent from the target
 strand.  A flow is stored as the tuple of moved subsets, one per rung, in
-application order.
+application order.  `_moves` lists a rung's legal moves once per web.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
 the sum over rungs is the weight of the flow on a web with boundary, summed
-as the flow grows rung by rung and carried by the flow as `exponent`.  The
-flow vector A_w(j) of a web sums q^-weight over its flows of boundary state
-j.  `flow_vector` enumerates nothing: it sums the flows it is handed, which
-`bracket` and the command line take from `enumerate_flows` and the checks
-from the survey that already holds them.  A closed web, presented as a pair
-(u, v) glued along a common boundary, adds one plus the boundary state per
-strand, so its bracket is the `pairing` sum_j q^-(len j + sum j) A_u(j)
-A_v(j) of the two vectors; `closed_flows` and `closed_weight` are the
-flow-by-flow definition it is tested against.
+as the flow grows rung by rung and carried by the flow as `exponent`, next
+to its boundary `state`.  The flow vector A_w(j) of a web sums q^-weight
+over its flows of state j.  `flow_vector` enumerates nothing: it sums the
+flows it is handed, which `bracket` and the command line take from
+`enumerate_flows` and the checks from the survey that already holds them.
+A closed web, presented as a pair (u, v) glued along a common boundary,
+adds one plus the boundary state per strand, so its bracket is the
+`pairing` sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors;
+`closed_flows` and `closed_weight` are the flow-by-flow definition it is
+tested against.
 The convention is pinned by reports/calibration.md and by the exact
 divided-power identity checked in _transition_poly.
 """
@@ -88,18 +89,40 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 
 
 class Flow(NamedTuple):
-    """Moved color subsets per rung, in application order, strand subsets
-    per layer, bottom to top, and the weight: the rungs' transition exponents
-    summed.  Built by `enumerate_flows`, `flow_from_moves` or the survey."""
+    """Moved color subsets per rung, in application order, strand subsets per layer,
+    bottom to top, the weight (the rungs' transition exponents summed) and the
+    boundary state.  Built by `enumerate_flows`, `flow_from_moves` or the survey."""
 
     web: LadderWeb
     moves: tuple[frozenset, ...]
     layers: tuple[tuple[frozenset, ...], ...]
     exponent: int
+    state: tuple[int, ...]
 
 
 def _bottom_subsets(web: LadderWeb) -> tuple[frozenset, ...]:
     return tuple(frozenset(COLORS) if w == 3 else frozenset() for w in web.layers[0])
+
+
+# `state_of_subset` of a classical strand: it holds as many colors as its weight
+_SUBSET_STATE = {frozenset({1}): 1, frozenset({2}): 0, frozenset({3}): -1,
+                 frozenset({2, 3}): -1, frozenset({1, 3}): 0, frozenset({1, 2}): 1}
+
+
+def _top_state(top: tuple[frozenset, ...]) -> tuple[int, ...]:
+    return tuple([_SUBSET_STATE[s] for s in top if s in _SUBSET_STATE])
+
+
+def _moves(left: frozenset, right: frozenset, j: int) -> list[tuple]:
+    """A rung's legal moves of j colors from `left` onto `right`, in flow order, as
+    (moved subset, left after, right after, exponent, sorted colors).  Callers keep
+    them in a dict local to one call, not in a module cache: no table outlives the
+    call, and a rule patched in as `flows.transition_exponent` reaches every one."""
+    out = []
+    for combo in itertools.combinations(sorted(left - right), j):
+        h = frozenset(combo)
+        out.append((h, left - h, right | h, transition_exponent(left, right, h), combo))
+    return out
 
 
 def flow_from_moves(web: LadderWeb, moves) -> Flow:
@@ -116,31 +139,32 @@ def flow_from_moves(web: LadderWeb, moves) -> Flow:
         exponent += transition_exponent(cur[i - 1], cur[i], h)
         cur[i - 1], cur[i] = cur[i - 1] - h, cur[i] | h
         layers.append(tuple(cur))
-    return Flow(web, tuple(moves), tuple(layers), exponent)
+    return Flow(web, tuple(moves), tuple(layers), exponent, _top_state(layers[-1]))
 
 
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
+    table: dict = {}  # (left, right, j) -> _moves, for this web only
     partial = [((), (_bottom_subsets(web),), 0)]  # (moves, layers, weight) per flow prefix
     for i, j in web.word.application_order():
         grown = []
         for moves, layers, exponent in partial:
             cur = layers[-1]
-            for combo in itertools.combinations(sorted(cur[i - 1] - cur[i]), j):
-                h = frozenset(combo)
-                nxt = list(cur)
-                nxt[i - 1], nxt[i] = cur[i - 1] - h, cur[i] | h
-                grown.append((moves + (h,), layers + (tuple(nxt),),
-                              exponent + transition_exponent(cur[i - 1], cur[i], h)))
+            key = (cur[i - 1], cur[i], j)
+            if (legal := table.get(key)) is None:
+                legal = table[key] = _moves(*key)
+            head, tail = cur[:i - 1], cur[i + 1:]
+            for h, left, right, e, _combo in legal:
+                grown.append((moves + (h,), layers + (head + (left, right) + tail,), exponent + e))
         partial = grown
-    return [Flow(web, moves, layers, exponent) for moves, layers, exponent in partial]
+    return [Flow(web, moves, layers, e, _top_state(layers[-1])) for moves, layers, e in partial]
 
 
 def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:
-    """Sum of q^-exponent over the given flows of one web, per boundary state."""
+    """Sum of q^-exponent over the given flows of one web, per the state each carries."""
     counts: dict[tuple[int, ...], Counter] = {}
     for f in flows:
-        counts.setdefault(boundary_state(f.web, f), Counter())[-f.exponent] += 1
+        counts.setdefault(f.state, Counter())[-f.exponent] += 1
     return {j: LaurentPoly(c) for j, c in counts.items()}
 
 
@@ -160,12 +184,10 @@ def state_of_subset(weight: int, subset: frozenset) -> int:
 
 
 def boundary_state(web: LadderWeb, flow: Flow) -> tuple[int, ...]:
-    """States of the classical boundary strands, left to right."""
-    out = []
-    for w, subset in zip(web.layers[-1], flow.layers[-1]):
-        if w in (1, 2):
-            out.append(state_of_subset(w, subset))
-    return tuple(out)
+    """States of the classical boundary strands, left to right, strand by strand:
+    the definition that the state a flow carries is tested against."""
+    return tuple(state_of_subset(w, subset)
+                 for w, subset in zip(web.layers[-1], flow.layers[-1]) if w in (1, 2))
 
 
 # -- closed webs as glued pairs ----------------------------------------------
@@ -229,7 +251,7 @@ def closed_flows(closed: ClosedWeb) -> list[ClosedFlow]:
 def closed_weight(closed: ClosedWeb, cf: ClosedFlow) -> int:
     """Weight of a closed flow: both halves plus one per boundary strand
     corrected by the shared boundary state."""
-    j = boundary_state(closed.u, cf.bottom)
+    j = cf.bottom.state
     return cf.bottom.exponent + cf.top.exponent + len(j) + sum(j)
 
 

@@ -475,6 +475,28 @@ def test_help_lists_the_csv_header_of_every_verb(capsys):
     assert dict(re.findall(r"(\w+ \w+) \(([^)]*)\)", epilog)) == headers
 
 
+
+NO_CSV_COMMANDS = {
+    "verify": ["verify", "degree", "--signs", "+-"],
+    "bij-iota": ["bij", "iota", "--preset", "arc"],
+    "bij-grow": ["bij", "grow", "--tableau",
+                 '{"cells": [[1, 1, 1, 1], [1, 1, 3, 1]], "shape": {"components": [[1], [], [1]], "m": 1}}'],
+    "foam-idem": ["foam", "idem", "--shape", '{"components": [[1], [], [1]], "m": 1}'],
+    "bracket": ["bracket", "--pair", "theta"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_CSV_COMMANDS.values(), ids=NO_CSV_COMMANDS)
+def test_csv_is_refused_where_no_csv_is_written(capsys, argv):
+    assert set(cli.CSV_WRITERS) == {" ".join(a[:2]) for a in CSV_COMMANDS}
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["--format", "csv", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 PINNED_PARSER = [
     ("", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),
     ("--format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "4825e9f8fc853fbb42b7fa5d9da1a18622320e1009f33997680b2888b00d78cf"),

@@ -50,7 +50,9 @@ FORMAT = st.sampled_from(["text", "json", "csv"])
 @FUZZ
 @given(FORMAT, SIGNS_VERBS, SIGNS)
 def test_signs(fmt, verb, signs):
-    assert run(["--format", fmt, *verb, f"--signs={signs}"]) == (0 if is_classical(signs) else 2)
+    # verify writes no CSV rows, so it refuses --format csv like a bad payload
+    ok = is_classical(signs) and not (fmt == "csv" and verb[0] == "verify")
+    assert run(["--format", fmt, *verb, f"--signs={signs}"]) == (0 if ok else 2)
 
 
 @FUZZ

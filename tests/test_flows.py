@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from sl3web.bijection import survey
+from sl3web import flows
+from sl3web.bijection import survey, survey_web
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
     COLORS,
@@ -287,7 +288,8 @@ def _summed_weight(flow):
 
 
 def test_flows_carry_their_summed_weight():
-    # each builder sums the weight as the flow grows; all three agree with the sum
+    # each builder sums the weight as the flow grows and reads the state off its
+    # top subsets; all three agree with the rung-by-rung sum and strand-by-strand state
     checked = 0
     for signs in classical_sign_strings(6):
         for entry in survey(enumerate_basis(signs)):
@@ -297,8 +299,32 @@ def test_flows_carry_their_summed_weight():
             for built in (*enumerated, *surveyed):
                 from_moves = flow_from_moves(entry.web, built.moves)
                 assert built.exponent == from_moves.exponent == _summed_weight(built), built.moves
+                assert built.state == from_moves.state == boundary_state(entry.web, built)
                 checked += 1
     assert checked == 2 * 6030  # every flow on the 176 basis webs with n <= 6, twice
+
+
+def test_each_web_computes_each_of_its_moves_once(monkeypatch):
+    # a rung's moves are listed once per web, not once per flow prefix through it
+    real, calls = flows.transition_exponent, []
+    monkeypatch.setattr(flows, "transition_exponent",
+                        lambda *move: calls.append(move) or real(*move))
+    distinct = 0
+    for signs in classical_sign_strings(6, min_n=4):
+        states: dict = {}
+        for _rows, web in enumerate_basis(signs):
+            calls.clear()
+            fs = enumerate_flows(web)
+            listed = list(calls)
+            calls.clear()
+            survey_web(web, states)
+            # each path computes every move once, and both compute the same moves
+            assert len(listed) == len(set(listed)) == len(calls) and set(calls) == set(listed), web
+            used = {(f.layers[s][i - 1], f.layers[s][i], f.moves[s])
+                    for f in fs for s, (i, _j) in enumerate(web.word.application_order())}
+            assert used <= set(listed), web
+            distinct += len(listed)
+    assert distinct == 3880  # 16 381 calls, once per flow prefix, before the moves were listed per web
 
 
 def test_unitriangularity_exhaustive_small():
