@@ -6,7 +6,7 @@ by the moved color subset, at that component's unique fillable node whose
 residue equals the rung index.  The inverse `grow` reads a standard
 multitableau as a tower of weight diagrams and re-emits one ladder rung
 per level, recovering the web and the flow; `roundtrip_holds` compares
-the rungs it reads with the web's, row lengths tracked entry by entry.
+the rungs it reads off the filling's residues with the web's.
 
 Every rung also carries a classification (family, type, color) determined
 by which of its four edge germs are erased and by the flow; each placement
@@ -264,17 +264,15 @@ class WeightDiagram(NamedTuple):
 
 
 def _occupancy(t: StdMultitableau3):
-    """Per level j = 0, 1, ..., max entry: the nodes holding entry j + 1 and
-    the row lengths of t cut at j, per component, padded with empty rows so
-    the trivial diagram shows below them.  The lengths are one list, grown
-    in place as the entries are added."""
+    """Per level j = 0, 1, ..., max entry: the row lengths of t cut at j, per
+    component, padded with empty rows so the trivial diagram shows below them.
+    The lengths are one list, grown in place as the entries are added."""
     depth = max(t.shape.m, max(len(c) for c in t.shape.components), 1) + 1
     lengths = [[0] * depth for _ in range(3)]
     occ = t.entries()
     for j in range(1, t.max_entry + 2):
-        nodes = occ.get(j, ())
-        yield nodes, lengths
-        for node in nodes:
+        yield lengths
+        for node in occ.get(j, ()):
             lengths[node.comp - 1][node.row - 1] += 1
 
 
@@ -305,24 +303,30 @@ def _diagram(lengths, lo: int, hi: int) -> WeightDiagram:
 def weight_diagram_tower(t: StdMultitableau3) -> list[WeightDiagram]:
     """Tower of weight diagrams, one level per entry, trivial at the bottom."""
     hi = max((c[0] for c in t.shape.components if c), default=0) + 1
-    return [_diagram(lengths, -len(lengths[0]), hi) for _nodes, lengths in _occupancy(t)]
+    return [_diagram(lengths, -len(lengths[0]), hi) for lengths in _occupancy(t)]
 
 
 def _read_word(t: StdMultitableau3) -> tuple[LTWord, tuple[frozenset, ...]]:
-    """The ladder word and the moved colors, one per level, that `grow` reads off t."""
-    m = t.shape.m
+    """The ladder word and the moved colors that `grow` reads off t: level j, up to
+    the first absent entry, moves entry j's components by the rung of their common
+    residue col - row + m.  (A standard filling's cells left of a node hold smaller
+    entries, so at level j the node's particle sits at position col - row.)"""
+    levels: dict[int, list[tuple[int, int]]] = {}  # entry -> (residue, component) per node
+    for comp, rows in enumerate(t.rows, start=1):
+        for row, cells in enumerate(rows, start=1):
+            for residue, entry in enumerate(cells, start=1 - row + t.shape.m):
+                levels.setdefault(entry, []).append((residue, comp))
     factors, moves = [], []
-    for j, (nodes, lengths) in enumerate(_occupancy(t), start=1):
-        if not nodes:
-            break
-        positions = {lengths[node.comp - 1][node.row - 1] - node.row + 1 for node in nodes}
-        if len(positions) != 1:
+    j = 1
+    while nodes := levels.get(j):
+        residue = nodes[0][0]
+        if any(other != residue for other, _comp in nodes):
             raise RuntimeError(f"entry {j} moves particles at several positions")
-        (p,) = positions
-        if p + m < 1:
-            raise RuntimeError(f"entry {j} yields non-positive ladder index {p + m}")
-        factors.append((p + m, len(nodes)))
-        moves.append(frozenset(node.comp for node in nodes))
+        if residue < 1:
+            raise RuntimeError(f"entry {j} yields non-positive ladder index {residue}")
+        factors.append((residue, len(nodes)))
+        moves.append(frozenset(comp for _residue, comp in nodes))
+        j += 1
     return LTWord(tuple(reversed(factors))), tuple(moves)
 
 
@@ -347,7 +351,7 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
 
 def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
     """Whether grow(t), for t = iota(web, flow), returns the web and flow
-    unchanged: whether the word and moves it reads off t are theirs."""
+    unchanged: whether the word and moves it reads off t's residues are theirs."""
     return _read_word(t) == (web.word, flow.moves)
 
 

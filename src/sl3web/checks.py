@@ -8,9 +8,9 @@ basis, its `bijection.survey` (the only enumeration of the boundary's flows),
 one `flows.flow_vector` per web (the survey's flows weighed by rung exponents
 instead of filling degrees), their pairing per ordered pair of webs (the
 bracket of the glued pair) and the half foams of `foamword.cellular_halves`,
-never a basis foam: a pair is a lower half, the dots and a reflected upper
-half, so its degree and its involution follow from theirs.  An exception
-inside one check is a failing result.
+each reflected once, never a basis foam: a pair is a lower half, the dots and
+a reflected upper half, so its degree and its involution follow from theirs.
+An exception inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -63,7 +63,10 @@ class Boundary:
 
     @cached_property
     def halves(self):
-        return list(cellular_halves(self.surveys))
+        """(shape, dot generators, (filling, filling degree, lower half, its
+        reflection) per flow) per state: each half is reflected once, here."""
+        return [(shape, dots, [(t, d, half, half.reflected()) for t, d, half in halves])
+                for shape, dots, halves in cellular_halves(self.surveys)]
 
 
 def _payload(signs: str, **extra) -> dict:
@@ -172,16 +175,16 @@ def check_graded_dim(b: Boundary):
 
 def check_homogeneity(b: Boundary):
     """A half weighs filling minus superstandard degree (`cellular_halves` raises
-    otherwise), also reflected; the dots weigh twice the superstandard degree,
-    which every half of the state hands on as its filling degree less its own."""
+    otherwise), and so does its stored reflection; the dots weigh twice the superstandard
+    degree, which every half of the state hands on as its filling degree less its own."""
     for shape, dots, halves in b.halves:
-        _t, d, half = halves[0]
+        _t, d, half, _reflected = halves[0]
         want = 2 * (d - half.degree)
         got = sum(g.degree for g in dots)
         if got != want:
             return False, _payload(b.signs, shape=shape.to_json(), dot_degree=got, expected=want)
-        for t, _d, half in halves:
-            if half.reflected().degree != half.degree:
+        for t, _d, half, reflected in halves:
+            if reflected.degree != half.degree:
                 return False, _payload(
                     b.signs, tableau=t.to_json(), reason="reflection changed a degree"
                 )
@@ -189,16 +192,16 @@ def check_homogeneity(b: Boundary):
 
 
 def check_cellularity(b: Boundary):
-    """Halves and dot words reflect back; a state's fillings are distinct, so the
-    involution fixes only the diagonal; sum_j n_j^2 = sum bracket(u, v)(1)."""
+    """Dot words and the halves' stored reflections reflect back; a state's fillings are
+    distinct, so the involution fixes only the diagonal; sum_j n_j^2 = sum bracket(u, v)(1)."""
     count = 0
     for shape, dots, halves in b.halves:
-        words = dots + tuple(half for _t, _d, half in halves)
-        if any(w.reflected().reflected() != w for w in words):
+        if (any(g.reflected().reflected() != g for g in dots)
+                or any(reflected.reflected() != half for _t, _d, half, reflected in halves)):
             return False, _payload(
                 b.signs, shape=shape.to_json(), reason="involution is not involutive"
             )
-        if len({t for t, _d, _half in halves}) != len(halves):
+        if len({t for t, _d, _half, _reflected in halves}) != len(halves):
             return False, _payload(
                 b.signs, shape=shape.to_json(), reason="involution fixes a non-diagonal"
             )

@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import re
+import shutil
 import sys
 from collections import Counter
 
@@ -184,10 +185,10 @@ def cmd_webs(args) -> int:
 def cmd_flows(args) -> int:
     if args.action == "enumerate":
         web = _web_from_args(args)
-        # flows share their layers and states: each one's text is written once
+        # flows share their layers: each one's text is written once; a state of ints
+        # is written as json.dumps(list(state)) writes it
         layer_text = functools.cache(
             lambda layer: "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]")
-        state_text = functools.cache(lambda state: json.dumps(list(state)))
         rows = []
         for idx, flow in enumerate(enumerate_flows(web)):
             rows.append(
@@ -195,7 +196,7 @@ def cmd_flows(args) -> int:
                     "flow": idx,
                     "moves": "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
                     "strands": "[" + ", ".join(map(layer_text, flow.layers)) + "]",
-                    "state": state_text(flow.state),
+                    "state": "[" + ", ".join(map(str, flow.state)) + "]",
                     "weight": flow.exponent,
                 }
             )
@@ -207,7 +208,7 @@ def cmd_flows(args) -> int:
         return 0
     expansion = tensor_expansion(flow_vector(enumerate_flows(_web_from_args(args))))
     rows = [
-        {"state": json.dumps(list(j)), "coefficient": str(p)}
+        {"state": "[" + ", ".join(map(str, j)) + "]", "coefficient": str(p)}
         for j, p in sorted(expansion.items(), reverse=True)
     ]
     _emit(args, rows, ["state", "coefficient"])
@@ -355,8 +356,13 @@ CSV_WRITERS = ("webs list", "webs show", "flows enumerate", "flows expand", "bij
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The root parser with every verb's sub-parser, or with `verb`'s only."""
+    # argparse makes a formatter per argument (to check its metavar) and per parser, and
+    # one given no width reads the terminal size: read it once, as HelpFormatter would
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="sl3web",
+        formatter_class=formatter,
         description="Webs as ladder words, flows, fillings and symbolic foams.",
         epilog=(
             "CSV columns per verb: webs list (tableau, word, boundary, length, "
@@ -371,7 +377,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_verb(name, help):
-        return sub.add_parser(name, help=help) if verb in (None, name) else None
+        return (sub.add_parser(name, help=help, formatter_class=formatter)
+                if verb in (None, name) else None)
 
     def add_word_opts(p):
         p.add_argument("--word", help="ladder word, e.g. 'F1 F2^2'")

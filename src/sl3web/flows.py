@@ -209,12 +209,17 @@ def _pairing_exponent(j: tuple[int, ...]) -> int:
 
 
 def pairing(left: dict, right: dict) -> LaurentPoly:
-    """The bracket of u glued to v, from their flow vectors A_u and A_v."""
-    out = LaurentPoly()
+    """The bracket of u glued to v, from their flow vectors A_u and A_v: the shifted
+    products of their shared states, summed in one exponent -> coefficient dict."""
+    out: dict[int, int] = {}
     for j, a in left.items():
-        if j in right:
-            out = out + (a * right[j]).shift(-_pairing_exponent(j))
-    return out
+        if (b := right.get(j)) is not None:
+            shift = _pairing_exponent(j)
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2 - shift
+                    out[e] = out.get(e, 0) + c1 * c2
+    return LaurentPoly(out)
 
 
 def bracket(web) -> LaurentPoly:

@@ -344,6 +344,23 @@ def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
     assert ce["basis"] < ce["dimension"]
 
 
+def test_residue_read_one_too_high_fails_roundtrip(monkeypatch):
+    # every rung grow reads off the filling lands one strand to the right
+    high = _mutant(bijection, "start=1 - row + t.shape.m", "start=2 - row + t.shape.m")
+    monkeypatch.setattr(bijection, "_read_word", high._read_word)
+    assert _failure("roundtrip")["reason"] == "grow did not invert"
+
+
+def test_each_half_is_reflected_at_most_twice(monkeypatch):
+    # once when the boundary's halves are built, once more by the cellular check
+    real, calls = foamword.FoamWord.reflected, []
+    monkeypatch.setattr(foamword.FoamWord, "reflected", lambda w: calls.append(w) or real(w))
+    results = checks.run_checks(["homogeneity", "cellular"], [SIGNS])
+    assert all(r["ok"] for r in results), results
+    halves = sum(len(entry.records) for entry in checks.Boundary(SIGNS).surveys)
+    assert 0 < len(calls) <= 2 * halves
+
+
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
     # the survey's rows grow where each entry's degree share is counted
     frozen = _mutant(tableaux, "grown[node.row - 1] += 1", "pass")

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import re
+import shutil
 from collections import Counter
 
 import pytest
@@ -526,3 +527,38 @@ def test_pinned_parser_output(capsys, monkeypatch, argv, code, out_sha, err_sha)
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
+
+
+# Help and usage at other widths: they wrap at COLUMNS - 2, as argparse wraps them
+# when it reads the terminal size itself.
+PINNED_PARSER_WIDTHS = [
+    ("50", "--help", 0, "6e8618d57a6d5c75909801ba44bdc364729e8a226838c8f80e395a9937ac78ae", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("50", "flows --help", 0, "6c7292fa0a000e5a955318a908710b265c9f2d4bc421b3686451a923cad612ca", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("50", "webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "095ae8525240ef8335d2ae26589c71034a1db1fda2ed9948f0b50e3e79a0f74e"),
+    ("132", "--help", 0, "261b50bae6c981fba53e428c22d525044ab110858cfd88a0ae1ad3124027a791", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("132", "flows --help", 0, "a8fdf3daa6959e6cc44bacba0d2c4e1284395cebdd2f53936ee475b7a4b10a92", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("132", "webs list", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "095ae8525240ef8335d2ae26589c71034a1db1fda2ed9948f0b50e3e79a0f74e"),
+]
+
+
+@pytest.mark.parametrize(
+    "columns,argv,code,out_sha,err_sha", PINNED_PARSER_WIDTHS,
+    ids=[f"{p[0]} {p[1]}" for p in PINNED_PARSER_WIDTHS],
+)
+def test_pinned_parser_output_at_other_widths(capsys, monkeypatch, columns, argv, code, out_sha,
+                                              err_sha):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
+
+
+@pytest.mark.parametrize("verb", [None, *cli.VERBS], ids=["root", *cli.VERBS])
+def test_parser_reads_the_terminal_size_once(monkeypatch, verb):
+    # argparse makes a formatter per argument and per parser; none reads the size again
+    real, calls = shutil.get_terminal_size, []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    parser = build_parser(verb)
+    parser.format_help()
+    assert len(calls) == 1

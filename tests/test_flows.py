@@ -220,6 +220,23 @@ def test_bracket_symmetry_and_flow_count():
             assert br(1) == len(pairs)
 
 
+def test_pairing_builds_one_polynomial(monkeypatch):
+    # a pair's products are summed into one dict, not into a polynomial per shared state
+    real, calls = LaurentPoly.__init__, []
+
+    def counted(self, coeffs=None):
+        calls.append(coeffs)
+        real(self, coeffs)
+
+    pairs = [pair for signs in classical_sign_strings(5) for pair in itertools.product(
+        [flow_vector(enumerate_flows(web)) for _, web in enumerate_basis(signs)], repeat=2)]
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    for a, b in pairs:
+        calls.clear()
+        flows.pairing(a, b)
+        assert len(calls) == 1
+
+
 # -- tensor expansion ------------------------------------------------------------------
 
 
