@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from sl3web.flows import (
-    COLORS, Flow, _bottom_subsets, _moves, _top_state, flow_from_moves, flow_to_colstrict,
+    COLORS, Flow, _bottom_subsets, _legal, _top_state, flow_from_moves, flow_to_colstrict,
 )
 from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
@@ -414,11 +414,8 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
             return leaf(degree, exponent)
         i, j = order[step - 1]
         below, cur = web.layers[step - 1], layers[-1]
-        key = (cur[i - 1], cur[i], j)
-        if (legal := table.get(key)) is None:
-            legal = table[key] = _moves(*key)
         head, tail = cur[:i - 1], cur[i + 1:]
-        for h, left, right, e, combo in legal:
+        for h, left, right, e, combo in _legal(table, cur, i, j):
             _check_move(step, _classify(step, below[i - 1], below[i], j, cur[i - 1], cur[i], h), h)
             nodes = [_next_node(lengths[l - 1], l, i, m) for l in combo]
             grown = degree + _entry_degree(lengths, m, nodes, i)

@@ -26,8 +26,8 @@ from sl3web.flows import (
     ClosedWeb,
     bracket,
     enumerate_flows,
-    flow_vector,
     tensor_expansion,
+    web_vector,
 )
 from sl3web.foamword import (
     boundary_strand_count,
@@ -206,7 +206,7 @@ def cmd_flows(args) -> int:
                   f"weight={r['weight']}"
               ))
         return 0
-    expansion = tensor_expansion(flow_vector(enumerate_flows(_web_from_args(args))))
+    expansion = tensor_expansion(web_vector(_web_from_args(args)))
     rows = [
         {"state": "[" + ", ".join(map(str, j)) + "]", "coefficient": str(p)}
         for j, p in sorted(expansion.items(), reverse=True)

@@ -11,9 +11,9 @@ between the moved colors and the colors staying behind or already present);
 the sum over rungs is the weight of the flow on a web with boundary, summed
 as the flow grows rung by rung and carried by the flow as `exponent`, next
 to its boundary `state`.  The flow vector A_w(j) of a web sums q^-weight
-over its flows of state j.  `flow_vector` enumerates nothing: it sums the
-flows it is handed, which `bracket` and the command line take from
-`enumerate_flows` and the checks from the survey that already holds them.
+over its flows of state j.  `web_vector`, which `bracket` and the command
+line read, builds no flow: it walks the web's distinct layers rung by rung.
+`flow_vector` sums the flows it is handed, the checks' from the survey.
 A closed web, presented as a pair (u, v) glued along a common boundary,
 adds one plus the boundary state per strand, so its bracket is the
 `pairing` sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors;
@@ -142,26 +142,53 @@ def flow_from_moves(web: LadderWeb, moves) -> Flow:
     return Flow(web, tuple(moves), tuple(layers), exponent, _top_state(layers[-1]))
 
 
+def _legal(table: dict, cur: tuple, i: int, j: int) -> list[tuple]:
+    """The `_moves` of rung F_i^(j) on layer `cur`, kept in the caller's per-web table."""
+    key = (cur[i - 1], cur[i], j)
+    if (legal := table.get(key)) is None:
+        legal = table[key] = _moves(*key)
+    return legal
+
+
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
-    table: dict = {}  # (left, right, j) -> _moves, for this web only
+    table: dict = {}
     partial = [((), (_bottom_subsets(web),), 0)]  # (moves, layers, weight) per flow prefix
     for i, j in web.word.application_order():
         grown = []
         for moves, layers, exponent in partial:
             cur = layers[-1]
-            key = (cur[i - 1], cur[i], j)
-            if (legal := table.get(key)) is None:
-                legal = table[key] = _moves(*key)
             head, tail = cur[:i - 1], cur[i + 1:]
-            for h, left, right, e, _combo in legal:
+            for h, left, right, e, _combo in _legal(table, cur, i, j):
                 grown.append((moves + (h,), layers + (head + (left, right) + tail,), exponent + e))
         partial = grown
     return [Flow(web, moves, layers, e, _top_state(layers[-1])) for moves, layers, e in partial]
 
 
+def web_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
+    """`flow_vector(enumerate_flows(web))`, states in the same order, built with no
+    flow: each distinct layer counts its flow prefixes per exponent, rung by rung."""
+    table: dict = {}
+    layers = {_bottom_subsets(web): {0: 1}}  # layer -> {exponent: prefixes}
+    for i, j in web.word.application_order():
+        grown: dict = {}
+        for cur, counts in layers.items():
+            head, tail = cur[:i - 1], cur[i + 1:]
+            for _h, left, right, e, _combo in _legal(table, cur, i, j):
+                out = grown.setdefault(head + (left, right) + tail, {})
+                for x, c in counts.items():
+                    out[x + e] = out.get(x + e, 0) + c
+        layers = grown
+    vector: dict[tuple[int, ...], Counter] = {}
+    for top, counts in layers.items():
+        out = vector.setdefault(_top_state(top), Counter())
+        for x, c in counts.items():
+            out[-x] += c
+    return {j: LaurentPoly(c) for j, c in vector.items()}
+
+
 def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:
-    """Sum of q^-exponent over the given flows of one web, per the state each carries."""
+    """Sum of q^-exponent over the given flows of one web (the survey's), per state."""
     counts: dict[tuple[int, ...], Counter] = {}
     for f in flows:
         counts.setdefault(f.state, Counter())[-f.exponent] += 1
@@ -223,13 +250,13 @@ def pairing(left: dict, right: dict) -> LaurentPoly:
 
 
 def bracket(web) -> LaurentPoly:
-    """Kuperberg bracket of a closed web: sum of q^(-weight) over its flows."""
+    """Kuperberg bracket of a closed web, read off `web_vector` (of each glued half)."""
     if isinstance(web, ClosedWeb):
-        return pairing(*(flow_vector(enumerate_flows(half)) for half in web))
+        return pairing(*map(web_vector, web))
     if isinstance(web, LadderWeb):
         if any(w in (1, 2) for w in web.layers[-1]):
             raise ValueError(f"web with boundary {web.boundary} is not closed")
-        return flow_vector(enumerate_flows(web)).get((), LaurentPoly())
+        return web_vector(web).get((), LaurentPoly())
     raise TypeError(f"cannot take the bracket of {web!r}")
 
 

@@ -9,6 +9,7 @@ of weight from strand i to strand i+1; a step that leaves the interval
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import NamedTuple
 
@@ -212,14 +213,30 @@ def _is_extraordinary(rows, v: int) -> bool:
     return _entry(rows, v + 1, 1) == v + 1 or _entry(rows, v - 1, 3) == v + 1
 
 
+def _lowerable(rows) -> list[int]:
+    """Sorted values v above row v whose lowering keeps the tableau semi-standard,
+    in one pass.  A lowered cell's left neighbour holds at most v (and is lowered
+    too if it holds v), its right one at least v and the cell below more than v,
+    so only the cell above can break it: v is blocked when one holds v - 1."""
+    found, blocked = set(), set()
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if r + 1 < v:
+                found.add(v)
+                if r and rows[r - 1][c] == v - 1:
+                    blocked.add(v)
+    return sorted(found - blocked)
+
+
 def lt_generators(rows) -> LTWord:
     """The ladder word that reduces a semi-standard tableau to row filling.
 
-    Repeatedly takes the lowest entry v found above its own row and lowers
-    all such occurrences at once, emitting F_{v-1}^(count).  When v matches
-    a deferral pattern the step instead uses the next higher value whose
-    above-row occurrences reach beyond the first two columns ("outside
-    first"); the target is re-tested against the patterns.
+    Repeatedly takes the lowest entry v found above its own row that can be
+    lowered (`_lowerable`) and lowers all such occurrences at once, emitting
+    F_{v-1}^(count).  When v matches a deferral pattern the step instead uses
+    the next higher value whose above-row occurrences reach beyond the first
+    two columns ("outside first"); the target is re-tested against the
+    patterns.  Only the chosen v is lowered: one `_lower_all` per factor.
     """
     rows = tuple(tuple(int(x) for x in row) for row in rows)
     if not is_semistandard(rows):
@@ -230,11 +247,7 @@ def lt_generators(rows) -> LTWord:
         guard += 1
         if guard > 10_000:
             raise RuntimeError("ladder-word algorithm did not terminate")
-        candidates = sorted(
-            v
-            for v in {x for row in rows for x in row}
-            if _below_row_cells(rows, v) and _lower_all(rows, v)[0] is not None
-        )
+        candidates = _lowerable(rows)
         if not candidates:
             break
         v = candidates[0]
@@ -276,38 +289,28 @@ def web_from_tableau(rows, n: int | None = None):
 def semistandard_tableaux(ell: int, content: tuple[int, ...]) -> list[tuple]:
     """All semi-standard 3-column tableaux with ell rows and given content.
 
-    content[k-1] is the multiplicity of the entry k.  Cells are filled in
-    reading order with the smallest legal values first, so the output is in
-    lexicographic order of reading words.
+    content[k-1] is the multiplicity of the entry k.  The cells holding k form
+    a horizontal strip, so the shape grows value by value: row r may gain at
+    most (length of row r-1) - (length of row r) cells, row 1 up to three.
+    Sorted in lexicographic order of reading words.
     """
     if sum(content) != 3 * ell:
         raise ValueError("content does not fill the tableau")
-    n = len(content)
-    rows = [[0] * 3 for _ in range(ell)]
-    remaining = list(content)
-    out = []
-
-    def rec(pos: int):
-        if pos == 3 * ell:
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        r, c = divmod(pos, 3)
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            if remaining[v - 1] == 0:
-                continue
-            rows[r][c] = v
-            remaining[v - 1] -= 1
-            rec(pos + 1)
-            remaining[v - 1] += 1
-            rows[r][c] = 0
-
-    rec(0)
-    return out
+    partial = [((),) * ell]
+    for k, m in enumerate(content, start=1):
+        grown = []
+        for rows in partial:
+            room = [(r, (len(rows[r - 1]) if r else 3) - len(row)) for r, row in enumerate(rows)]
+            room = [(r, a) for r, a in room if a]
+            for adds in itertools.product(*(range(a + 1) for _r, a in room)):
+                if sum(adds) == m:
+                    new = list(rows)
+                    for (r, _a), d in zip(room, adds):
+                        new[r] += (k,) * d
+                    grown.append(tuple(new))
+        partial = grown
+    partial.sort()  # full rows of three: tuple order is reading-word order
+    return partial
 
 
 def enumerate_basis(S: str) -> list[tuple[tuple, LadderWeb]]:

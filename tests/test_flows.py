@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sl3web import flows
+from sl3web import checks, cli, flows
 from sl3web.bijection import survey, survey_web
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import (
@@ -22,9 +22,11 @@ from sl3web.flows import (
     flow_vector,
     tensor_expansion,
     transition_exponent,
+    web_vector,
 )
 from sl3web.laurent import LaurentPoly, monomial, qint
 from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
+from sl3web.presets import PRESET_NAMES, preset_web
 
 ARC = web_from_tableau(((1, 2, 2),))
 Y = web_from_tableau(((1, 2, 3),))
@@ -235,6 +237,48 @@ def test_pairing_builds_one_polynomial(monkeypatch):
         calls.clear()
         flows.pairing(a, b)
         assert len(calls) == 1
+
+
+# -- the flow vector without flows ------------------------------------------------------
+
+
+def test_web_vector_equals_the_flow_vector():
+    webs = [web for signs in classical_sign_strings(7) for _, web in enumerate_basis(signs)]
+    assert len(webs) == 638
+    for web in webs + [preset_web(name) for name in PRESET_NAMES]:
+        want = flow_vector(enumerate_flows(web))
+        got = web_vector(web)
+        assert got == want and list(got) == list(want), web
+
+
+def test_web_vector_equals_the_survey_vectors():
+    for signs in classical_sign_strings(6):
+        b = checks.Boundary(signs)
+        assert [web_vector(entry.web) for entry in b.surveys] == b.vectors, signs
+
+
+def test_web_vector_reads_a_patched_rule(monkeypatch):
+    webs = [web for signs in classical_sign_strings(5) for _, web in enumerate_basis(signs)]
+    plain = {web: web_vector(web) for web in webs}
+    real = flows.transition_exponent
+    monkeypatch.setattr(flows, "transition_exponent", lambda *sets: -real(*sets))
+    for web in webs:
+        assert web_vector(web) == flow_vector(enumerate_flows(web)), web
+    assert any(web_vector(web) != plain[web] for web in webs if web.boundary == "+-+-")
+
+
+def test_bracket_and_expand_build_no_flow(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a flow was built")
+
+    monkeypatch.setattr(flows, "enumerate_flows", refused)
+    monkeypatch.setattr(cli, "enumerate_flows", refused)
+    monkeypatch.setattr(flows, "Flow", refused)
+    for argv in (["bracket", "--pair", "theta"],
+                 ["bracket", "--pair", "F2 F1^2 F3^2 F2^2", "F1^2 F2 F3^2 F2^2", "--n", "4", "--ell", "2"],
+                 ["flows", "expand", "--preset", "hexagon"]):
+        assert cli.main(argv) == 0, argv
+    assert bracket(build_web(LTWord.parse("F1 F1 F1"), 2, 1)) == qint(3) * qint(2)
 
 
 # -- tensor expansion ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl3web import ladderweb
 from sl3web.checks import classical_sign_strings
 from sl3web.ladderweb import (
     LTWord,
@@ -104,6 +105,59 @@ def test_circle_pair_words():
     assert str(lt_generators(((1, 2, 2), (3, 4, 4)))) == "F1^2 F2 F3^2 F2^2"
 
 
+def _classical_tableaux(max_n: int, min_n: int = 2):
+    """(signs, tableau) for every basis tableau of the classical boundaries."""
+    for signs in classical_sign_strings(max_n, min_n):
+        content = sign_weights(signs)
+        for rows in semistandard_tableaux(sum(content) // 3, content):
+            yield signs, rows
+
+
+def _reference_lowerable(rows):
+    """The candidates as lt_generators once computed them: every value above its
+    own row whose lowering, copied and re-checked, stays semi-standard."""
+    return sorted(
+        v
+        for v in {x for row in rows for x in row}
+        if ladderweb._below_row_cells(rows, v) and ladderweb._lower_all(rows, v)[0] is not None
+    )
+
+
+def test_lowerable_matches_the_lowering_test(monkeypatch):
+    # at every step of every basis tableau with n <= 8, the one-pass candidates are
+    # the values whose lowered copy passes is_semistandard
+    real, steps = ladderweb._lowerable, []
+
+    def checked(rows):
+        got = real(rows)
+        assert got == _reference_lowerable(rows), rows
+        steps.append(rows)
+        return got
+
+    monkeypatch.setattr(ladderweb, "_lowerable", checked)
+    for _signs, rows in _classical_tableaux(8):
+        lt_generators(rows)
+    assert len(steps) > 10_000
+
+
+def test_lt_generators_lowers_once_per_factor(monkeypatch):
+    # only the chosen value is lowered: one copy of the tableau per emitted factor
+    real, calls = ladderweb._lower_all, []
+
+    def counted(rows, v):
+        calls.append(v)
+        return real(rows, v)
+
+    monkeypatch.setattr(ladderweb, "_lower_all", counted)
+    tableaux = 0
+    for _signs, rows in _classical_tableaux(6):
+        calls.clear()
+        word = lt_generators(rows)
+        assert len(calls) == word.length, rows
+        tableaux += 1
+    assert tableaux == 176
+
+
 def test_lt_generators_rejects_bad_tableau():
     with pytest.raises(ValueError):
         lt_generators(((2, 1, 1),))
@@ -151,6 +205,62 @@ def test_basis_needs_classical_string():
         sign_weights("++")
     with pytest.raises(ValueError, match=r"bad sign 'y'; expected one of o \+ - x"):
         sign_weights("+y-")
+
+
+def _reference_semistandard_tableaux(ell: int, content: tuple[int, ...]) -> list[tuple]:
+    """All semi-standard 3-column tableaux with ell rows and given content.
+
+    content[k-1] is the multiplicity of the entry k.  Cells are filled in
+    reading order with the smallest legal values first, so the output is in
+    lexicographic order of reading words.
+    """
+    if sum(content) != 3 * ell:
+        raise ValueError("content does not fill the tableau")
+    n = len(content)
+    rows = [[0] * 3 for _ in range(ell)]
+    remaining = list(content)
+    out = []
+
+    def rec(pos: int):
+        if pos == 3 * ell:
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        r, c = divmod(pos, 3)
+        lo = 1
+        if c > 0:
+            lo = max(lo, rows[r][c - 1])
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for v in range(lo, n + 1):
+            if remaining[v - 1] == 0:
+                continue
+            rows[r][c] = v
+            remaining[v - 1] -= 1
+            rec(pos + 1)
+            remaining[v - 1] += 1
+            rows[r][c] = 0
+
+    rec(0)
+    return out
+
+
+def test_tableaux_match_the_cell_by_cell_search():
+    # the strip-by-strip growth lists what the backtracking fill lists, in its order
+    total = 0
+    for signs in classical_sign_strings(9):
+        content = sign_weights(signs)
+        ell = sum(content) // 3
+        got = semistandard_tableaux(ell, content)
+        assert got == _reference_semistandard_tableaux(ell, content), signs
+        total += len(got)
+    assert total == 10_564  # over the 340 classical boundaries with n <= 9
+
+
+def test_tableaux_of_unclassical_contents():
+    for ell, content in ((0, ()), (1, (3,)), (1, (0, 2, 1)), (2, (1, 1, 4)), (2, (2, 2, 2))):
+        assert semistandard_tableaux(ell, content) == _reference_semistandard_tableaux(ell, content)
+    with pytest.raises(ValueError, match="content does not fill the tableau"):
+        semistandard_tableaux(2, (1, 1))
 
 
 def test_webs_never_die_and_boundaries_match():
