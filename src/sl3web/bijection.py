@@ -3,10 +3,12 @@
 The forward map `iota` walks the rungs of a ladder web in application
 order: the k-th rung places a node with entry k into each component named
 by the moved color subset, at that component's unique fillable node whose
-residue equals the rung index.  The inverse `grow` reads a standard
-multitableau as a tower of weight diagrams and re-emits one ladder rung
-per level, recovering the web and the flow; `roundtrip_holds` compares
-the rungs it reads off the filling's residues with the web's.
+residue equals the rung index.  The inverse `grow` reads the entries of a
+standard multitableau level by level and re-emits one ladder rung per
+level at the residue of that level's nodes, recovering the web and the
+flow; `roundtrip_holds` compares the rungs it reads off the filling's
+residues with the web's.  `weight_diagram_tower` draws the same levels as
+weight diagrams, for display.
 
 Every rung also carries a classification (family, type, color) determined
 by which of its four edge germs are erased and by the flow; each placement
@@ -342,7 +344,7 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     m = t.shape.m
     word, moves = _read_word(t)
     if n is None:
-        n = max(max((i + 1 for i, _ in word), default=m + 1), m)
+        n = max(max((i + 1 for i, _ in word.factors), default=m + 1), m)
     web = build_web(word, n, m)
     if web is None:
         raise RuntimeError("grown word killed the highest weight vector")
@@ -406,7 +408,7 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
         if lengths != padded:
             raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
         filled = tuple(tuple(tuple(row) for row in comp if row) for comp in rows)
-        records.append((state, degree, flow, StdMultitableau3._trusted(shape, filled)))
+        records.append((state, degree, flow, StdMultitableau3._make((shape, filled))))
         by_state.setdefault(state, []).append(degree)
 
     def walk(step: int, degree: int, exponent: int) -> None:

@@ -190,7 +190,7 @@ def minimal_permutation(t: StdMultitableau3) -> tuple[list[Transposition], list[
         flat[low], flat[high] = v + 1, v
         it = iter(flat)
         rows = tuple(tuple(tuple(itertools.islice(it, n)) for n in comp) for comp in t.shape.components)
-        steps.append(StdMultitableau3._trusted(t.shape, rows))
+        steps.append(StdMultitableau3._make((t.shape, rows)))
     return seq, steps
 
 
@@ -233,6 +233,12 @@ def permutation_word(seq: list[Transposition]) -> str:
     return " ".join(str(tr) for tr in reversed(seq)) or "1"
 
 
+# (kind, degree, count) of a swap by the residue of its low node less that of
+# its high node; any other difference shifts
+_SWAP_KINDS = {0: ("digon_removal", -2, 2), -1: ("zip", 1, 0), 1: ("unzip", 1, 0)}
+_SHIFT = ("shift", 0, 0)
+
+
 def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
     """Generator kind and degree of a transposition swapping residues a, b.
 
@@ -240,19 +246,11 @@ def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
     position carries the smaller residue), equal residues remove two digons
     at degree -2, and distant residues commute freely at degree 0.
     """
-    if res_a == res_b:
-        return "digon_removal", -2
-    if abs(res_a - res_b) == 1:
-        return ("zip", 1) if res_a < res_b else ("unzip", 1)
-    return "shift", 0
+    return _SWAP_KINDS.get(res_a - res_b, _SHIFT)[:2]
 
 
 # -- half foams and the basis ---------------------------------------------------
 
-# (kind, degree, count) of a swap by the residue of its low node less that of
-# its high node, as `classify_transposition` has it; any other difference shifts
-_SWAP_KINDS = {0: ("digon_removal", -2, 2), -1: ("zip", 1, 0), 1: ("unzip", 1, 0)}
-_SHIFT = ("shift", 0, 0)
 _FACE_KINDS = {2: ("digon_removal", -1), 3: ("theta_removal", -3)}
 
 

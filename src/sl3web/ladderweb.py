@@ -41,34 +41,12 @@ def c_of_S(S: str) -> int:
     return sum(k * w for k, w in enumerate(weights, start=1)) - 3 * ell * (ell + 1) // 2
 
 
-class LTWord:
-    """A word of divided-power factors (index, power), rightmost applied first."""
+class LTWord(NamedTuple):
+    """A word of divided-power factors (index, power), rightmost applied first.
 
-    __slots__ = ("factors",)
+    Build one from int pairs, or from text with `parse`, which checks them."""
 
-    def __init__(self, factors=()):
-        factors = tuple((int(i), int(j)) for i, j in factors)
-        for i, j in factors:
-            if i < 1:
-                raise ValueError(f"ladder index {i} must be positive")
-            if j not in (1, 2, 3):
-                raise ValueError(f"divided power {j} must be 1, 2 or 3")
-        object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LTWord is immutable")
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, LTWord) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
+    factors: tuple[tuple[int, int], ...] = ()
 
     def __repr__(self):
         return f"LTWord({self!s})"
@@ -102,10 +80,13 @@ class LTWord:
             m = re.fullmatch(r"[Ff](\d+)(?:\^(?:\((\d+)\)|(\d+)))?", token)
             if not m:
                 raise ValueError(f"cannot parse ladder factor {token!r}")
-            i = int(m.group(1))
-            j = int(m.group(2) or m.group(3) or 1)
-            factors.append((i, j))
-        return cls(factors)
+            factors.append((int(m.group(1)), int(m.group(2) or m.group(3) or 1)))
+        for i, j in factors:
+            if i < 1:
+                raise ValueError(f"ladder index {i} must be positive")
+            if j not in (1, 2, 3):
+                raise ValueError(f"divided power {j} must be 1, 2 or 3")
+        return cls(tuple(factors))
 
 
 def highest_weight(n: int, ell: int) -> tuple[int, ...]:
@@ -183,13 +164,13 @@ def _below_row_cells(rows, v: int) -> list[tuple[int, int]]:
 
 
 def _lower_all(rows, v: int):
-    """Lower every occurrence of v sitting above row v by one, or None."""
+    """Lower every occurrence of v sitting above row v by one; the new rows and
+    the count.  Only values `_lowerable` offers keep the tableau semi-standard."""
     cells = _below_row_cells(rows, v)
     new_rows = [list(row) for row in rows]
     for r, c in cells:
         new_rows[r - 1][c - 1] = v - 1
-    new_rows = tuple(tuple(row) for row in new_rows)
-    return (new_rows, len(cells)) if is_semistandard(new_rows) else (None, 0)
+    return tuple(map(tuple, new_rows)), len(cells)
 
 
 def _entry(rows, r: int, c: int):
@@ -265,12 +246,9 @@ def lt_generators(rows) -> LTWord:
             if not outside:
                 break
             v = outside[0]
-        new_rows, count = _lower_all(rows, v)
-        if new_rows is None:
-            raise RuntimeError(f"cannot lower {v} in {rows}")
-        rows = new_rows
+        rows, count = _lower_all(rows, v)
         factors.append((v - 1, count))
-    return LTWord(factors)
+    return LTWord(tuple(factors))
 
 
 def web_from_tableau(rows, n: int | None = None):

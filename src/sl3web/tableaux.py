@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 
 class Node(NamedTuple):
@@ -42,7 +41,7 @@ def _row_length(comp: tuple[int, ...], row: int) -> int:
 _MULTIPLICITY_CORRECTION = {1: 0, 2: 1, 3: 3}
 
 
-class Multipartition3:
+class Multipartition3(NamedTuple("_Shape", [("components", tuple), ("m", int)])):
     """Three partitions, each a weakly decreasing tuple of positive row
     lengths, with a fixed residue shift m.
 
@@ -51,9 +50,9 @@ class Multipartition3:
     building truncations or intermediate diagrams.
     """
 
-    __slots__ = ("components", "m")
+    __slots__ = ()
 
-    def __init__(self, components, m: int | None = None):
+    def __new__(cls, components, m: int | None = None):
         comps = []
         for comp in components:
             ps = [int(p) for p in comp]
@@ -67,21 +66,7 @@ class Multipartition3:
         if len(comps) != 3:
             raise ValueError("need exactly three components")
         default_m = max(map(len, comps))
-        object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "m", default_m if m is None else int(m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multipartition3 is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multipartition3)
-            and self.components == other.components
-            and self.m == other.m
-        )
-
-    def __hash__(self):
-        return hash((self.components, self.m))
+        return super().__new__(cls, tuple(comps), default_m if m is None else int(m))
 
     def __repr__(self):
         parts = ", ".join(str(list(c)) for c in self.components)
@@ -174,43 +159,25 @@ def dominates(a: Multipartition3, b: Multipartition3) -> bool:
     return True
 
 
-class StdMultitableau3:
+class StdMultitableau3(NamedTuple("_Filling", [("shape", Multipartition3), ("rows", tuple)])):
     """A standard filling of a 3-multipartition.
 
     Entries strictly increase along rows and columns of every component.
     An entry may repeat (multiplicity at most 3) but never twice inside one
     component, and all its occurrences must share one residue; repeats
-    encode divided powers.
+    encode divided powers.  Calling the class validates the filling; code
+    that places every entry by those rules builds one unchecked with
+    ``StdMultitableau3._make((shape, rows))``, rows as tuples of int tuples.
     """
 
-    __slots__ = ("shape", "rows", "_entries", "_residues")
+    __slots__ = ()
+
+    def __new__(cls, shape: Multipartition3, rows):
+        rows = tuple(tuple(tuple(int(v) for v in row) for row in comp) for comp in rows)
+        return super().__new__(cls, shape, rows)
 
     def __init__(self, shape: Multipartition3, rows):
-        rows = tuple(tuple(tuple(int(v) for v in row) for row in comp) for comp in rows)
-        self._init(shape, rows)
         self._validate()
-
-    @classmethod
-    def _trusted(cls, shape: Multipartition3, rows) -> "StdMultitableau3":
-        """A filling built without validation.
-
-        ``rows`` must already be tuples of int tuples forming a standard
-        filling of ``shape``; only code that derives it from a validated
-        filling, or that places each entry by the rules `_validate` checks
-        (the survey's prefix-tree walk), calls this.
-        """
-        t = object.__new__(cls)
-        t._init(shape, rows)
-        return t
-
-    def _init(self, shape: Multipartition3, rows) -> None:
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_residues", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StdMultitableau3 is immutable")
 
     def _validate(self):
         if len(self.rows) != 3:
@@ -241,40 +208,24 @@ class StdMultitableau3:
             if len(residues) != 1:
                 raise ValueError(f"repeated entry {v} has mixed residues {residues}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, StdMultitableau3)
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
     def __repr__(self):
         comps = []
         for comp in self.rows:
             comps.append("/".join(" ".join(str(v) for v in row) for row in comp) or "@")
         return "(" + ", ".join(comps) + ")"
 
-    def entries(self) -> Mapping[int, tuple[Node, ...]]:
-        """Entry value -> occurrence nodes, ordered leftmost component first.
-
-        Computed once per filling and returned read-only.
-        """
-        if self._entries is None:
-            occ: dict[int, list[Node]] = {}
-            for l, comp in enumerate(self.rows, start=1):
-                for r, row in enumerate(comp, start=1):
-                    for c, v in enumerate(row, start=1):
-                        occ.setdefault(v, []).append(Node(r, c, l))
-            frozen = MappingProxyType({v: tuple(nodes) for v, nodes in occ.items()})
-            object.__setattr__(self, "_entries", frozen)
-        return self._entries
+    def entries(self) -> dict[int, tuple[Node, ...]]:
+        """Entry value -> occurrence nodes, ordered leftmost component first."""
+        occ: dict[int, list[Node]] = {}
+        for l, comp in enumerate(self.rows, start=1):
+            for r, row in enumerate(comp, start=1):
+                for c, v in enumerate(row, start=1):
+                    occ.setdefault(v, []).append(Node(r, c, l))
+        return {v: tuple(nodes) for v, nodes in occ.items()}
 
     @property
     def max_entry(self) -> int:
-        return max(self.entries(), default=0)
+        return max((v for comp in self.rows for row in comp for v in row), default=0)
 
     def nodes_with_entry(self, v: int) -> tuple[Node, ...]:
         return self.entries().get(v, ())
@@ -294,15 +245,12 @@ class StdMultitableau3:
             comps.append([len(r) for r in new_rows])
         shape = Multipartition3(comps, m=self.shape.m)
         # kept entries form a prefix of every row and column: still standard
-        return StdMultitableau3._trusted(shape, tuple(rows))
+        return StdMultitableau3._make((shape, tuple(rows)))
 
     def residue_sequence(self) -> tuple[int, ...]:
         """Residue of the entry-j nodes for j = 1..max (repeats share one)."""
-        if self._residues is None:
-            occ = self.entries()
-            seq = tuple(self.shape.residue(occ[j][0]) for j in range(1, self.max_entry + 1))
-            object.__setattr__(self, "_residues", seq)
-        return self._residues
+        occ = self.entries()
+        return tuple(self.shape.residue(occ[j][0]) for j in range(1, self.max_entry + 1))
 
     def expand_repeats(self) -> "StdMultitableau3":
         """Replace repeated entries by consecutive ones, leftmost smallest."""
@@ -353,7 +301,7 @@ def superstandard(shape: Multipartition3) -> StdMultitableau3:
             next_entry += length
         rows.append(tuple(comp_rows))
     # distinct entries growing along every row and down every column
-    return StdMultitableau3._trusted(shape, tuple(rows))
+    return StdMultitableau3._make((shape, tuple(rows)))
 
 
 def swap_keeps_standard(low: Node, high: Node) -> bool:

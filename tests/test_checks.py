@@ -38,14 +38,14 @@ def test_roundtrip_fails_when_grow_returns_another_flow(monkeypatch):
 
 
 def test_roundtrip_fails_when_iota_collides(monkeypatch):
-    real = StdMultitableau3._trusted
+    real = StdMultitableau3._make
     first: dict = {}
 
-    def collide(cls, shape, rows):
+    def collide(cls, fields):
         # every flow of one state gets the filling of the first flow filled with it
-        return first.setdefault(shape, real(shape, rows))
+        return first.setdefault(fields[0], real(fields))
 
-    monkeypatch.setattr(StdMultitableau3, "_trusted", classmethod(collide))
+    monkeypatch.setattr(StdMultitableau3, "_make", classmethod(collide))
     ok, ce = checks.check_roundtrip(checks.Boundary(SIGNS))
     assert not ok
     assert ce["reason"] == "iota not injective"
@@ -57,9 +57,9 @@ def test_roundtrip_runs_iota_once_per_flow(monkeypatch):
 
     class Counted(StdMultitableau3):
         @classmethod
-        def _trusted(cls, shape, rows):
-            calls.append(rows)
-            return super()._trusted(shape, rows)
+        def _make(cls, fields):
+            calls.append(fields[1])
+            return super()._make(fields)
 
     monkeypatch.setattr(bijection, "StdMultitableau3", Counted)
     monkeypatch.setattr(bijection, "iota", None)

@@ -275,6 +275,20 @@ def test_explicit_zero_strands_or_level_is_honoured(capsys, argv, err):
 
 
 @pytest.mark.parametrize(
+    "word,err",
+    [
+        ("F0", "error: ladder index 0 must be positive\n"),
+        ("F1^4", "error: divided power 4 must be 1, 2 or 3\n"),
+        ("F1^(0)", "error: divided power 0 must be 1, 2 or 3\n"),
+    ],
+)
+def test_out_of_range_word_factor_is_usage_error(capsys, word, err):
+    assert main(["webs", "show", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize(
     "word,n,levels,code,err",
     [
         ("F10000", [], [10000], 0, ""),

@@ -8,7 +8,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,19 @@ def test_full_parser_lists_every_verb():
     # the benchmark's set-up time is that of build_parser() with every verb
     text = build_parser().format_help()
     assert [v for v in VERBS if re.search(rf"^    {v} ", text, re.M)] == list(VERBS)
+
+
+def test_traced_child_matches_golden():
+    # the benchmark's traced run wraps methods on the classes (hostbench/tracer.py);
+    # the wrapped commands must still exit and print as the golden corpus has it
+    root = Path(__file__).resolve().parent.parent
+    iota = next(e for e in GOLDEN["queries"] if e["argv"][2:4] == ["bij", "iota"])
+    grow = next(e for e in GOLDEN["queries"] if e["argv"][2:4] == ["bij", "grow"])
+    entries = [GOLDEN["verify"]["++++-"], GOLDEN["foam"]["-+--++"], iota, grow]
+    done = subprocess.run(
+        [sys.executable, "hostbench/child.py", "--trace", json.dumps([e["argv"] for e in entries])],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    results = json.loads(done.stdout.splitlines()[-1])["results"]
+    assert [r[1:3] for r in results] == [[e["code"], e["sha256"]] for e in entries]

@@ -64,7 +64,7 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
 
 def test_only_validated_values_define_their_own_equality():
     # every other class with data is a NamedTuple: equal fields, equal records
-    values = {"LTWord", "Multipartition3", "StdMultitableau3", "LaurentPoly"}
+    values = {"LaurentPoly"}
     owners = {
         node.name
         for path in FILES if path.is_relative_to(ROOT / "src")

@@ -77,7 +77,7 @@ def test_word_parse_accepts_parenthesized_powers():
 )
 @settings(max_examples=60)
 def test_random_word_text_roundtrip(factors):
-    w = LTWord(factors)
+    w = LTWord(tuple(factors))
     assert LTWord.parse(str(w)) == w
     assert w.total_length == sum(j for _, j in factors)
 
@@ -116,10 +116,16 @@ def _classical_tableaux(max_n: int, min_n: int = 2):
 def _reference_lowerable(rows):
     """The candidates as lt_generators once computed them: every value above its
     own row whose lowering, copied and re-checked, stays semi-standard."""
+    def lowered(v):
+        copy = [list(row) for row in rows]
+        for r, c in ladderweb._below_row_cells(rows, v):
+            copy[r - 1][c - 1] = v - 1
+        return copy
+
     return sorted(
         v
         for v in {x for row in rows for x in row}
-        if ladderweb._below_row_cells(rows, v) and ladderweb._lower_all(rows, v)[0] is not None
+        if ladderweb._below_row_cells(rows, v) and ladderweb.is_semistandard(lowered(v))
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3web.foamword import dot_placement, minimal_permutation
+from sl3web.ladderweb import LTWord
 from sl3web.tableaux import (
     Multipartition3,
     Node,
@@ -355,6 +356,15 @@ def test_swap_rule_equals_full_validation():
             assert swap_keeps_standard(occ[j][0], occ[j + 1][0]) == standard, (t, j)
             checked += 1
     assert checked == 48882  # (filling, j) pairs over all shapes with <= 6 nodes
+
+
+def test_value_records_are_immutable():
+    shape = mp((1,), (), (1, 1))
+    records = ((LTWord.parse("F1 F2"), "factors"), (shape, "components"), (shape, "m"),
+               (superstandard(shape), "rows"), (superstandard(shape), "shape"))
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
 
 
 def test_trusted_fillings_pass_full_validation():
