@@ -11,9 +11,9 @@ residues with the web's.  `weight_diagram_tower` draws the same levels as
 weight diagrams, for display.
 
 Every rung also carries a classification (family, type, color) determined
-by which of its four edge germs are erased and by the flow; each placement
-is cross-checked against the static move table, so a miscalibration of
-the state dictionary fails loudly.
+by which of its four edge germs are erased and by the flow, and the static
+move table names the components each kind places into.  Every rung but a
+cap (`cap_step`) has a kind, and the table places into its moved colors.
 
 `survey` is the one place that fills a boundary's flows; the checks, the
 cellular basis, the graded dimensions and the roundtrips all read its
@@ -60,9 +60,8 @@ class MoveKind(NamedTuple):
 
 
 # Placement table: (family, type, color, primed) -> components receiving a
-# node.  The h/b rows describe the leftward horizontal move, which ladder
-# words built from lowering operators never produce; they are kept for the
-# growth direction and flagged if ever reached.
+# node.  The h/b rows, kept for the growth direction, describe the leftward
+# horizontal move, which ladder words built from lowering operators never produce.
 MOVE_TABLE: dict[tuple[str, str | None, int | None, bool], tuple[int, ...]] = {
     ("arc", "a", 1, False): (2, 3),
     ("arc", "a", 0, False): (1, 3),
@@ -179,14 +178,13 @@ def shape_of_boundary(web: LadderWeb, flow: Flow) -> Multipartition3:
     return colstrict_to_multipartition(flow_to_colstrict(web, flow))
 
 
-def _check_move(step: int, kind: MoveKind, moved: frozenset) -> None:
-    """Require the move table to place the rung's nodes into its moved colors."""
-    expected = MOVE_TABLE[kind]
-    if tuple(sorted(moved)) != expected:
-        raise RuntimeError(
-            f"step {step}: moved colors {sorted(moved)} do not match "
-            f"move {kind} placing into {expected}"
-        )
+def cap_step(web: LadderWeb) -> int | None:
+    """The first rung (1-based, application order) whose two strands both end there,
+    taking weights (j, 3 - j) to (0, 3): a cap, which has no move kind; or None."""
+    for step, (i, j) in enumerate(web.word.application_order(), start=1):
+        if j < 3 and web.layers[step - 1][i - 1:i + 1] == (j, 3 - j):
+            return step
+    return None
 
 
 def _next_node(lengths: list[int], l: int, res: int, m: int) -> Node:
@@ -213,15 +211,14 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     right, so each row offers one candidate cell: the one after its filled
     prefix.
     """
+    if (cap := cap_step(web)) is not None:
+        raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
     shape = shape_of_boundary(web, flow)
     parts = shape.components
     filled = [[[0] * length for length in p] for p in parts]
     front = [[0] * len(p) for p in parts]  # filled prefix length of every row
-    order = web.word.application_order()
-    for step, (i, _j) in enumerate(order, start=1):
-        moved = flow.moves[step - 1]
-        _check_move(step, classify_step(web, flow, step), moved)
-        for l in sorted(moved):
+    for step, (i, _j) in enumerate(web.word.application_order(), start=1):
+        for l in sorted(flow.moves[step - 1]):
             node = _next_node(front[l - 1], l, i, shape.m)
             if node.col > parts[l - 1][node.row - 1]:
                 raise RuntimeError(f"component {l} has no room for residue {i} in {shape}")
@@ -374,19 +371,20 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
 
     One depth-first walk over the flow-prefix tree, in `enumerate_flows`
     order, reading a rung's moves off `flows._moves` once per web.  A prefix
-    node classifies its rung against MOVE_TABLE, places the moved colors'
-    nodes as `iota` does, and adds that entry's share of `bkw_degree` and the
-    move's exponent to the flow's weight, on state the walk undoes when it
-    backtracks.  The residue shift is the web's: ell less the leading
-    weight-3 strands on top, whose rows are empty in every component.  With
-    the shift fixed and a residue naming one row (`_next_node`), no
-    placement needs the shape: a leaf checks that the grown row lengths,
-    with the web's shift, are the shape `shape_of_boundary` reads off the
-    flow.  A top layer fixes the state and the shape, so `states` maps it to
-    (state, shape, row lengths padded to the shift), read off its first
+    node places the moved colors' nodes as `iota` does and adds that entry's
+    share of `bkw_degree` and the move's exponent to the flow's weight, on
+    state the walk undoes when it backtracks.  The residue shift is the web's:
+    ell less the leading weight-3 strands on top, whose rows are empty in
+    every component.  With the shift fixed and a residue naming one row
+    (`_next_node`), no placement needs the shape: a leaf checks that the grown
+    row lengths, with the web's shift, are the shape `shape_of_boundary` reads
+    off the flow.  A top layer fixes the state and the shape, so `states` maps
+    it to (state, shape, row lengths padded to the shift), read off its first
     flow, and the leaf hands the state to its flow; `survey` shares the map
     between the webs of a boundary, which share ell and top weights.
     """
+    if (cap := cap_step(web)) is not None:
+        raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
     order = web.word.application_order()
     top = web.layers[-1]
     m = web.ell - next((s for s, w in enumerate(top) if w != 3), len(top))
@@ -415,10 +413,9 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
         if step > len(order):
             return leaf(degree, exponent)
         i, j = order[step - 1]
-        below, cur = web.layers[step - 1], layers[-1]
+        cur = layers[-1]
         head, tail = cur[:i - 1], cur[i + 1:]
         for h, left, right, e, combo in _legal(table, cur, i, j):
-            _check_move(step, _classify(step, below[i - 1], below[i], j, cur[i - 1], cur[i], h), h)
             nodes = [_next_node(lengths[l - 1], l, i, m) for l in combo]
             grown = degree + _entry_degree(lengths, m, nodes, i)
             for node in nodes:

@@ -8,9 +8,9 @@ basis, its `bijection.survey` (the only enumeration of the boundary's flows),
 one `flows.flow_vector` per web (the survey's flows weighed by rung exponents
 instead of filling degrees), their pairing per ordered pair of webs (the
 bracket of the glued pair) and the half foams of `foamword.cellular_halves`,
-each reflected once, never a basis foam: a pair is a lower half, the dots and
-a reflected upper half, so its degree and its involution follow from theirs.
-An exception inside one check is a failing result.
+never a basis foam: a pair is a lower half, the dots and a reflected upper
+half, so its degree follows from theirs and its involution from that of
+their generators.  An exception inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 from functools import cached_property
 
 from sl3web.bijection import roundtrip_holds, survey
-from sl3web.flows import canonical_flow, flow_vector, pairing, tensor_expansion
+from sl3web.flows import flow_vector, pairing, tableau_state, tensor_expansion
 from sl3web.foamword import cellular_halves, graded_dim_pair
 from sl3web.ladderweb import enumerate_basis
 from sl3web.laurent import monomial
@@ -63,10 +63,15 @@ class Boundary:
 
     @cached_property
     def halves(self):
-        """(shape, dot generators, (filling, filling degree, lower half, its
-        reflection) per flow) per state: each half is reflected once, here."""
-        return [(shape, dots, [(t, d, half, half.reflected()) for t, d, half in halves])
-                for shape, dots, halves in cellular_halves(self.surveys)]
+        """(shape, dot generators, (filling, filling degree, lower half) per flow) per state."""
+        return list(cellular_halves(self.surveys))
+
+    @cached_property
+    def generators(self):
+        """The distinct generators of the halves and the dots, in order of first use."""
+        return dict.fromkeys(itertools.chain.from_iterable(
+            gens for _shape, dots, halves in self.halves
+            for gens in (dots, *(half.generators for _t, _d, half in halves))))
 
 
 def _payload(signs: str, **extra) -> dict:
@@ -109,7 +114,7 @@ def check_unitriangularity(b: Boundary):
     """Tensor coefficients: 1 at the defining state, rest lower; defining states distinct."""
     leaders: dict[tuple[int, ...], str] = {}
     for (tableau, _web), entry, vector in zip(b.basis, b.surveys, b.vectors):
-        leading = canonical_flow(entry.web, tableau, (f for _j, _d, f, _t in entry.records)).state
+        leading = tableau_state(tableau)
         expansion = tensor_expansion(vector)
         if expansion.get(leading) != monomial(0):
             return False, _payload(
@@ -175,33 +180,29 @@ def check_graded_dim(b: Boundary):
 
 def check_homogeneity(b: Boundary):
     """A half weighs filling minus superstandard degree (`cellular_halves` raises
-    otherwise), and so does its stored reflection; the dots weigh twice the superstandard
-    degree, which every half of the state hands on as its filling degree less its own."""
+    otherwise), as does its reflection if every generator's does; the dots weigh twice
+    the superstandard degree, each half's filling degree less its own."""
     for shape, dots, halves in b.halves:
-        _t, d, half, _reflected = halves[0]
+        _t, d, half = halves[0]
         want = 2 * (d - half.degree)
         got = sum(g.degree for g in dots)
         if got != want:
             return False, _payload(b.signs, shape=shape.to_json(), dot_degree=got, expected=want)
-        for t, _d, half, reflected in halves:
-            if reflected.degree != half.degree:
-                return False, _payload(
-                    b.signs, tableau=t.to_json(), reason="reflection changed a degree"
-                )
+    for g in b.generators:
+        if g.reflected().degree != g.degree:
+            return False, _payload(b.signs, generator=str(g), reason="reflection changed a degree")
     return True, None
 
 
 def check_cellularity(b: Boundary):
-    """Dot words and the halves' stored reflections reflect back; a state's fillings are
+    """Generators reflect back, so the halves and dot words do; a state's fillings are
     distinct, so the involution fixes only the diagonal; sum_j n_j^2 = sum bracket(u, v)(1)."""
+    for g in b.generators:
+        if g.reflected().reflected() != g:
+            return False, _payload(b.signs, generator=str(g), reason="involution is not involutive")
     count = 0
-    for shape, dots, halves in b.halves:
-        if (any(g.reflected().reflected() != g for g in dots)
-                or any(reflected.reflected() != half for _t, _d, half, reflected in halves)):
-            return False, _payload(
-                b.signs, shape=shape.to_json(), reason="involution is not involutive"
-            )
-        if len({t for t, _d, _half, _reflected in halves}) != len(halves):
+    for shape, _dots, halves in b.halves:
+        if len({t for t, _d, _half in halves}) != len(halves):
             return False, _payload(
                 b.signs, shape=shape.to_json(), reason="involution fixes a non-diagonal"
             )

@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 
 from sl3web import checks
-from sl3web.bijection import grow, iota, roundtrip_holds, survey
+from sl3web.bijection import cap_step, grow, iota, roundtrip_holds, survey
 from sl3web.flows import (
     ClosedWeb,
     bracket,
@@ -223,10 +223,10 @@ def _iota_web(args) -> LadderWeb:
     if web.layers[-1][:1] == (3,):
         raise UsageError(f"iota needs a top layer without leading weight-3 strands, "
                          f"got {' '.join(map(str, web.layers[-1]))}")
-    for step, (i, j) in enumerate(web.word.application_order(), start=1):
-        if j < 3 and web.layers[step - 1][i - 1:i + 1] == (j, 3 - j):
-            raise UsageError(f"iota has no move for rung {step}: both its strands end there, "
-                             f"weights ({j},{3 - j})->(0,3)")
+    if (step := cap_step(web)) is not None:
+        j = web.word.application_order()[step - 1][1]
+        raise UsageError(f"iota has no move for rung {step}: both its strands end there, "
+                         f"weights ({j},{3 - j})->(0,3)")
     return web
 
 

@@ -318,6 +318,14 @@ def flow_to_colstrict(web: LadderWeb, flow: Flow):
     )
 
 
+def tableau_state(rows) -> tuple[int, ...]:
+    """The state of the flow whose column-strict reading (`flow_to_colstrict`) is
+    `rows`, a basis web's leading state: strand k holds color c when column c lists k."""
+    n = max(map(max, rows), default=0)
+    return _top_state(tuple(frozenset(c for c, col in zip(COLORS, zip(*rows)) if k in col)
+                            for k in range(1, n + 1)))
+
+
 def canonical_flow(web: LadderWeb, tableau, flows) -> Flow:
     """The unique flow whose column-strict reading is `tableau`, the one the web
     was built from, searched among `flows`, which are all the flows on the web."""

@@ -11,7 +11,7 @@ The cellular basis splits into halves and pairs.  Per boundary state,
 superstandard one on the frame's integers (`_swap_walk`).  The basis
 reflects each half once, joins two halves of one state around the dots,
 weighs the pair by its parts and emits the pairs in key order unsorted.
-`_gen` and `_reflect` intern the generators.
+`_gen` interns the generators, reflected ones too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from sl3web.ladderweb import LTWord, enumerate_basis
 from sl3web.tableaux import (
     Multipartition3,
     StdMultitableau3,
-    multipartition_to_colstrict,
     superstandard,
 )
 
@@ -62,10 +61,11 @@ def _gen(kind: str, degree: int, position: int | None, count: int, mirrored: boo
     return FoamGen(kind, degree, position, count, mirrored)
 
 
-@lru_cache(maxsize=None)
+_MIRROR = {"zip": "unzip", "unzip": "zip"}  # reflection swaps these kinds, keeps the rest
+
+
 def _reflect(g: FoamGen) -> FoamGen:
-    kind = {"zip": "unzip", "unzip": "zip"}.get(g.kind, g.kind)
-    return _gen(kind, g.degree, g.position, g.count, not g.mirrored)
+    return _gen(_MIRROR.get(g.kind, g.kind), g.degree, g.position, g.count, not g.mirrored)
 
 
 class FoamWord(NamedTuple):
@@ -108,11 +108,9 @@ def _idempotent(residues: tuple[int, ...]) -> LTWord:
 
 
 def boundary_strand_count(shape: Multipartition3) -> int:
-    """Strand count of the boundary encoded by a shape (its largest entry)."""
-    if shape.size == 0:
-        return max(shape.m, 1)
-    rows = multipartition_to_colstrict(shape, shape.m)
-    return max(max(row) for row in rows)
+    """Strand count of the boundary encoded by a shape: the largest entry of its
+    column-strict reading with m rows, the top row's m plus its longest first row."""
+    return max(shape.m + max((c[0] for c in shape.components if c), default=0), 1)
 
 
 def orthogonality_check(a: Multipartition3, b: Multipartition3) -> bool:

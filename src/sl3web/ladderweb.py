@@ -219,9 +219,6 @@ def lt_generators(rows) -> LTWord:
     two columns ("outside first"); the target is re-tested against the
     patterns.  Only the chosen v is lowered: one `_lower_all` per factor.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
-    if not is_semistandard(rows):
-        raise ValueError(f"not a semi-standard tableau: {rows}")
     factors = []
     guard = 0
     while True:
@@ -253,7 +250,6 @@ def lt_generators(rows) -> LTWord:
 
 def web_from_tableau(rows, n: int | None = None):
     """Build the ladder web of a semi-standard tableau (never ZERO)."""
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
     ell = len(rows)
     if n is None:
         n = max((max(row) for row in rows if row), default=ell)

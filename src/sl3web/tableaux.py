@@ -449,19 +449,11 @@ def is_column_strict(rows) -> bool:
 def colstrict_to_multipartition(rows) -> Multipartition3:
     """Read a column-strict 3-column tableau as a 3-multipartition.
 
-    Subtract the row number from each entry and read every column bottom
-    to top as a partition.
+    Subtract the row number from each entry, which leaves an increasing column
+    of positive entries non-negative, and read it bottom to top as a partition.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
-    if not is_column_strict(rows):
-        raise ValueError(f"not column-strict: {rows}")
-    comps = []
-    for c in range(3):
-        vals = [rows[r][c] - (r + 1) for r in range(len(rows))]
-        if any(v < 0 for v in vals):
-            raise ValueError(f"column {c + 1} has entries below the row filling")
-        comps.append(vals[::-1])
-    return Multipartition3(comps)
+    return Multipartition3([[row[c] - r for r, row in enumerate(rows, start=1)][::-1]
+                            for c in range(3)])
 
 
 def multipartition_to_colstrict(shape: Multipartition3, nrows: int):

@@ -6,7 +6,9 @@ import pytest
 
 from sl3web.bijection import (
     MOVE_TABLE,
+    _classify,
     _next_node,
+    cap_step,
     classify_step,
     grow,
     iota,
@@ -16,8 +18,8 @@ from sl3web.bijection import (
     weight_diagram_tower,
 )
 from sl3web.checks import classical_sign_strings
-from sl3web.flows import boundary_state, enumerate_flows, flow_to_colstrict
-from sl3web.ladderweb import LTWord, build_web, enumerate_basis, web_from_tableau
+from sl3web.flows import COLORS, boundary_state, enumerate_flows, flow_to_colstrict
+from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, web_from_tableau
 from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
 
 HALF_THETA = web_from_tableau(((1, 1, 2), (2, 3, 3)))
@@ -51,6 +53,59 @@ def test_split_circle_moves():
     f = flow_with_state(SPLIT, (0, 0, 0, 0))
     labels = [str(classify_step(SPLIT, f, k)) for k in range(1, 5)]
     assert labels == ["Arc(a,0)", "right(b,0)", "right(a,0)", "Arc(a,0)"]
+
+
+def _rungs():
+    """Every legal rung (a, b, j, left, right, moved): F^(j) takes weights (a, b) to
+    (a - j, b + j) and moves j colors of the left strand's subset onto free colors."""
+    subsets = [frozenset(s) for k in range(4) for s in itertools.combinations(COLORS, k)]
+    for a, b, j in itertools.product(range(4), range(4), range(1, 4)):
+        if a >= j and b + j <= 3:
+            for left, right in itertools.product(subsets, repeat=2):
+                if len(left) == a and len(right) == b:
+                    for moved in itertools.combinations(sorted(left - right), j):
+                        yield a, b, j, left, right, frozenset(moved)
+
+
+def _is_cap(a, b, j):
+    """Whether `cap_step` flags the rung, on the one-rung web it starts."""
+    return cap_step(LadderWeb(LTWord(((1, j),)), 2, 0, ((a, b), (a - j, b + j)))) == 1
+
+
+def _move_table_mismatches(table):
+    """The classified rungs whose kind the table does not place into their moved colors."""
+    kinds = ((rung, _classify(1, *rung)) for rung in _rungs() if not _is_cap(*rung[:3]))
+    return [(rung, kind) for rung, kind in kinds if table[kind] != tuple(sorted(rung[-1]))]
+
+
+def test_move_table_places_every_rung_into_its_moved_colors():
+    # every legal rung but a cap has a kind, and the table places it right,
+    # so no walk need look the table up
+    rungs = list(_rungs())
+    caps = [rung for rung in rungs if _is_cap(*rung[:3])]
+    assert (len(rungs), len(caps)) == (61, 6)
+    assert {rung[:3] for rung in caps} == {(1, 2, 1), (2, 1, 2)}
+    for rung in caps:
+        with pytest.raises(RuntimeError, match="matches no move"):
+            _classify(1, *rung)
+    kinds = {_classify(1, *rung) for rung in rungs if rung not in caps}
+    assert not any(kind[:2] == ("h", "b") for kind in kinds)
+    assert _move_table_mismatches(MOVE_TABLE) == []
+
+
+def test_swapped_move_table_rows_are_mismatches():
+    table = dict(MOVE_TABLE)
+    a, b = ("arc", "a", 1, False), ("arc", "a", 0, False)
+    table[a], table[b] = table[b], table[a]
+    assert {kind for _rung, kind in _move_table_mismatches(table)} == {a, b}
+
+
+def test_iota_and_the_survey_refuse_a_cap():
+    cap = build_web(LTWord.parse("F1 F1^2"), 2, 1)  # rung 2 takes (1, 2) to (0, 3)
+    assert cap_step(cap) == 2 and cap_step(HALF_THETA) is None
+    for fill in (lambda: iota(cap, enumerate_flows(cap)[0]), lambda: survey_web(cap, {})):
+        with pytest.raises(RuntimeError, match="rung 2 of .* is a cap"):
+            fill()
 
 
 def test_move_table_knows_the_leftward_h_move():

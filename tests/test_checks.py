@@ -159,7 +159,7 @@ def test_duplicate_basis_web_fails_basis_checks(monkeypatch):
     assert ce["reason"] == "two basis webs share their defining state"
 
 
-@pytest.mark.xfail(strict=True, reason="lt_generators gives two tableaux one web (ROADMAP item 1)")
+@pytest.mark.xfail(strict=True, reason="lt_generators gives two tableaux one web (ROADMAP item 5)")
 @pytest.mark.parametrize("signs", ["+--+---", "+---+--", "+-+-+-+-"])
 def test_basis_words_distinct_beyond_six_strands(signs):
     assert checks.check_total_length(checks.Boundary(signs))[0]
@@ -351,14 +351,13 @@ def test_residue_read_one_too_high_fails_roundtrip(monkeypatch):
     assert _failure("roundtrip")["reason"] == "grow did not invert"
 
 
-def test_each_half_is_reflected_at_most_twice(monkeypatch):
-    # once when the boundary's halves are built, once more by the cellular check
+def test_verify_reflects_no_half_word(monkeypatch):
+    # the checks reflect each distinct generator, and a word reflects generator by generator
     real, calls = foamword.FoamWord.reflected, []
     monkeypatch.setattr(foamword.FoamWord, "reflected", lambda w: calls.append(w) or real(w))
     results = checks.run_checks(["homogeneity", "cellular"], [SIGNS])
     assert all(r["ok"] for r in results), results
-    halves = sum(len(entry.records) for entry in checks.Boundary(SIGNS).surveys)
-    assert 0 < len(calls) <= 2 * halves
+    assert calls == []
 
 
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
@@ -389,15 +388,8 @@ def test_shape_other_than_the_grown_rows_fails_roundtrip(monkeypatch, capsys, be
     assert "verify roundtrip: 1 FAILURES" in out and "fills rows" in out
 
 
-def test_swapped_move_table_rows_fail_roundtrip(monkeypatch):
-    table = dict(bijection.MOVE_TABLE)
-    a, b = ("arc", "a", 1, False), ("arc", "a", 0, False)
-    table[a], table[b] = table[b], table[a]
-    monkeypatch.setattr(bijection, "MOVE_TABLE", table)
-    assert "do not match move" in _failure("roundtrip")["error"]
-
-
-def test_unitriangular_reads_a_unique_canonical_flow_off_the_survey(monkeypatch):
+def test_doubled_survey_fails_unitriangular_on_its_coefficient(monkeypatch):
+    # the leading state is read off the tableau; two flows there weigh it 2
     real = bijection.survey_web
 
     def doubled(web, states):
@@ -405,4 +397,20 @@ def test_unitriangular_reads_a_unique_canonical_flow_off_the_survey(monkeypatch)
         return bijection.WebSurvey(entry.web, entry.records * 2, entry.by_state)
 
     monkeypatch.setattr(bijection, "survey_web", doubled)
-    assert "expected a unique canonical flow" in _failure("unitriangular")["error"]
+    assert _failure("unitriangular")["coefficient"] == "2"
+
+
+def test_verify_reproves_no_rule_per_flow(monkeypatch):
+    # the move table, the leading state and the reflection of words are checked once,
+    # by their own tests; verify reads none of them
+    def refuse(*args):
+        raise AssertionError("verify re-proved a rule")
+
+    for module, name in ((bijection, "_classify"), (flows, "canonical_flow")):
+        real = getattr(module, name)
+        for other in (bijection, flows, foamword, checks):
+            if getattr(other, name, None) is real:
+                monkeypatch.setattr(other, name, refuse)
+    monkeypatch.setattr(foamword.FoamWord, "reflected", refuse)
+    results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5))
+    assert all(r["ok"] for r in results), [r for r in results if not r["ok"]]

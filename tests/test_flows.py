@@ -20,6 +20,7 @@ from sl3web.flows import (
     flow_from_moves,
     flow_to_colstrict,
     flow_vector,
+    tableau_state,
     tensor_expansion,
     transition_exponent,
     web_vector,
@@ -155,10 +156,15 @@ def test_canonical_flow_is_semistandard_reading():
 
 
 def test_canonical_flow_exists_uniquely_small_webs():
-    for signs in classical_sign_strings(5):
+    # and its state, the web's leading state, is the one read off the tableau
+    webs = 0
+    for signs in classical_sign_strings(7):
         for rows, web in enumerate_basis(signs):
             flow = canonical_flow(web, rows, enumerate_flows(web))
             assert flow_to_colstrict(web, flow) == rows
+            assert tableau_state(rows) == flow.state, rows
+            webs += 1
+    assert webs == 638
 
 
 def test_theta_canonical_restricts_to_halves():

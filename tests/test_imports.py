@@ -1,6 +1,7 @@
 """No module in src/, scripts/ or tests/ imports a name it never uses, the
-command line imports no stdlib module that only slows its cold start, and a
-record in src/ takes its equality from its fields."""
+command line imports no stdlib module that only slows its cold start, a
+record in src/ takes its equality from its fields, and src/ caches only the
+functions whose caches pay."""
 
 import ast
 import os
@@ -75,3 +76,40 @@ def test_only_validated_values_define_their_own_equality():
         )
     }
     assert owners <= values
+
+
+# interned generators, and rung exponents that every flow prefix reads again
+CACHED = {"foamword._gen", "flows.transition_exponent"}
+
+
+def cached_functions(source: str) -> list[str]:
+    """Module-level functions decorated with functools' `lru_cache` or `cache`."""
+    def name(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None))
+
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and any(name(d) in ("lru_cache", "cache") for d in node.decorator_list)]
+
+
+def _src_cached(read=Path.read_text):
+    return {f"{path.stem}.{fn}" for path in FILES if path.is_relative_to(ROOT / "src")
+            for fn in cached_functions(read(path))}
+
+
+def test_src_caches_only_what_pays():
+    # a cache in front of work hides it from in-process timings; delete the work instead
+    assert _src_cached() <= CACHED
+
+
+def test_guard_sees_a_cached_function():
+    assert cached_functions(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n@functools.cache\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n@functools.lru_cache\ndef d(): pass\ndef e(): pass\n"
+    ) == ["a", "b", "c", "d"]
+    # the reflection cache put back in front of `_reflect` is a third cached function
+    seeded = _src_cached(lambda path: path.read_text().replace(
+        "\ndef _reflect(", "\n@lru_cache(maxsize=None)\ndef _reflect("))
+    assert seeded - CACHED == {"foamword._reflect"}

@@ -164,11 +164,6 @@ def test_lt_generators_lowers_once_per_factor(monkeypatch):
     assert tableaux == 176
 
 
-def test_lt_generators_rejects_bad_tableau():
-    with pytest.raises(ValueError):
-        lt_generators(((2, 1, 1),))
-
-
 # -- building webs -----------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3web.foamword import dot_placement, minimal_permutation
+from sl3web.foamword import boundary_strand_count, dot_placement, minimal_permutation
 from sl3web.ladderweb import LTWord
 from sl3web.tableaux import (
     Multipartition3,
@@ -317,6 +317,24 @@ def _partitions(n, cap):
     for p in range(min(n, cap), 0, -1):
         for rest in _partitions(n - p, p):
             yield (p, *rest)
+
+
+def test_boundary_strand_count_is_the_largest_colstrict_entry():
+    # the closed form against the column-strict reading with m rows (one strand at least)
+    shapes = 0
+    for n in range(8):
+        for a, b in itertools.product(range(n + 1), repeat=2):
+            if a + b <= n:
+                for comps in itertools.product(
+                    _partitions(a, a), _partitions(b, b), _partitions(n - a - b, n - a - b)
+                ):
+                    depth = max(map(len, comps))
+                    for m in range(depth, depth + 3):
+                        shape = mp(*comps, m=m)
+                        rows = multipartition_to_colstrict(shape, m)
+                        assert boundary_strand_count(shape) == max([1, *map(max, rows)]), shape
+                    shapes += 1
+    assert shapes == 844
 
 
 @functools.cache
