@@ -5,7 +5,8 @@ counterexample payload) or on an exception that no payload parser turned into
 a usage error (one ``internal error:`` line); 2 on a usage error, rejected by
 argparse, by a payload parser below, by the ``--flow``/``--max-n`` range checks
 or by ``--format csv`` on a verb that writes no CSV rows.
-A call builds only the sub-parser of the verb it names; root help builds all six.
+An argv spelled out in full is read from the option table, ARGUMENTS; any other builds
+its verb's argparse sub-parser, or all six for root help.
 """
 
 from __future__ import annotations
@@ -354,6 +355,37 @@ CSV_WRITERS = ("webs list", "webs show", "flows enumerate", "flows expand", "bij
 # -- parser -------------------------------------------------------------------
 
 
+# Each verb's help and arguments in add_argument's order, the root's under None: a flag or
+# positional name and the keyword arguments add_argument gets.  build_parser and
+# _fast_parse both read this one table.
+_WORD_ARGS = (("--word", {"help": "ladder word, e.g. 'F1 F2^2'"}),
+              ("--preset", {"choices": PRESET_NAMES}),
+              ("--n", {"type": int, "help": "strand count (default: fit the word)"}),
+              ("--ell", {"type": int, "help": "level (default: unique viable)"}))
+ARGUMENTS = {
+    None: (None, (("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+                  ("--max-total-length", {"type": int, "default": 10}))),
+    "webs": ("enumerate basis webs / dump word layers",
+             (("action", {"choices": ("list", "show")}),
+              ("--signs", {"help": "boundary sign string, e.g. '+-+-'"}), *_WORD_ARGS)),
+    "flows": ("enumerate flows, tensor expansions",
+              (("action", {"choices": ("enumerate", "expand")}), *_WORD_ARGS)),
+    "bij": ("webs with flows <-> standard fillings",
+            (("action", {"choices": ("iota", "grow", "roundtrip")}), *_WORD_ARGS,
+             ("--flow", {"type": int, "default": 0, "help": "flow index"}),
+             ("--tableau", {"help": "standard filling as JSON"}), ("--signs", {}))),
+    "foam": ("cellular basis, graded dimensions, idempotents",
+             (("action", {"choices": ("basis", "dims", "idem")}), ("--signs", {}),
+              ("--shape", {"help": "multipartition as JSON"}))),
+    "bracket": ("bracket of a closed pair",
+                (("--pair", {"nargs": "+", "required": True}), ("--n", {"type": int}),
+                 ("--ell", {"type": int}))),
+    "verify": ("run structural checks",
+               (("check", {"choices": (*checks.CHECKS, "all")}), ("--signs", {}),
+                ("--max-n", {"type": int, "default": 6}))),
+}
+
+
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The root parser with every verb's sub-parser, or with `verb`'s only."""
     # argparse makes a formatter per argument (to check its metavar) and per parser, and
@@ -372,54 +404,73 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
             "degree); foam dims (top, bottom, graded_dim, shifted_bracket, match)."
         ),
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--max-total-length", type=int, default=10)
+    for name, kwargs in ARGUMENTS[None][1]:
+        parser.add_argument(name, **kwargs)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name, help):
-        return (sub.add_parser(name, help=help, formatter_class=formatter)
-                if verb in (None, name) else None)
-
-    def add_word_opts(p):
-        p.add_argument("--word", help="ladder word, e.g. 'F1 F2^2'")
-        p.add_argument("--preset", choices=PRESET_NAMES)
-        p.add_argument("--n", type=int, help="strand count (default: fit the word)")
-        p.add_argument("--ell", type=int, help="level (default: unique viable)")
-
-    if p := add_verb("webs", "enumerate basis webs / dump word layers"):
-        p.add_argument("action", choices=("list", "show"))
-        p.add_argument("--signs", help="boundary sign string, e.g. '+-+-'")
-        add_word_opts(p)
-
-    if p := add_verb("flows", "enumerate flows, tensor expansions"):
-        p.add_argument("action", choices=("enumerate", "expand"))
-        add_word_opts(p)
-
-    if p := add_verb("bij", "webs with flows <-> standard fillings"):
-        p.add_argument("action", choices=("iota", "grow", "roundtrip"))
-        add_word_opts(p)
-        p.add_argument("--flow", type=int, default=0, help="flow index")
-        p.add_argument("--tableau", help="standard filling as JSON")
-        p.add_argument("--signs")
-
-    if p := add_verb("foam", "cellular basis, graded dimensions, idempotents"):
-        p.add_argument("action", choices=("basis", "dims", "idem"))
-        p.add_argument("--signs")
-        p.add_argument("--shape", help="multipartition as JSON")
-
-    if p := add_verb("bracket", "bracket of a closed pair"):
-        p.add_argument("--pair", nargs="+", required=True)
-        p.add_argument("--n", type=int)
-        p.add_argument("--ell", type=int)
-
-    if p := add_verb("verify", "run structural checks"):
-        p.add_argument("check", choices=tuple(checks.CHECKS) + ("all",))
-        p.add_argument("--signs")
-        p.add_argument("--max-n", type=int, default=6)
-
+    for name in VERBS:
+        if verb in (None, name):
+            p = sub.add_parser(name, help=ARGUMENTS[name][0], formatter_class=formatter)
+            for arg, kwargs in ARGUMENTS[name][1]:
+                p.add_argument(arg, **kwargs)
     # Root usage lines and "invalid choice" errors list every verb either way.
     sub.choices = VERBS
     return parser
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of an argv spelled out in full; None for any other.
+
+    In full: root options, the verb, its positional if it has one, then its options, each
+    flag whole and given once, no value starting with '-' save after the --signs= that
+    _normalize_argv writes.  Each entry's type, choices, nargs, required and default apply.
+    """
+    values, i = {}, 0
+
+    def value(kwargs, text):
+        v = kwargs["type"](text) if "type" in kwargs else text
+        if v not in kwargs.get("choices", (v,)):
+            raise ValueError(text)
+        return v
+
+    def read_options(args):
+        """Read the options of `args` from argv[i:] up to the first token that is none."""
+        nonlocal i
+        flags = {name: kwargs for name, kwargs in args if name.startswith("-")}
+        while i < len(argv):
+            flag, eq, text = argv[i].partition("=")
+            if flag not in flags or (eq and flag != "--signs"):
+                return
+            kwargs, j = flags[flag], i + 1
+            if eq:  # argparse drops a '--' from an option's values, even one after '='
+                texts = [text] if text != "--" else []
+            else:
+                while (j < len(argv) and not argv[j].startswith("-")
+                       and (j == i + 1 or kwargs.get("nargs") == "+")):
+                    j += 1
+                texts = argv[i + 1:j]
+            if flag in values or not texts:
+                raise ValueError(flag)
+            texts = [value(kwargs, t) for t in texts]
+            values[flag], i = texts if "nargs" in kwargs else texts[0], j
+
+    try:
+        read_options(ARGUMENTS[None][1])
+        if i == len(argv) or argv[i] not in VERBS:
+            return None
+        verb, args, i = argv[i], ARGUMENTS[argv[i]][1], i + 1
+        if not args[0][0].startswith("-"):
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            values[args[0][0]] = value(args[0][1], argv[i])
+            i += 1
+        read_options(args)
+    except ValueError:
+        return None
+    if i < len(argv) or any(kw.get("required") and name not in values for name, kw in args):
+        return None
+    return argparse.Namespace(verb=verb, **{
+        name.lstrip("-").replace("-", "_"): values.get(name, kwargs.get("default"))
+        for name, kwargs in (*ARGUMENTS[None][1], *args)})
 
 
 def _normalize_argv(argv):
@@ -440,13 +491,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
-    # Root help needs every sub-parser; any other call builds its verb's only.
-    verb = next((t for t in argv if t in VERBS or t.startswith(("-h", "--h"))), None)
-    parser = build_parser(verb if verb in VERBS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
+    if (args := _fast_parse(argv)) is None:
+        # Root help needs every sub-parser; any other call builds its verb's only.
+        verb = next((t for t in argv if t in VERBS or t.startswith(("-h", "--h"))), None)
+        parser = build_parser(verb if verb in VERBS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return 0 if e.code in (0, None) else 2
     try:
         name = f"{args.verb} {getattr(args, 'action', '')}".rstrip()
         if args.format == "csv" and name not in CSV_WRITERS:

@@ -49,12 +49,15 @@ class LaurentPoly:
         """Exponent negation q -> q^-1."""
         return LaurentPoly({-e: c for e, c in self._coeffs.items()})
 
-    def __call__(self, value):
-        """Evaluate at a numeric value of q (value must be invertible)."""
-        total = 0
-        for e, c in self._coeffs.items():
-            total += c * value**e
-        return total
+    def __call__(self, value: int):
+        """Evaluate exactly at a nonzero integer q: the sum over the largest negative power
+        q^-k, divided once by q^k, is an int wherever that divides (always at q = +-1)."""
+        k = max(0, -min(self._coeffs, default=0))
+        total = sum(c * value ** (e + k) for e, c in self._coeffs.items())
+        if total % value**k:
+            from fractions import Fraction
+            return Fraction(total, value**k)
+        return total // value**k
 
     # -- comparisons ----------------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Fuzzing every payload flag of the command line.
+"""Fuzzing every payload flag of the command line, and its fast parse.
 
 Whatever the payload, a call exits 0, 1 or 2, writes at most one stderr line
 and never a traceback or an ``internal error:`` line, and a payload its
 parser cannot read exits 2.  `bij iota` refuses, with exit 2, the webs it
 fills no flow of: a top layer starting with a weight-3 strand, and a rung
-whose two strands both end there (test_cli.py sweeps them).  Runs are
+whose two strands both end there (test_cli.py sweeps them).  An argv that
+cli._fast_parse reads, argparse reads to the same namespace.  Runs are
 derandomised and keep no example database, so the module is deterministic
 and writes no files.
 """
@@ -13,10 +14,11 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sl3web import checks
-from sl3web.cli import main
+from sl3web.cli import ARGUMENTS, VERBS, _fast_parse, _normalize_argv, build_parser, main
 from sl3web.presets import PRESET_NAMES
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -155,3 +157,66 @@ def test_json_text(verb, text):
         data = None
     code = run([*verb[:2], f"{verb[2]}={text}"])
     assert code == 2 or isinstance(data, dict)
+
+
+# Odd values for the option table's entries: ints as int() reads them or not, an empty
+# string, a sign string (which _normalize_argv joins onto --signs), and tokens starting
+# with '-'; then tokens argparse reads in its own way: help, abbreviations, '=' forms and
+# stray words
+VALUES = ["x", " 3", "", "7", "\u0663", "1_0", "+-", "{}"]
+DASHED = ["-F1", "-h", "-+", "--", "-1"]
+TRICKY = ["--help", "--form", "--max", "--pre", "--sig", "--signs=", "--signs=-+", "--word=F1",
+          "--n=2", "webs", "list", "all"]
+
+
+@st.composite
+def table_args(draw, args, min_options=0):
+    """Tokens for a positional's value, if `args` has one, then for some of their
+    options, each with values that argparse takes."""
+    options = draw(st.lists(st.sampled_from([a for a in args if a[0].startswith("-")]),
+                            unique_by=lambda a: a[0], min_size=min_options, max_size=3))
+    tokens = []
+    for name, kwargs in [a for a in args if not a[0].startswith("-")] + options:
+        good = kwargs.get("choices") or (["0", "2"] if "type" in kwargs else ["F1", "arc"])
+        tokens += [name] if name.startswith("-") else []
+        tokens += draw(st.lists(st.sampled_from(good), min_size=1,
+                                max_size=3 if "nargs" in kwargs else 1))
+    return tokens
+
+
+@st.composite
+def near_full_argv(draw):
+    """An argv spelled out in full from the table's own flags, choices and values, then
+    perhaps with one value made odd, or one flag or tricky token dropped in."""
+    verb = draw(st.sampled_from(VERBS))
+    argv = [*draw(table_args(ARGUMENTS[None][1])), verb, *draw(table_args(ARGUMENTS[verb][1], 1))]
+    # from the end: hypothesis leans to early choices, and the verb's values come last
+    values = [i for i, t in enumerate(argv) if t != verb and not t.startswith("-")][::-1]
+    changes = ["value", "value", "insert", "none"] if values else ["insert", "none"]
+    change = draw(st.sampled_from(changes))
+    if change == "value":
+        odd = st.sampled_from(DASHED) | st.sampled_from(VALUES)
+        argv[draw(st.sampled_from(values))] = draw(odd)
+    elif change == "insert":
+        odd = st.sampled_from(TRICKY + DASHED + [t for t in argv if t.startswith("-")])
+        argv.insert(draw(st.integers(0, len(argv))), draw(odd))
+    return argv
+
+
+FULL_PARSER = build_parser()
+
+
+@FUZZ
+@given(near_full_argv())
+@example(["webs", "list", "--signs", "--"])  # argparse reads --signs=-- as an empty list
+def test_fast_parse_agrees_with_argparse(argv):
+    # an argv the fast path reads, argparse reads to the same namespace; any other it leaves
+    argv = _normalize_argv(argv)
+    fast = _fast_parse(argv)
+    if fast is not None:
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                parsed = FULL_PARSER.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}, which the fast path read as {fast}")
+        assert vars(fast) == vars(parsed), argv

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sl3web.cli import VERBS, _normalize_argv, build_parser, main
+from sl3web.cli import VERBS, _fast_parse, _normalize_argv, build_parser, main
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent.parent / "hostbench" / "golden.json").read_text()
@@ -45,7 +45,31 @@ def test_one_verb_parser_parses_like_the_full_parser():
     one_verb = {verb: build_parser(verb) for verb in VERBS}
     for argv in argvs:
         verb = next(t for t in argv if t in VERBS)
-        assert vars(one_verb[verb].parse_args(argv)) == vars(full.parse_args(argv)), argv
+        parsed = vars(one_verb[verb].parse_args(argv))
+        assert parsed == vars(full.parse_args(argv)), argv
+        # every golden argv is spelled out in full, so main reads it without a parser
+        fast = _fast_parse(argv)
+        assert fast is not None and vars(fast) == parsed, argv
+
+
+def test_module_entry_point_reads_sys_argv():
+    # `python -m sl3web.cli` is the one path where main reads its argv from sys.argv
+    root = Path(__file__).resolve().parent.parent
+    entry = next(e for e in GOLDEN["queries"] if e["stratum"] == "webs list n2")
+    assert _fast_parse(_normalize_argv(entry["argv"])) is not None
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "sl3web.cli", *argv], cwd=root,
+                              env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+                              text=True, timeout=120)
+
+    done = run(*entry["argv"])
+    assert done.returncode == entry["code"]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == entry["sha256"]
+    done = run()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: sl3web ")
+    assert done.stderr.endswith("error: the following arguments are required: verb\n")
 
 
 def test_full_parser_lists_every_verb():

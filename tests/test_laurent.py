@@ -71,6 +71,15 @@ def test_evaluation_counts_terms():
     assert (qint(2) * qint(3))(1) == 6
 
 
+def test_evaluation_is_exact():
+    # the sum over the largest negative power, divided once: an int wherever it divides
+    six, negative = qint(3) * qint(2), ply({-1: 2, -3: 1})
+    for poly, value, expected in [(six, 1, 6), (negative, 1, 3), (negative, -1, -3),
+                                  (LaurentPoly(), 2, 0), (six, 2, Fraction(105, 8)),
+                                  (negative, 2, Fraction(9, 8))]:
+        assert poly(value) == expected and type(poly(value)) is type(expected)
+
+
 @given(small_polys, small_polys, small_polys)
 @settings(max_examples=60)
 def test_ring_axioms(a, b, c):
