@@ -7,10 +7,10 @@ check and drops it before the next.  A `Boundary` builds on first read the
 basis, its `bijection.survey` (the only enumeration of the boundary's flows),
 one `flows.flow_vector` per web (the survey's flows weighed by rung exponents
 instead of filling degrees), their pairing per ordered pair of webs (the
-bracket of the glued pair) and the half foams of `foamword.cellular_halves`,
-never a basis foam: a pair is a lower half, the dots and a reflected upper
-half, so its degree follows from theirs and its involution from that of
-their generators.  An exception inside one check is a failing result.
+bracket of the glued pair), the halves of `foamword.cellular_halves` (degrees
+and generator keys, no foam word) and their distinct generators, each interned
+once with its reflection: a pair's degree and involution follow from theirs.
+An exception inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 
 from sl3web.bijection import roundtrip_holds, survey
 from sl3web.flows import flow_vector, pairing, tableau_state, tensor_expansion
-from sl3web.foamword import cellular_halves, graded_dim_pair
+from sl3web.foamword import cellular_halves, graded_dim_pair, reflections
 from sl3web.ladderweb import enumerate_basis
 from sl3web.laurent import monomial
 
@@ -63,15 +63,13 @@ class Boundary:
 
     @cached_property
     def halves(self):
-        """(shape, dot generators, (filling, filling degree, lower half) per flow) per state."""
+        """The `foamword.CellState` of every boundary state: halves as degrees."""
         return list(cellular_halves(self.surveys))
 
     @cached_property
     def generators(self):
-        """The distinct generators of the halves and the dots, in order of first use."""
-        return dict.fromkeys(itertools.chain.from_iterable(
-            gens for _shape, dots, halves in self.halves
-            for gens in (dots, *(half.generators for _t, _d, half in halves))))
+        """Each distinct generator of the dots and the halves, mapped to its reflection."""
+        return reflections(dict.fromkeys(key for state in self.halves for key in state.keys))
 
 
 def _payload(signs: str, **extra) -> dict:
@@ -182,14 +180,14 @@ def check_homogeneity(b: Boundary):
     """A half weighs filling minus superstandard degree (`cellular_halves` raises
     otherwise), as does its reflection if every generator's does; the dots weigh twice
     the superstandard degree, each half's filling degree less its own."""
-    for shape, dots, halves in b.halves:
-        _t, d, half = halves[0]
-        want = 2 * (d - half.degree)
-        got = sum(g.degree for g in dots)
+    for shape, _residues, dots, halves, _keys in b.halves:
+        _t, d, degree = halves[0]
+        want = 2 * (d - degree)
+        got = sum(key[1] for key in dots)
         if got != want:
             return False, _payload(b.signs, shape=shape.to_json(), dot_degree=got, expected=want)
-    for g in b.generators:
-        if g.reflected().degree != g.degree:
+    for g, r in b.generators.items():
+        if r.degree != g.degree:
             return False, _payload(b.signs, generator=str(g), reason="reflection changed a degree")
     return True, None
 
@@ -197,12 +195,12 @@ def check_homogeneity(b: Boundary):
 def check_cellularity(b: Boundary):
     """Generators reflect back, so the halves and dot words do; a state's fillings are
     distinct, so the involution fixes only the diagonal; sum_j n_j^2 = sum bracket(u, v)(1)."""
-    for g in b.generators:
-        if g.reflected().reflected() != g:
+    for g, r in b.generators.items():
+        if r.reflected() != g:
             return False, _payload(b.signs, generator=str(g), reason="involution is not involutive")
     count = 0
-    for shape, _dots, halves in b.halves:
-        if len({t for t, _d, _half in halves}) != len(halves):
+    for shape, _residues, _dots, halves, _keys in b.halves:
+        if len({t for t, _d, _degree in halves}) != len(halves):
             return False, _payload(
                 b.signs, shape=shape.to_json(), reason="involution fixes a non-diagonal"
             )

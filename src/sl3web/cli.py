@@ -6,19 +6,19 @@ a usage error (one ``internal error:`` line); 2 on a usage error, rejected by
 argparse, by a payload parser below, by the ``--flow``/``--max-n`` range checks
 or by ``--format csv`` on a verb that writes no CSV rows.
 An argv spelled out in full is read from the option table, ARGUMENTS; any other builds
-its verb's argparse sub-parser, or all six for root help.
+its verb's argparse sub-parser, or all six for root help, and only then loads argparse
+(csv loads only for CSV output).
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import io
 import json
 import re
 import shutil
 import sys
+import types
 from collections import Counter
 
 from sl3web import checks
@@ -48,6 +48,8 @@ class UsageError(Exception):
 
 # one flat row's keys and values, laid out as json.dumps(rows, indent=2) lays them out
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+# one `foam basis` row, (shape, top, bottom, degree) filled in, as json.dumps lays it out
+_BASIS_ROW = '  {{\n    "bottom": {2},\n    "degree": {3},\n    "shape": {0},\n    "top": {1}\n  }}'
 # the JSON text of each subset of the colors, as json.dumps(sorted(subset)) writes it
 _SUBSET_TEXT = {frozenset(s): json.dumps(s)
                 for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])}
@@ -59,6 +61,8 @@ def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
         body = ",\n".join("  {\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in rows)
         print(f"[\n{body}\n]" if rows else "[]")
     elif args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
@@ -81,6 +85,8 @@ def _signs(args, what: str) -> str:
     positive multiple of three, so it has at least two strands."""
     if args.signs is None:
         raise UsageError(f"{what} needs --signs")
+    if args.signs == []:  # argparse drops a '--' from an option's values, even after '='
+        raise UsageError(f"{what} needs a classical sign string, got '--'")
     try:
         sign_weights(args.signs)
     except ValueError as e:
@@ -124,8 +130,8 @@ def _closed_from_pair(pair: list[str], args) -> ClosedWeb:
             raise UsageError(f"--pair with one value must name a preset: {PRESET_NAMES}")
         return ClosedWeb(web, web)
     if len(pair) == 2:
-        u = _web_from_args(argparse.Namespace(word=pair[0], preset=None, n=args.n, ell=args.ell))
-        v = _web_from_args(argparse.Namespace(word=pair[1], preset=None, n=args.n, ell=args.ell))
+        u = _web_from_args(types.SimpleNamespace(word=pair[0], preset=None, n=args.n, ell=args.ell))
+        v = _web_from_args(types.SimpleNamespace(word=pair[1], preset=None, n=args.n, ell=args.ell))
         try:
             return ClosedWeb(u, v)
         except ValueError as e:
@@ -273,21 +279,20 @@ def cmd_bij(args) -> int:
 
 def cmd_foam(args) -> int:
     if args.action == "basis":
-        # each shape and filling recurs in many foams: serialise it once, keyed by its tuples
-        shape_text = functools.cache(lambda comps, m: json.dumps(
-            Multipartition3(comps, m).to_json(), sort_keys=True))
-        cells_text = functools.cache(lambda rows: json.dumps(tableau_cells(rows)))
-        rows = []
-        for foam in enumerate_cellular_basis(_signs(args, "foam basis")):
-            rows.append(
-                {
-                    "shape": shape_text(foam.shape.components, foam.shape.m),
-                    "top": cells_text(foam.top_tableau.rows),
-                    "bottom": cells_text(foam.bottom_tableau.rows),
-                    "degree": foam.degree,
-                }
-            )
-        _emit(args, rows, ["shape", "top", "bottom", "degree"])
+        basis = enumerate_cellular_basis(_signs(args, "foam basis"))
+        # each shape and filling recurs in many foams: write its text once; a JSON row
+        # holds that text as a string
+        quote = json.dumps if args.format == "json" else str
+        shapes = functools.cache(lambda shape: quote(json.dumps(shape.to_json(), sort_keys=True)))
+        cells = functools.cache(lambda t: quote(json.dumps(tableau_cells(t.rows))))
+        rows = [(shapes(f.shape), cells(f.top_tableau), cells(f.bottom_tableau), f.degree)
+                for f in basis]
+        if args.format == "json":  # json.dumps(rows, indent=2, sort_keys=True) of the row dicts
+            body = ",\n".join(_BASIS_ROW.format(*row) for row in rows)
+            print(f"[\n{body}\n]" if rows else "[]")
+        else:
+            columns = ["shape", "top", "bottom", "degree"]
+            _emit(args, [dict(zip(columns, row)) for row in rows], columns)
         return 0
     if args.action == "dims":
         signs, rows = _signs(args, "foam dims"), []
@@ -386,8 +391,10 @@ ARGUMENTS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None):
     """The root parser with every verb's sub-parser, or with `verb`'s only."""
+    import argparse
+
     # argparse makes a formatter per argument (to check its metavar) and per parser, and
     # one given no width reads the terminal size: read it once, as HelpFormatter would
     formatter = functools.partial(argparse.HelpFormatter,
@@ -417,8 +424,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse makes of an argv spelled out in full; None for any other.
+def _fast_parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """argparse's namespace of an argv spelled out in full, as a SimpleNamespace; else None.
 
     In full: root options, the verb, its positional if it has one, then its options, each
     flag whole and given once, no value starting with '-' save after the --signs= that
@@ -468,7 +475,7 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
         return None
     if i < len(argv) or any(kw.get("required") and name not in values for name, kw in args):
         return None
-    return argparse.Namespace(verb=verb, **{
+    return types.SimpleNamespace(verb=verb, **{
         name.lstrip("-").replace("-", "_"): values.get(name, kwargs.get("default"))
         for name, kwargs in (*ARGUMENTS[None][1], *args)})
 
@@ -478,7 +485,8 @@ def _normalize_argv(argv):
     out, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok == "--signs" and i + 1 < len(argv) and re.fullmatch(r"[+\-ox]+", argv[i + 1]):
+        if (tok == "--signs" and i + 1 < len(argv) and argv[i + 1] != "--"
+                and re.fullmatch(r"[+\-ox]+", argv[i + 1])):
             out.append(f"--signs={argv[i + 1]}")
             i += 2
             continue

@@ -5,18 +5,20 @@ list of generators (zips, unzips, digon removals, shifts, dots, identity)
 together with bottom and top ladder words; its degree is the sum of the
 generator degrees.  Signs are not modeled.
 
-The cellular basis splits into halves and pairs.  Per boundary state,
+The cellular basis is computed in degrees.  Per boundary state,
 `cellular_halves` builds one frame of its nodes' residues and neighbours
-(`_frame`), and each flow's half foam walks its expanded filling to the
-superstandard one on the frame's integers (`_swap_walk`).  The basis
-reflects each half once, joins two halves of one state around the dots,
-weighs the pair by its parts and emits the pairs in key order unsorted.
-`_gen` interns the generators, reflected ones too.
+(`_frame`); each flow's half walks its expanded filling to the superstandard
+one on the frame's integers (`_swap_walk`), one generator key per swap, and
+keeps the sum of their degrees.  A pair weighs its two filling degrees once
+the dots and each distinct generator's reflection are checked.  Generators
+(`_gen` interns them, reflected ones too) and words (`half_foam`) are built
+on request only.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
@@ -234,7 +236,6 @@ def permutation_word(seq: list[Transposition]) -> str:
 # (kind, degree, count) of a swap by the residue of its low node less that of
 # its high node; any other difference shifts
 _SWAP_KINDS = {0: ("digon_removal", -2, 2), -1: ("zip", 1, 0), 1: ("unzip", 1, 0)}
-_SHIFT = ("shift", 0, 0)
 
 
 def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
@@ -244,47 +245,101 @@ def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
     position carries the smaller residue), equal residues remove two digons
     at degree -2, and distant residues commute freely at degree 0.
     """
-    return _SWAP_KINDS.get(res_a - res_b, _SHIFT)[:2]
+    return _SWAP_KINDS.get(res_a - res_b, ("shift", 0))[:2]
 
 
 # -- half foams and the basis ---------------------------------------------------
 
 _FACE_KINDS = {2: ("digon_removal", -1), 3: ("theta_removal", -3)}
+_IDENTITY = ("identity", 0, None, 0)
 
 
-def _half_foam_from_tableau(
-    t: StdMultitableau3, frame: tuple, bottom: LTWord, top: LTWord, drop: int
-) -> FoamWord:
-    """Half foam of a filling whose degree exceeds the superstandard one by
-    ``drop``, walked on the frame of its shape: one face removal per
-    repeated entry, then one generator per swap of its expanded filling."""
+def _swap_keys(size: int) -> list[tuple[dict, tuple]]:
+    """Per entry v < size, the generator keys of a swap of v and v + 1 by the residue
+    difference of its nodes (`_SWAP_KINDS`), and that of a shift, for any other."""
+    return [({diff: (kind, degree, v, count) for diff, (kind, degree, count) in _SWAP_KINDS.items()},
+             ("shift", 0, v, 0)) for v in range(size)]
+
+
+def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
+    """Generator keys (kind, degree, position, count) of a filling's half foam on the
+    frame of its shape: one face removal per repeated entry, then one of `swaps` per
+    swap of its expanded filling (`_swap_walk`); the identity if neither."""
     residues, blocked = frame
     flat, node_of = _node_order(t.rows)
-    gens = [_gen(*_FACE_KINDS[k], v, 1, False) for v, k in sorted(Counter(flat).items()) if k > 1]
+    keys = [(*_FACE_KINDS[k], v, 1) for v, k in sorted(Counter(flat).items()) if k > 1]
     for v, low, high in _swap_walk(node_of, blocked, t):
-        kind, deg, count = _SWAP_KINDS.get(residues[low] - residues[high], _SHIFT)
-        gens.append(_gen(kind, deg, v, count, False))
-    if not gens:
-        gens.append(_gen("identity", 0, None, 0, False))
-    word = _word(bottom, top, tuple(gens))
-    if word.degree != drop:
-        raise RuntimeError(
-            f"half foam degree {word.degree} != degree drop {drop} for {t}"
-        )
-    return word
+        kinds, shift = swaps[v]
+        keys.append(kinds.get(residues[low] - residues[high], shift))
+    return keys or [_IDENTITY]
+
+
+def half_foam(t: StdMultitableau3, bottom: LTWord) -> FoamWord:
+    """The half foam of a filling, from its web's word `bottom` to its shape's
+    idempotent: the walk's keys (`_half_keys`) as interned generators.  Built on
+    request only; the basis and the checks read the keys' degrees."""
+    frame = _frame(t.shape)
+    keys = _half_keys(t, frame, _swap_keys(t.shape.size))
+    return _word(bottom, _idempotent(frame[0]), tuple(_gen(*key, False) for key in keys))
+
+
+def _dot_generators(dots: list[int]) -> tuple[tuple, ...]:
+    """The dot generators' keys, one per dotted node step."""
+    return tuple(("dots", 2 * mk, k, mk) for k, mk in enumerate(dots, start=1) if mk)
+
+
+def reflections(keys) -> dict[FoamGen, FoamGen]:
+    """Each generator key's interned generator, mapped to its reflection."""
+    return {g: _reflect(g) for g in (_gen(*key, False) for key in keys)}
+
+
+class CellState(NamedTuple):
+    """A boundary state's shape, residue sequence (its idempotent), dot generator keys,
+    one (filling, filling degree, half foam degree) per flow, and the distinct generator
+    keys of the dots and the halves in order of first use."""
+
+    shape: Multipartition3
+    residues: tuple[int, ...]
+    dots: tuple[tuple, ...]
+    halves: list[tuple[StdMultitableau3, int, int]]
+    keys: dict[tuple, None]
+
+
+def cellular_halves(surveys) -> Iterator[CellState]:
+    """The `CellState` of every boundary state of one boundary's surveyed webs.
+
+    Each half is walked once, and a state's halves only when the caller moves on to
+    that state, on the state's frame (`_frame`) and the boundary's swap keys.  A half
+    weighs its filling degree less the superstandard degree, the sum of the dots, or
+    this raises."""
+    groups: dict[tuple, list[tuple[StdMultitableau3, int]]] = {}
+    for entry in surveys:
+        for j, d, _flow, t in entry.records:
+            groups.setdefault(j, []).append((t, d))
+    swaps = _swap_keys(max((group[0][0].shape.size for group in groups.values()), default=0))
+    for group in groups.values():
+        shape = group[0][0].shape
+        frame = _frame(shape)
+        dots = dot_placement(shape)
+        d_sup = sum(dots)
+        walks, halves = [_half_keys(t, frame, swaps) for t, _d in group], []
+        for (t, d), walk in zip(group, walks):
+            degree = sum(map(operator.itemgetter(1), walk))
+            if degree != d - d_sup:
+                raise RuntimeError(f"half foam degree {degree} != degree drop {d - d_sup} for {t}")
+            halves.append((t, d, degree))
+        dot_keys = _dot_generators(dots)
+        keys = dict.fromkeys(itertools.chain(dot_keys, *walks))
+        yield CellState(shape, frame[0], dot_keys, halves, keys)
 
 
 class BasisFoam(NamedTuple):
-    """Cellular basis element indexed by a shape and two fillings."""
+    """Cellular basis element: a shape, two fillings and its degree, the sum of theirs."""
 
     shape: Multipartition3
     top_tableau: StdMultitableau3
     bottom_tableau: StdMultitableau3
-    word: FoamWord
-
-    @property
-    def degree(self) -> int:
-        return self.word.degree
+    degree: int
 
     def __str__(self):
         return (
@@ -293,75 +348,35 @@ class BasisFoam(NamedTuple):
         )
 
 
-def _assemble_basis_foam(
-    shape: Multipartition3,
-    top: tuple[StdMultitableau3, int, FoamWord],
-    bottom: tuple[StdMultitableau3, int, FoamWord],
-    dot_gens: tuple[FoamGen, ...],
-) -> BasisFoam:
-    """Compose the bottom half, the dots and the already reflected top half.
-
-    Each half comes as (filling, filling degree, half foam word); the pair
-    weighs its halves and its dots, which must make the two filling degrees.
-    """
-    t_top, d_top, upper = top
-    t_bot, d_bot, lower = bottom
-    degree = lower.degree + sum(g.degree for g in dot_gens) + upper.degree
-    if degree != d_top + d_bot:
-        raise RuntimeError(f"basis foam degree {degree} != {d_top + d_bot} for {shape}")
-    word = FoamWord(lower.bottom, upper.top, lower.generators + dot_gens + upper.generators, degree)
-    return BasisFoam(shape, t_top, t_bot, word)
-
-
-def _dot_generators(dots: list[int]) -> tuple[FoamGen, ...]:
-    return tuple(_gen("dots", 2 * mk, k, mk, False) for k, mk in enumerate(dots, start=1) if mk)
-
-
-def cellular_halves(surveys) -> Iterator[tuple[Multipartition3, tuple[FoamGen, ...], list[tuple]]]:
-    """Per boundary state of one boundary's surveyed webs: its shape, the dot
-    generators and one (filling, filling degree, lower half foam) per flow.
-
-    Each half is built once, from its survey record's filling and degree,
-    and a state's halves only when the caller moves on to that state.  The
-    state's frame (`_frame`), its idempotent and its dots are computed once;
-    a half weighs its filling degree less the superstandard degree, the sum
-    of the dots.
-    """
-    groups: dict[tuple, list[tuple[StdMultitableau3, int, LTWord]]] = {}
-    for entry in surveys:
-        for j, d, _flow, t in entry.records:
-            groups.setdefault(j, []).append((t, d, entry.web.word))
-    for group in groups.values():
-        shape = group[0][0].shape
-        frame = _frame(shape)
-        top = _idempotent(frame[0])
-        dots = dot_placement(shape)
-        d_sup = sum(dots)
-        lowers = [(t, d, _half_foam_from_tableau(t, frame, bottom, top, d - d_sup))
-                  for t, d, bottom in group]
-        yield shape, _dot_generators(dots), lowers
-
-
 def enumerate_cellular_basis(S) -> list[BasisFoam]:
     """All basis foams over a classical sign string, as a list: one per
     boundary state and ordered pair of flows with that state, in key order
     (residue sequence, top filling's rows, bottom filling's rows).
 
-    States with one residue sequence (one idempotent, the halves' top word)
-    are taken together; each state's halves are sorted once, and the
-    group's reflected halves once, so no pair is sorted.
+    A foam is a lower half, the dots and a reflected upper half: it weighs d_top + d_bot
+    once each half weighs its degree drop (`cellular_halves`), each state's dots twice
+    its superstandard degree and each distinct generator's reflection as much as it;
+    the last two are checked here, once each.  States with one residue sequence are
+    taken together, each state's halves sorted once and the group's upper halves once.
     """
     groups: dict[tuple, list] = {}
-    for shape, dots, lowers in cellular_halves(survey(enumerate_basis(S))):
-        residues = tuple(r for r, _k in reversed(lowers[0][2].top.factors))
-        groups.setdefault(residues, []).append((shape, dots, sorted(lowers, key=lambda h: h[0].rows)))
+    keys: dict[tuple, None] = {}
+    for state in cellular_halves(survey(enumerate_basis(S))):
+        _t, d, degree = state.halves[0]
+        if (weight := sum(key[1] for key in state.dots)) != 2 * (d - degree):
+            raise RuntimeError(f"basis foam degree: dots of {state.shape} weigh {weight}")
+        keys.update(state.keys)
+        groups.setdefault(state.residues, []).append(
+            (state.shape, sorted(state.halves, key=lambda h: h[0].rows)))
+    for g, r in reflections(keys).items():
+        if r.degree != g.degree:
+            raise RuntimeError(f"basis foam degree: {g} reflects to {r} of degree {r.degree}")
     basis = []
-    for residues in sorted(groups):
-        uppers = [((t, d, lower.reflected()), state)
-                  for state in groups[residues] for t, d, lower in state[2]]
-        uppers.sort(key=lambda us: us[0][0].rows)
-        for upper, (shape, dots, lowers) in uppers:
-            basis.extend(_assemble_basis_foam(shape, upper, lower, dots) for lower in lowers)
+    for _residues, group in sorted(groups.items()):
+        uppers = [(t, d, shape, lowers) for shape, lowers in group for t, d, _h in lowers]
+        uppers.sort(key=lambda upper: upper[0].rows)
+        for top, d_top, shape, lowers in uppers:
+            basis.extend(BasisFoam(shape, top, t, d_top + d) for t, d, _h in lowers)
     return basis
 
 

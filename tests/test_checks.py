@@ -1,6 +1,7 @@
 """Every check reads one survey per boundary and can still fail."""
 
 import contextlib
+import functools
 import importlib.util
 import inspect
 import io
@@ -270,18 +271,26 @@ def _mutant(module, old, new):
     return mutant
 
 
-def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch):
-    calls = []
-    real = foamword._assemble_basis_foam
+def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch, capsys):
+    # no foam word is built, per half or per pair, and `_gen` builds each distinct
+    # generator and its reflection once, on a cache of its own
+    def refuse(*args):
+        raise AssertionError("a foam word was built")
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(foamword, "_assemble_basis_foam", counted)
-    results = checks.run_checks(["homogeneity", "cellular"], [SIGNS])
-    assert all(r["ok"] for r in results), results
-    assert calls == []
+    monkeypatch.setattr(foamword, "FoamWord", refuse)
+    monkeypatch.setattr(foamword, "_word", refuse)
+    for argv in (["--format", "json", "foam", "basis", "--signs", SIGNS],
+                 ["verify", "all", "--signs", SIGNS]):
+        calls, fresh = [], functools.lru_cache(maxsize=None)(foamword.FoamGen)
+        monkeypatch.setattr(foamword, "_gen", lambda *key: calls.append(key) or fresh(*key))
+        assert main(argv) == 0, capsys.readouterr()
+        built = [key for key in calls if not key[4]]
+        assert fresh.cache_info().misses == len(set(calls)) == 2 * len(set(built)) > 10
+        if argv[0] != "verify":
+            assert len(calls) == fresh.cache_info().misses
+        else:  # save cellular's second reflection, which gives the generator back
+            assert Counter(built) == dict.fromkeys(built, 2)
+            assert len(calls) == fresh.cache_info().misses + len(set(built))
 
 
 def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
@@ -312,12 +321,21 @@ def test_dot_generators_dropped_fail_homogeneity(monkeypatch):
 
 
 def test_pair_without_dots_fails_basis_assembly(monkeypatch):
-    real = foamword._assemble_basis_foam
+    # a pair weighs d_top + d_bot only if its state's dots weigh twice the superstandard degree
+    monkeypatch.setattr(foamword, "_dot_generators", lambda dots: ())
+    with pytest.raises(RuntimeError, match="basis foam degree"):
+        foamword.enumerate_cellular_basis(SIGNS)
 
-    def dotless(shape, top, bottom, dots):
-        return real(shape, top, bottom, ())
 
-    monkeypatch.setattr(foamword, "_assemble_basis_foam", dotless)
+def test_reflection_that_changes_a_degree_fails_basis_assembly(monkeypatch):
+    # ... and only if each distinct generator's reflection weighs what it weighs
+    real = foamword._reflect
+
+    def heavier(g):
+        r = real(g)
+        return foamword._gen(r.kind, r.degree + 1, r.position, r.count, r.mirrored)
+
+    monkeypatch.setattr(foamword, "_reflect", heavier)
     with pytest.raises(RuntimeError, match="basis foam degree"):
         foamword.enumerate_cellular_basis(SIGNS)
 
@@ -336,8 +354,8 @@ def test_a_dropped_half_fails_cellular_on_the_count(monkeypatch):
     real = foamword.cellular_halves
 
     def drop_one(surveys):
-        (shape, dots, halves), *rest = real(surveys)
-        return [(shape, dots, halves[1:]), *rest]
+        first, *rest = real(surveys)
+        return [first._replace(halves=first.halves[1:]), *rest]
 
     monkeypatch.setattr(checks, "cellular_halves", drop_one)
     ce = _failure("cellular")

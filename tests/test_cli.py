@@ -12,8 +12,10 @@ from collections import Counter
 
 import pytest
 
-from sl3web import cli, ladderweb
+from sl3web import checks, cli, ladderweb
 from sl3web.cli import build_parser, main
+from sl3web.foamword import enumerate_cellular_basis
+from sl3web.tableaux import tableau_cells
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +157,9 @@ def test_malformed_json_exits_two(capsys):
     assert main(["bij", "grow", "--tableau", "{bad json"]) == 2
 
 
+SIGNS_VERBS = (["webs", "list"], ["verify", "all"], ["foam", "basis"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -176,13 +181,23 @@ def test_malformed_json_exits_two(capsys):
         ["verify", "all", "--signs", ""],
         ["bij", "grow"],
         ["bracket", "--pair", "F1", "F2 F1", "--n", "3", "--ell", "1"],
+        # a bare '--' is no sign string: argparse refuses it after --signs, and drops it
+        # after --signs=, which leaves [] for the payload parser to name
+        *([*verb, "--signs", "--"] for verb in SIGNS_VERBS),
+        *([*verb, "--signs=--"] for verb in SIGNS_VERBS),
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if argv[-2:] == ["--signs", "--"]:
+        assert err.startswith("usage: sl3web ")
+        assert err.endswith(f"sl3web {argv[0]}: error: argument --signs: expected one argument\n")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[-1] == "--signs=--":
+        assert err.endswith(" needs a classical sign string, got '--'\n")
 
 
 def _raise(error):
@@ -463,6 +478,25 @@ def test_pinned_output_of_foam_basis(capsys, signs, fmt, code, sha):
     got, out = run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# every classical boundary with n <= 5, and the six 6-strand ones of the benchmark's
+# foam-basis workload
+BASIS_JSON = [*checks.classical_sign_strings(5),
+              "++++++", "-+-+-+", "-+--++", "--++-+", "--+-++", "---+++"]
+
+
+@pytest.mark.parametrize("signs", BASIS_JSON)
+def test_foam_basis_json_is_the_dumps_of_its_row_dicts(capsys, signs):
+    # the rows are written from texts made once per shape and filling; the oracle is
+    # one row dict per foam, dumped whole
+    rows = [{"shape": json.dumps(f.shape.to_json(), sort_keys=True),
+             "top": json.dumps(tableau_cells(f.top_tableau.rows)),
+             "bottom": json.dumps(tableau_cells(f.bottom_tableau.rows)),
+             "degree": f.degree} for f in enumerate_cellular_basis(signs)]
+    code, out = run_cli(capsys, "--format", "json", "foam", "basis", "--signs", signs)
+    assert code == 0 and len(rows) > 0
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 # Exit code, stdout sha256 and stderr sha256 of argv that argparse itself

@@ -17,6 +17,7 @@ from sl3web.foamword import (
     dot_placement,
     enumerate_cellular_basis,
     graded_dim_pair,
+    half_foam,
     idempotent,
     minimal_permutation,
     orthogonality_check,
@@ -255,9 +256,10 @@ def test_classify_distant_residues():
 
 
 def _halves(signs):
-    """(filling, lower half foam) for every flow over the boundary, as
-    `cellular_halves` builds them."""
-    return [(t, half) for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))) for t, _deg, half in halves]
+    """(filling, lower half foam) for every flow over the boundary, as `half_foam`
+    builds it; `cellular_halves` walks the same keys but keeps only degrees."""
+    return [(t, half_foam(t, entry.web.word))
+            for entry in survey(enumerate_basis(signs)) for _j, _d, _f, t in entry.records]
 
 
 def _half_of(web, flow):
@@ -289,8 +291,13 @@ def test_half_foam_of_superstandard_flow_is_trivial():
 
 def test_half_foam_degree_identity():
     for signs in classical_sign_strings(5):
-        for t, foam in _halves(signs):
+        words = dict(_halves(signs))
+        for t, foam in words.items():
             assert foam.degree == bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
+        # the degree-only halves weigh what the words weigh
+        for state in cellular_halves(survey(enumerate_basis(signs))):
+            for t, d, degree in state.halves:
+                assert degree == words[t].degree and d == bkw_degree(t)[0]
 
 
 def test_half_foam_worked_permutation():
@@ -337,28 +344,57 @@ def test_half_foam_matches_the_expanded_permutation():
     )
 
 
-def test_half_foam_degree_mismatch_raises():
+def test_half_foam_degree_mismatch_raises(monkeypatch):
+    # Y's canonical half has one unzip; weighed 2, it misses its degree drop by one
     t = iota(Y, canonical_flow(Y, ((1, 2, 3),), enumerate_flows(Y)))
-    top = idempotent(t.shape)
     drop = bkw_degree(t)[0] - bkw_degree(superstandard(t.shape))[0]
-    frame = foamword._frame(t.shape)
-    assert foamword._half_foam_from_tableau(t, frame, Y.word, top, drop).degree == drop
+    assert half_foam(t, Y.word).degree == drop
+    monkeypatch.setitem(foamword._SWAP_KINDS, 1, ("unzip", 2, 0))
     with pytest.raises(RuntimeError, match="half foam degree"):
-        foamword._half_foam_from_tableau(t, frame, Y.word, top, drop + 1)
+        list(cellular_halves(survey(enumerate_basis(str(Y.boundary)))))
 
 
 def test_half_foam_raises_when_a_swap_breaks_standardness(monkeypatch):
+    # both readers of the walk: `half_foam` and the degree-only halves
     _blocking_every_node(monkeypatch)
     with pytest.raises(RuntimeError, match="left the standard fillings"):
         _halves(str(Y.boundary))
+    with pytest.raises(RuntimeError, match="left the standard fillings"):
+        list(cellular_halves(survey(enumerate_basis(str(Y.boundary)))))
+
+
+def test_state_keys_are_the_distinct_generators_of_its_words():
+    # per state: the dots, then each half word's generators, each once, in order of first use
+    states = 0
+    for signs in classical_sign_strings(5):
+        words = dict(_halves(signs))
+        for state in cellular_halves(survey(enumerate_basis(signs))):
+            gens = itertools.chain(state.dots, *(words[t].generators for t, _d, _h in state.halves))
+            assert list(state.keys) == list(dict.fromkeys(tuple(g)[:4] for g in gens))
+            assert not any(g.mirrored for t, _d, _h in state.halves for g in words[t].generators)
+            states += 1
+    assert states == 468  # every boundary state with n <= 5
 
 
 # -- interned generators -----------------------------------------------------------
 
 
+def _basis_words(signs):
+    """(basis foam, its word) over the boundary, from `half_foam`: the bottom
+    filling's half, the dots and the top filling's half reflected."""
+    halves = dict(_halves(signs))
+    out = []
+    for foam in enumerate_cellular_basis(signs):
+        lower, upper = halves[foam.bottom_tableau], halves[foam.top_tableau].reflected()
+        dots = foamword._dot_generators(dot_placement(foam.shape))
+        gens = (*lower.generators, *(foamword._gen(*key, False) for key in dots), *upper.generators)
+        out.append((foam, foamword._word(lower.bottom, upper.top, gens)))
+    return out
+
+
 def test_generators_are_interned_and_reflect_back():
-    foams = enumerate_cellular_basis("+-+-")
-    gens = {g for foam in foams for g in foam.word.generators}
+    words = [word for _foam, word in _basis_words("+-+-")]
+    gens = {g for word in words for g in word.generators}
     assert {g.kind for g in gens} >= {"zip", "unzip", "digon_removal", "dots"}
     for g in gens:
         r = g.reflected()
@@ -366,15 +402,15 @@ def test_generators_are_interned_and_reflect_back():
         assert r.mirrored != g.mirrored
         assert r.kind == {"zip": "unzip", "unzip": "zip"}.get(g.kind, g.kind)
         assert (r.degree, r.position, r.count) == (g.degree, g.position, g.count)
-    for foam in foams:
-        twice = foam.word.reflected().reflected().generators
-        assert all(a is b for a, b in zip(twice, foam.word.generators))
+    for word in words:
+        twice = word.reflected().reflected().generators
+        assert all(a is b for a, b in zip(twice, word.generators))
 
 
 def test_foam_records_are_immutable():
-    foam = enumerate_cellular_basis("+++")[0]
+    foam, word = _basis_words("+++")[0]
     seq, _steps = minimal_permutation(StdMultitableau3(THETA_SHAPE, ((), ((3,),), ((1, 2),))))
-    records = ((foam, "word"), (foam.word, "generators"), (foam.word.generators[0], "kind"),
+    records = ((foam, "degree"), (word, "generators"), (word.generators[0], "kind"),
                (seq[0], "j"))
     for record, name in records:
         with pytest.raises(AttributeError):
@@ -426,24 +462,28 @@ def test_diagonal_foam_degree_is_twice_the_dots():
     # a diagonal foam is one filling's half, the dots and the same half reflected
     for signs in classical_sign_strings(4):
         diagonal = [f for f in enumerate_cellular_basis(signs) if f.top_tableau == f.bottom_tableau]
-        assert len(diagonal) == sum(len(halves) for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))))
+        states = cellular_halves(survey(enumerate_basis(signs)))
+        assert len(diagonal) == sum(len(state.halves) for state in states)
         for foam in diagonal:
             assert foam.degree == 2 * bkw_degree(foam.top_tableau)[0]
 
 
 def test_involution_swaps_and_preserves():
-    # the pair-level reference for the half-foam checks in `checks`: the swapped
-    # pair is a basis foam too, and reflecting a word keeps its degree
+    # the pair-level reference for the degree-only basis and the checks in `checks`:
+    # a foam's word weighs its degree, the swapped pair is a basis foam too, and
+    # reflecting a word keeps its degree
     for signs in classical_sign_strings(5):
-        foams = enumerate_cellular_basis(signs)
-        assert len(foams) == sum(len(halves) ** 2 for _s, _d, halves in cellular_halves(survey(enumerate_basis(signs))))
-        by_pair = {(f.top_tableau, f.bottom_tableau): f for f in foams}
-        for foam in foams:
+        words = _basis_words(signs)
+        states = cellular_halves(survey(enumerate_basis(signs)))
+        assert len(words) == sum(len(state.halves) ** 2 for state in states)
+        by_pair = {(f.top_tableau, f.bottom_tableau): f for f, _word in words}
+        for foam, word in words:
+            assert word.degree == foam.degree
             assert by_pair[foam.bottom_tableau, foam.top_tableau].degree == foam.degree
-            flipped = foam.word.reflected()
-            assert (flipped.bottom, flipped.top) == (foam.word.top, foam.word.bottom)
+            flipped = word.reflected()
+            assert (flipped.bottom, flipped.top) == (word.top, word.bottom)
             assert flipped.degree == foam.degree
-            assert flipped.reflected() == foam.word
+            assert flipped.reflected() == word
 
 
 # -- graded dimensions ---------------------------------------------------------------------

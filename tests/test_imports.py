@@ -48,19 +48,36 @@ def test_guard_sees_an_unused_import():
     ]
 
 
-def test_cli_import_adds_neither_dataclasses_nor_inspect():
-    # every CLI call is a fresh process, and these two cost more to import than
-    # all of sl3web; compare with the interpreter's own modules, whatever site loads
-    script = (
-        "import sys; bare = set(sys.modules); import sl3web.cli; "
-        "print(*sorted(set(sys.modules) - bare))"
-    )
+# stdlib modules that cost more to import than all of sl3web; argparse (which loads
+# gettext) is for help and usage errors, csv for CSV output
+SLOW = {"dataclasses", "inspect", "argparse", "gettext", "csv", "_csv"}
+
+
+def _added_modules(script: str) -> list[str]:
+    """The modules `script` loads beyond the interpreter's own, whatever site loads."""
+    script = (f"import sys\nbare = set(sys.modules)\n{script}\n"
+              "print(*sorted(set(sys.modules) - bare))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    added = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process
+    added = _added_modules("import sl3web.cli")
     assert "sl3web.cli" in added
-    assert {"dataclasses", "inspect"}.isdisjoint(added)
+    assert SLOW.isdisjoint(added)
+
+
+def test_foam_basis_call_loads_no_slow_module():
+    # the benchmark's foam-basis argv, spelled out in full: no parser, no CSV writer
+    argv = ["--format", "json", "foam", "basis", "--signs", "-+--++"]
+    added = _added_modules(
+        "import contextlib, io\nfrom sl3web.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert "sl3web.foamword" in added
+    assert SLOW.isdisjoint(added)
 
 
 def test_only_validated_values_define_their_own_equality():
