@@ -8,6 +8,8 @@ or by ``--format csv`` on a verb that writes no CSV rows.
 An argv spelled out in full is read from the option table, ARGUMENTS; any other builds
 its verb's argparse sub-parser, or all six for root help, and only then loads argparse
 (csv loads only for CSV output).
+Each verb builds only what it prints (`bij iota` the one flow it fills); with --format
+json, `foam basis` and the `flows` actions fill one row template per row.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from sl3web.flows import (
     ClosedWeb,
     bracket,
     enumerate_flows,
+    flow_at,
     tensor_expansion,
     web_vector,
 )
@@ -48,8 +51,13 @@ class UsageError(Exception):
 
 # one flat row's keys and values, laid out as json.dumps(rows, indent=2) lays them out
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
-# one `foam basis` row, (shape, top, bottom, degree) filled in, as json.dumps lays it out
+# one row of `foam basis`, `flows enumerate` or `flows expand`, its values filled in in
+# column order, as json.dumps lays it out; the flow rows' strings hold digits, brackets,
+# commas, spaces, q, ^, *, + and -, none of which JSON escapes, so the templates quote them
 _BASIS_ROW = '  {{\n    "bottom": {2},\n    "degree": {3},\n    "shape": {0},\n    "top": {1}\n  }}'
+_FLOW_ROW = ('  {{\n    "flow": {0},\n    "moves": "{1}",\n    "state": "{3}",\n'
+             '    "strands": "{2}",\n    "weight": {4}\n  }}')
+_EXPANSION_ROW = '  {{\n    "coefficient": "{1}",\n    "state": "{0}"\n  }}'
 # the JSON text of each subset of the colors, as json.dumps(sorted(subset)) writes it
 _SUBSET_TEXT = {frozenset(s): json.dumps(s)
                 for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])}
@@ -75,6 +83,15 @@ def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
                 print(text_fn(row))
             else:
                 print("  ".join(f"{k}={row[k]}" for k in columns if k in row))
+
+
+def _emit_rows(args, template: str, rows: list[tuple], columns: list[str], text_fn=None):
+    """`_emit` of the rows as dicts over `columns`; JSON fills `template` per row."""
+    if args.format == "json":  # json.dumps(rows, indent=2, sort_keys=True) of the row dicts
+        body = ",\n".join(template.format(*row) for row in rows)
+        print(f"[\n{body}\n]" if rows else "[]")
+    else:
+        _emit(args, [dict(zip(columns, row)) for row in rows], columns, text_fn)
 
 
 # -- payload parsers: the only source of usage errors ------------------------
@@ -196,29 +213,20 @@ def cmd_flows(args) -> int:
         # is written as json.dumps(list(state)) writes it
         layer_text = functools.cache(
             lambda layer: "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]")
-        rows = []
-        for idx, flow in enumerate(enumerate_flows(web)):
-            rows.append(
-                {
-                    "flow": idx,
-                    "moves": "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
-                    "strands": "[" + ", ".join(map(layer_text, flow.layers)) + "]",
-                    "state": "[" + ", ".join(map(str, flow.state)) + "]",
-                    "weight": flow.exponent,
-                }
-            )
-        _emit(args, rows, ["flow", "moves", "strands", "state", "weight"],
-              text_fn=lambda r: (
-                  f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  "
-                  f"weight={r['weight']}"
-              ))
+        rows = [(idx, "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
+                 "[" + ", ".join(map(layer_text, flow.layers)) + "]",
+                 "[" + ", ".join(map(str, flow.state)) + "]", flow.exponent)
+                for idx, flow in enumerate(enumerate_flows(web))]
+        _emit_rows(args, _FLOW_ROW, rows, ["flow", "moves", "strands", "state", "weight"],
+                   text_fn=lambda r: (
+                       f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  "
+                       f"weight={r['weight']}"
+                   ))
         return 0
     expansion = tensor_expansion(web_vector(_web_from_args(args)))
-    rows = [
-        {"state": "[" + ", ".join(map(str, j)) + "]", "coefficient": str(p)}
-        for j, p in sorted(expansion.items(), reverse=True)
-    ]
-    _emit(args, rows, ["state", "coefficient"])
+    rows = [("[" + ", ".join(map(str, j)) + "]", str(p))
+            for j, p in sorted(expansion.items(), reverse=True)]
+    _emit_rows(args, _EXPANSION_ROW, rows, ["state", "coefficient"])
     return 0
 
 
@@ -240,10 +248,9 @@ def _iota_web(args) -> LadderWeb:
 def cmd_bij(args) -> int:
     if args.action == "iota":
         web = _iota_web(args)
-        flows = enumerate_flows(web)
-        if not 0 <= args.flow < len(flows):
-            raise UsageError(f"--flow must be 0..{len(flows) - 1}")
-        flow = flows[args.flow]
+        flow, count = flow_at(web, args.flow)
+        if flow is None:
+            raise UsageError(f"--flow must be 0..{count - 1}")
         t = iota(web, flow)
         print(json.dumps(t.to_json(), sort_keys=True) if args.format == "json" else t)
         return 0
@@ -287,12 +294,7 @@ def cmd_foam(args) -> int:
         cells = functools.cache(lambda t: quote(json.dumps(tableau_cells(t.rows))))
         rows = [(shapes(f.shape), cells(f.top_tableau), cells(f.bottom_tableau), f.degree)
                 for f in basis]
-        if args.format == "json":  # json.dumps(rows, indent=2, sort_keys=True) of the row dicts
-            body = ",\n".join(_BASIS_ROW.format(*row) for row in rows)
-            print(f"[\n{body}\n]" if rows else "[]")
-        else:
-            columns = ["shape", "top", "bottom", "degree"]
-            _emit(args, [dict(zip(columns, row)) for row in rows], columns)
+        _emit_rows(args, _BASIS_ROW, rows, ["shape", "top", "bottom", "degree"])
         return 0
     if args.action == "dims":
         signs, rows = _signs(args, "foam dims"), []

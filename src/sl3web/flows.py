@@ -4,21 +4,23 @@ A flow assigns to every edge of a ladder web a subset of the three colors
 {1, 2, 3} whose size is the edge label; at every rung the subset leaving a
 strand is carried across and must land on colors absent from the target
 strand.  A flow is stored as the tuple of moved subsets, one per rung, in
-application order.  `_moves` lists a rung's legal moves once per web.
+application order.  `_moves` lists a rung's legal moves once per call, and
+rung exponents have no cache.  `flow_at` builds one flow of `enumerate_flows`.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
-the sum over rungs is the weight of the flow on a web with boundary, summed
-as the flow grows rung by rung and carried by the flow as `exponent`, next
-to its boundary `state`.  The flow vector A_w(j) of a web sums q^-weight
-over its flows of state j.  `web_vector`, which `bracket` and the command
-line read, builds no flow: it walks the web's distinct layers rung by rung.
+the sum over rungs is the weight of the flow on a web with boundary, carried
+by the flow as `exponent` next to its boundary `state`.  The flow vector
+A_w(j) of a web sums q^-weight over its flows of state j.  `_top_counts`
+counts a web's flow prefixes per exponent and top layer, building no flow; a
+top layer fixes the state, so `web_vector` is one polynomial per top layer.
 `flow_vector` sums the flows it is handed, the checks' from the survey.
 A closed web, presented as a pair (u, v) glued along a common boundary,
 adds one plus the boundary state per strand, so its bracket is the
 `pairing` sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors;
-`closed_flows` and `closed_weight` are the flow-by-flow definition it is
-tested against.
+`bracket` pairs the halves' layer counts by top layer, as the halves share
+their top weights.  `closed_flows` and `closed_weight` are the flow-by-flow
+definition it is tested against.
 The convention is pinned by reports/calibration.md and by the exact
 divided-power identity checked in _transition_poly.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 from sl3web.laurent import LaurentPoly, monomial, qfactorial
@@ -50,7 +51,6 @@ def _single_exponent(h: int, left: frozenset, right: frozenset) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
 def transition_exponent(left: frozenset, right: frozenset, moved: frozenset) -> int:
     """Exponent of the divided-power transition moving `moved` left-to-right."""
     if not moved <= left or (moved & right):
@@ -91,7 +91,7 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 class Flow(NamedTuple):
     """Moved color subsets per rung, in application order, strand subsets per layer,
     bottom to top, the weight (the rungs' transition exponents summed) and the
-    boundary state.  Built by `enumerate_flows`, `flow_from_moves` or the survey."""
+    boundary state.  Built by `enumerate_flows`, `flow_at`, `flow_from_moves` or the survey."""
 
     web: LadderWeb
     moves: tuple[frozenset, ...]
@@ -150,10 +150,10 @@ def _legal(table: dict, cur: tuple, i: int, j: int) -> list[tuple]:
     return legal
 
 
-def enumerate_flows(web: LadderWeb) -> list[Flow]:
-    """All flows on the web, in a deterministic order."""
+def _flow_walk(web: LadderWeb) -> list[tuple]:
+    """(moves, layers, weight) of every flow on the web, in `enumerate_flows` order."""
     table: dict = {}
-    partial = [((), (_bottom_subsets(web),), 0)]  # (moves, layers, weight) per flow prefix
+    partial = [((), (_bottom_subsets(web),), 0)]
     for i, j in web.word.application_order():
         grown = []
         for moves, layers, exponent in partial:
@@ -162,14 +162,28 @@ def enumerate_flows(web: LadderWeb) -> list[Flow]:
             for h, left, right, e, _combo in _legal(table, cur, i, j):
                 grown.append((moves + (h,), layers + (head + (left, right) + tail,), exponent + e))
         partial = grown
-    return [Flow(web, moves, layers, e, _top_state(layers[-1])) for moves, layers, e in partial]
+    return partial
 
 
-def web_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
-    """`flow_vector(enumerate_flows(web))`, states in the same order, built with no
-    flow: each distinct layer counts its flow prefixes per exponent, rung by rung."""
-    table: dict = {}
-    layers = {_bottom_subsets(web): {0: 1}}  # layer -> {exponent: prefixes}
+def enumerate_flows(web: LadderWeb) -> list[Flow]:
+    """All flows on the web, in a deterministic order."""
+    return [Flow(web, moves, layers, e, _top_state(layers[-1]))
+            for moves, layers, e in _flow_walk(web)]
+
+
+def flow_at(web: LadderWeb, k: int) -> tuple[Flow | None, int]:
+    """`enumerate_flows(web)[k]` (None unless 0 <= k < count) and the count; builds one flow."""
+    walk = _flow_walk(web)
+    if not 0 <= k < len(walk):
+        return None, len(walk)
+    moves, layers, e = walk[k]
+    return Flow(web, moves, layers, e, _top_state(layers[-1])), len(walk)
+
+
+def _top_counts(web: LadderWeb, table: dict) -> dict[tuple, dict[int, int]]:
+    """Each top layer of the web's flows -> {q-exponent, minus the weight: flow prefixes},
+    counted rung by rung over distinct layers on the caller's move table (`_legal`)."""
+    layers = {_bottom_subsets(web): {0: 1}}
     for i, j in web.word.application_order():
         grown: dict = {}
         for cur, counts in layers.items():
@@ -177,14 +191,15 @@ def web_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
             for _h, left, right, e, _combo in _legal(table, cur, i, j):
                 out = grown.setdefault(head + (left, right) + tail, {})
                 for x, c in counts.items():
-                    out[x + e] = out.get(x + e, 0) + c
+                    out[x - e] = out.get(x - e, 0) + c
         layers = grown
-    vector: dict[tuple[int, ...], Counter] = {}
-    for top, counts in layers.items():
-        out = vector.setdefault(_top_state(top), Counter())
-        for x, c in counts.items():
-            out[-x] += c
-    return {j: LaurentPoly(c) for j, c in vector.items()}
+    return layers
+
+
+def web_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
+    """`flow_vector(enumerate_flows(web))`, states in the same order, built with no
+    flow: a top layer fixes the state, so each one's counts are one polynomial."""
+    return {_top_state(top): LaurentPoly(counts) for top, counts in _top_counts(web, {}).items()}
 
 
 def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:
@@ -235,24 +250,33 @@ def _pairing_exponent(j: tuple[int, ...]) -> int:
     return len(j) + sum(j)
 
 
-def pairing(left: dict, right: dict) -> LaurentPoly:
-    """The bracket of u glued to v, from their flow vectors A_u and A_v: the shifted
-    products of their shared states, summed in one exponent -> coefficient dict."""
+def _paired(shared) -> LaurentPoly:
+    """Sum of q^-(len j + sum j) a b over (state j, a, b), the factors read as
+    exponent -> coefficient: the shifted products summed in one dict, one polynomial."""
     out: dict[int, int] = {}
-    for j, a in left.items():
-        if (b := right.get(j)) is not None:
-            shift = _pairing_exponent(j)
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2 - shift
-                    out[e] = out.get(e, 0) + c1 * c2
+    for j, a, b in shared:
+        shift = _pairing_exponent(j)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2 - shift
+                out[e] = out.get(e, 0) + c1 * c2
     return LaurentPoly(out)
 
 
+def pairing(left: dict, right: dict) -> LaurentPoly:
+    """The bracket of u glued to v, from their flow vectors A_u and A_v: their shared
+    states paired (`_paired`)."""
+    return _paired((j, a, b) for j, a in left.items() if (b := right.get(j)) is not None)
+
+
 def bracket(web) -> LaurentPoly:
-    """Kuperberg bracket of a closed web, read off `web_vector` (of each glued half)."""
+    """Kuperberg bracket of a closed web.  A glued pair reads both halves' `_top_counts`
+    off one move table and pairs them by top layer; a closed ladder web reads its own."""
     if isinstance(web, ClosedWeb):
-        return pairing(*map(web_vector, web))
+        table: dict = {}
+        tops = _top_counts(web.v, table)
+        return _paired((_top_state(top), a, b) for top, a in _top_counts(web.u, table).items()
+                       if (b := tops.get(top)) is not None)
     if isinstance(web, LadderWeb):
         if any(w in (1, 2) for w in web.layers[-1]):
             raise ValueError(f"web with boundary {web.boundary} is not closed")

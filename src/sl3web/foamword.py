@@ -267,7 +267,13 @@ def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
     swap of its expanded filling (`_swap_walk`); the identity if neither."""
     residues, blocked = frame
     flat, node_of = _node_order(t.rows)
-    keys = [(*_FACE_KINDS[k], v, 1) for v, k in sorted(Counter(flat).items()) if k > 1]
+    keys = []  # in node order the entries are sorted, so an entry's copies sit side by side
+    for v, w in itertools.pairwise(map(flat.__getitem__, node_of)):
+        if v == w:  # a second copy removes a digon, a third a theta
+            if keys and keys[-1][2] == v:
+                keys[-1] = (*_FACE_KINDS[3], v, 1)
+            else:
+                keys.append((*_FACE_KINDS[2], v, 1))
     for v, low, high in _swap_walk(node_of, blocked, t):
         kinds, shift = swaps[v]
         keys.append(kinds.get(residues[low] - residues[high], shift))

@@ -14,7 +14,9 @@ import pytest
 
 from sl3web import checks, cli, ladderweb
 from sl3web.cli import build_parser, main
+from sl3web.flows import enumerate_flows, flow_vector, tensor_expansion
 from sl3web.foamword import enumerate_cellular_basis
+from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import tableau_cells
 
 
@@ -242,6 +244,14 @@ def test_iota_refuses_a_top_layer_starting_with_weight_3(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == (
         "error: iota needs a top layer without leading weight-3 strands, got 3 2 1\n")
+
+
+@pytest.mark.parametrize("preset,count", [("arc", 3), ("hexagon", 66)])
+def test_iota_flow_out_of_range_is_a_usage_error(capsys, preset, count):
+    for flag in (f"--flow={count}", "--flow=-1"):
+        assert main(["bij", "iota", "--preset", preset, flag]) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --flow must be 0..{count - 1}\n"
 
 
 def test_iota_sweep_exits_zero_or_two_on_every_flow():
@@ -496,6 +506,33 @@ def test_foam_basis_json_is_the_dumps_of_its_row_dicts(capsys, signs):
              "degree": f.degree} for f in enumerate_cellular_basis(signs)]
     code, out = run_cli(capsys, "--format", "json", "foam", "basis", "--signs", signs)
     assert code == 0 and len(rows) > 0
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+# every basis web with n <= 5, by its word, and every preset
+FLOW_WEBS = [(["--word", str(web.word), "--n", str(web.n), "--ell", str(web.ell)], web)
+             for signs in checks.classical_sign_strings(5)
+             for _rows, web in ladderweb.enumerate_basis(signs)]
+FLOW_WEBS += [(["--preset", name], preset_web(name)) for name in PRESET_NAMES]
+
+
+@pytest.mark.parametrize("argv,web", FLOW_WEBS, ids=[" ".join(a) for a, _w in FLOW_WEBS])
+def test_flows_json_is_the_dumps_of_its_row_dicts(capsys, argv, web):
+    # the rows are written from one template per flow or state; the oracle is one row
+    # dict each, dumped whole
+    flows = enumerate_flows(web)
+    rows = [{"flow": idx,
+             "moves": json.dumps([sorted(h) for h in f.moves]),
+             "strands": json.dumps([[sorted(s) for s in layer] for layer in f.layers]),
+             "state": json.dumps(list(f.state)),
+             "weight": f.exponent} for idx, f in enumerate(flows)]
+    code, out = run_cli(capsys, "--format", "json", "flows", "enumerate", *argv)
+    assert code == 0 and len(rows) > 0
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    rows = [{"state": json.dumps(list(j)), "coefficient": str(p)}
+            for j, p in sorted(tensor_expansion(flow_vector(flows)).items(), reverse=True)]
+    code, out = run_cli(capsys, "--format", "json", "flows", "expand", *argv)
+    assert code == 0
     assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 

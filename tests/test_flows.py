@@ -17,6 +17,7 @@ from sl3web.flows import (
     closed_weight,
     divided_power_identity_holds,
     enumerate_flows,
+    flow_at,
     flow_from_moves,
     flow_to_colstrict,
     flow_vector,
@@ -229,20 +230,25 @@ def test_bracket_symmetry_and_flow_count():
 
 
 def test_pairing_builds_one_polynomial(monkeypatch):
-    # a pair's products are summed into one dict, not into a polynomial per shared state
+    # a pair's products are summed into one dict, not into a polynomial per shared
+    # state; the bracket pairs the halves' layer counts, so it builds no flow vector
     real, calls = LaurentPoly.__init__, []
 
     def counted(self, coeffs=None):
         calls.append(coeffs)
         real(self, coeffs)
 
-    pairs = [pair for signs in classical_sign_strings(5) for pair in itertools.product(
-        [flow_vector(enumerate_flows(web)) for _, web in enumerate_basis(signs)], repeat=2)]
+    webs = [[web for _, web in enumerate_basis(signs)] for signs in classical_sign_strings(5)]
+    pairs = [(u, v, flow_vector(enumerate_flows(u)), flow_vector(enumerate_flows(v)))
+             for basis in webs for u, v in itertools.product(basis, repeat=2)]
     monkeypatch.setattr(LaurentPoly, "__init__", counted)
-    for a, b in pairs:
+    for u, v, a, b in pairs:
         calls.clear()
         flows.pairing(a, b)
         assert len(calls) == 1
+        calls.clear()
+        bracket(ClosedWeb(u, v))
+        assert len(calls) == 1, (u, v)
 
 
 # -- the flow vector without flows ------------------------------------------------------
@@ -264,13 +270,20 @@ def test_web_vector_equals_the_survey_vectors():
 
 
 def test_web_vector_reads_a_patched_rule(monkeypatch):
-    webs = [web for signs in classical_sign_strings(5) for _, web in enumerate_basis(signs)]
+    bases = [[web for _, web in enumerate_basis(signs)] for signs in classical_sign_strings(5)]
+    webs = [web for basis in bases for web in basis]
+    pairs = [pair for basis in bases for pair in itertools.product(basis, repeat=2)]
     plain = {web: web_vector(web) for web in webs}
+    brackets = {pair: bracket(ClosedWeb(*pair)) for pair in pairs}
     real = flows.transition_exponent
     monkeypatch.setattr(flows, "transition_exponent", lambda *sets: -real(*sets))
     for web in webs:
         assert web_vector(web) == flow_vector(enumerate_flows(web)), web
     assert any(web_vector(web) != plain[web] for web in webs if web.boundary == "+-+-")
+    for u, v in pairs:
+        want = flows.pairing(flow_vector(enumerate_flows(u)), flow_vector(enumerate_flows(v)))
+        assert bracket(ClosedWeb(u, v)) == want, (u, v)
+    assert any(bracket(ClosedWeb(*pair)) != brackets[pair] for pair in pairs)
 
 
 def test_bracket_and_expand_build_no_flow(monkeypatch, capsys):
@@ -285,6 +298,15 @@ def test_bracket_and_expand_build_no_flow(monkeypatch, capsys):
                  ["flows", "expand", "--preset", "hexagon"]):
         assert cli.main(argv) == 0, argv
     assert bracket(build_web(LTWord.parse("F1 F1 F1"), 2, 1)) == qint(3) * qint(2)
+
+
+def test_bij_iota_builds_the_flow_it_fills(monkeypatch, capsys):
+    real, built = flows.Flow, []
+    monkeypatch.setattr(flows, "Flow", lambda *fields: built.append(fields) or real(*fields))
+    monkeypatch.setattr(flows, "enumerate_flows", None)
+    monkeypatch.setattr(cli, "enumerate_flows", None)
+    assert cli.main(["bij", "iota", "--preset", "hexagon", "--flow", "7"]) == 0
+    assert len(built) == 1 and capsys.readouterr().out
 
 
 # -- tensor expansion ------------------------------------------------------------------
@@ -343,6 +365,16 @@ def test_flows_carry_their_layers():
         flow_from_moves(HALF_THETA, moves[:-1])
     with pytest.raises(ValueError, match="illegal move"):
         flow_from_moves(HALF_THETA, (frozenset({1, 2}),) * len(moves))
+
+
+def test_flow_at_is_the_kth_enumerated_flow():
+    webs = [web for signs in classical_sign_strings(5) for _, web in enumerate_basis(signs)]
+    for web in webs + [preset_web(name) for name in PRESET_NAMES]:
+        enumerated = enumerate_flows(web)
+        count = len(enumerated)
+        for k, flow in enumerate(enumerated):
+            assert flow_at(web, k) == (flow, count), (web, k)
+        assert flow_at(web, -1) == flow_at(web, count) == (None, count), web
 
 
 def _summed_weight(flow):

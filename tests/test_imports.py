@@ -95,8 +95,8 @@ def test_only_validated_values_define_their_own_equality():
     assert owners <= values
 
 
-# interned generators, and rung exponents that every flow prefix reads again
-CACHED = {"foamword._gen", "flows.transition_exponent"}
+# interned generators; a rung's exponents are read once per web through its move table
+CACHED = {"foamword._gen"}
 
 
 def cached_functions(source: str) -> list[str]:
