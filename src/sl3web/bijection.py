@@ -430,6 +430,7 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
                 rows[node.comp - 1][node.row - 1].pop()
 
     walk(1, 0, 0)
+    del walk, leaf  # walk calls itself through its cell: free the cycle now, not at a collection
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
 
 

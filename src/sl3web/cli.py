@@ -8,8 +8,11 @@ or by ``--format csv`` on a verb that writes no CSV rows.
 An argv spelled out in full is read from the option table, ARGUMENTS; any other builds
 its verb's argparse sub-parser, or all six for root help, and only then loads argparse
 (csv loads only for CSV output).
-Each verb builds only what it prints (`bij iota` the one flow it fills); with --format
-json, `foam basis` and the `flows` actions fill one row template per row.
+Each verb builds only what it prints.  `flows enumerate` builds no flow: it writes the
+rows' texts off the flow-prefix walk (`flows._flow_walk`), each prefix's text its
+parent's plus one move and one layer; `flows expand` expands the top layers' counts, one
+polynomial per state; `bij iota` builds the one flow it fills.  With --format json,
+`foam basis` and the `flows` actions fill one row template per row.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from sl3web import checks
 from sl3web.bijection import cap_step, grow, iota, roundtrip_holds, survey
 from sl3web.flows import (
     ClosedWeb,
+    _bottom_subsets,
+    _flow_walk,
+    _top_counts,
+    _top_state,
     bracket,
-    enumerate_flows,
     flow_at,
     tensor_expansion,
-    web_vector,
 )
 from sl3web.foamword import (
     boundary_strand_count,
@@ -206,26 +211,35 @@ def cmd_webs(args) -> int:
     return 0
 
 
+def _flow_rows(web: LadderWeb) -> list[tuple]:
+    """(index, moves, strands, state, weight) of each flow on the web, the lists as JSON
+    text.  A prefix's texts are its parent's plus one move and one layer, so each prefix
+    writes one layer; nearly every prefix's layer and every flow's top is its own, so no
+    text is cached.  A state of ints is written as json.dumps(list(state)) writes it."""
+    subset = _SUBSET_TEXT.__getitem__
+    moves = {s: ", " + text for s, text in _SUBSET_TEXT.items()}
+    walk = _flow_walk(web, ("", "[[" + ", ".join(map(subset, _bottom_subsets(web))) + "]"),
+                      lambda p, h, layer: (p[0] + moves[h],
+                                           p[1] + ", [" + ", ".join(map(subset, layer)) + "]"))
+    return [(idx, "[" + m[2:] + "]", s + "]", "[" + ", ".join(map(str, _top_state(top))) + "]",
+             weight) for idx, (top, weight, (m, s)) in enumerate(walk)]
+
+
 def cmd_flows(args) -> int:
+    web = _web_from_args(args)
     if args.action == "enumerate":
-        web = _web_from_args(args)
-        # flows share their layers: each one's text is written once; a state of ints
-        # is written as json.dumps(list(state)) writes it
-        layer_text = functools.cache(
-            lambda layer: "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, layer)) + "]")
-        rows = [(idx, "[" + ", ".join(map(_SUBSET_TEXT.__getitem__, flow.moves)) + "]",
-                 "[" + ", ".join(map(layer_text, flow.layers)) + "]",
-                 "[" + ", ".join(map(str, flow.state)) + "]", flow.exponent)
-                for idx, flow in enumerate(enumerate_flows(web))]
-        _emit_rows(args, _FLOW_ROW, rows, ["flow", "moves", "strands", "state", "weight"],
+        _emit_rows(args, _FLOW_ROW, _flow_rows(web),
+                   ["flow", "moves", "strands", "state", "weight"],
                    text_fn=lambda r: (
                        f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  "
                        f"weight={r['weight']}"
                    ))
         return 0
-    expansion = tensor_expansion(web_vector(_web_from_args(args)))
-    rows = [("[" + ", ".join(map(str, j)) + "]", str(p))
-            for j, p in sorted(expansion.items(), reverse=True)]
+    # a top layer fixes the state: one polynomial per state
+    expansion = sorted(((_top_state(top), p)
+                        for top, p in tensor_expansion(_top_counts(web, {})).items()),
+                       reverse=True)
+    rows = [("[" + ", ".join(map(str, j)) + "]", str(p)) for j, p in expansion]
     _emit_rows(args, _EXPANSION_ROW, rows, ["state", "coefficient"])
     return 0
 

@@ -5,7 +5,11 @@ A flow assigns to every edge of a ladder web a subset of the three colors
 strand is carried across and must land on colors absent from the target
 strand.  A flow is stored as the tuple of moved subsets, one per rung, in
 application order.  `_moves` lists a rung's legal moves once per call, and
-rung exponents have no cache.  `flow_at` builds one flow of `enumerate_flows`.
+rung exponents have no cache.  `_flow_walk` is the one walk over a web's flow
+prefixes, rung by rung on one move table; each reader builds only what it
+needs of a prefix from its parent's: `enumerate_flows` the moves and layers
+tuples, `flow_at` a link to the parent, unwound for the one flow it returns,
+and the CLI's `flows enumerate` the rows' text.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
@@ -150,34 +154,46 @@ def _legal(table: dict, cur: tuple, i: int, j: int) -> list[tuple]:
     return legal
 
 
-def _flow_walk(web: LadderWeb) -> list[tuple]:
-    """(moves, layers, weight) of every flow on the web, in `enumerate_flows` order."""
+def _flow_walk(web: LadderWeb, root, step) -> list[tuple]:
+    """(top layer, weight, payload) of every flow on the web, in `enumerate_flows` order.
+
+    The prefixes grow rung by rung on one move table (`_legal`); a prefix's payload is
+    `step(parent's payload, moved subset, new layer)`, the empty prefix's is `root`."""
     table: dict = {}
-    partial = [((), (_bottom_subsets(web),), 0)]
+    partial = [(_bottom_subsets(web), 0, root)]
     for i, j in web.word.application_order():
         grown = []
-        for moves, layers, exponent in partial:
-            cur = layers[-1]
+        for cur, weight, payload in partial:
             head, tail = cur[:i - 1], cur[i + 1:]
             for h, left, right, e, _combo in _legal(table, cur, i, j):
-                grown.append((moves + (h,), layers + (head + (left, right) + tail,), exponent + e))
+                layer = head + (left, right) + tail
+                grown.append((layer, weight + e, step(payload, h, layer)))
         partial = grown
     return partial
 
 
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
-    return [Flow(web, moves, layers, e, _top_state(layers[-1]))
-            for moves, layers, e in _flow_walk(web)]
+    walk = _flow_walk(web, ((), (_bottom_subsets(web),)),
+                      lambda p, h, layer: (p[0] + (h,), p[1] + (layer,)))
+    return [Flow(web, moves, layers, weight, _top_state(top))
+            for top, weight, (moves, layers) in walk]
 
 
 def flow_at(web: LadderWeb, k: int) -> tuple[Flow | None, int]:
-    """`enumerate_flows(web)[k]` (None unless 0 <= k < count) and the count; builds one flow."""
-    walk = _flow_walk(web)
+    """`enumerate_flows(web)[k]` (None unless 0 <= k < count) and the count.  A prefix
+    links to its parent, so only the k-th flow's moves and layers are unwound."""
+    walk = _flow_walk(web, None, lambda parent, h, layer: (parent, h, layer))
     if not 0 <= k < len(walk):
         return None, len(walk)
-    moves, layers, e = walk[k]
-    return Flow(web, moves, layers, e, _top_state(layers[-1])), len(walk)
+    top, weight, link = walk[k]
+    moves, layers = [], []
+    while link is not None:
+        link, h, layer = link
+        moves.append(h)
+        layers.append(layer)
+    layers.append(_bottom_subsets(web))
+    return Flow(web, tuple(moves[::-1]), tuple(layers[::-1]), weight, _top_state(top)), len(walk)
 
 
 def _top_counts(web: LadderWeb, table: dict) -> dict[tuple, dict[int, int]]:
@@ -314,8 +330,9 @@ def closed_weight(closed: ClosedWeb, cf: ClosedFlow) -> int:
 # -- tensor expansion --------------------------------------------------------
 
 
-def tensor_expansion(vector: dict) -> dict[tuple[int, ...], LaurentPoly]:
-    """Coefficients of a web on elementary tensors by state, from its flow vector.
+def tensor_expansion(vector: dict) -> dict:
+    """Coefficients of a web on elementary tensors, from its flow vector by state or its
+    `_top_counts` by top layer (a top layer fixes the state), keyed as given.
 
     Each flow contributes v^weight with v = -q^(-1), i.e. the monomial
     (-1)^w q^(-w): the flow vector with q -> -q.

@@ -1,5 +1,6 @@
 """Webs with flows to standard fillings and back."""
 
+import gc
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from sl3web.bijection import (
     iota,
     roundtrip_holds,
     shape_of_boundary,
+    survey,
     survey_web,
     weight_diagram_tower,
 )
@@ -319,6 +321,20 @@ def test_survey_records_match_iota_and_bkw_degree():
                 assert t == filled
                 assert d == bkw_degree(filled)[0]
                 assert j == boundary_state(web, ref)
+
+
+def test_survey_leaves_no_garbage_for_the_collector():
+    # with the collector off, reference counting alone frees a web's survey scratch:
+    # the walk's closures, the records and row lists they build and the move table
+    bases = [list(enumerate_basis(signs)) for signs in classical_sign_strings(5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for basis in bases:
+            survey(basis)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bijection_records_are_immutable():

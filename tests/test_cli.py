@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -203,7 +204,7 @@ def test_malformed_payload_exits_two_without_traceback(capsys, argv):
 
 
 def _raise(error):
-    def broken(web):
+    def broken(*args):
         raise error
 
     return broken
@@ -219,7 +220,7 @@ def _raise(error):
     ids=["value-error", "key-error"],
 )
 def test_internal_error_exits_one_without_traceback(capsys, monkeypatch, argv, patch, line):
-    monkeypatch.setattr(cli, "enumerate_flows", _raise(patch))
+    monkeypatch.setattr(cli, "_flow_walk", _raise(patch))
     assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(line) and captured.err.count("\n") == 1
@@ -263,7 +264,7 @@ def test_iota_sweep_exits_zero_or_two_on_every_flow():
     codes: Counter = Counter()
     for web in webs:
         seen = set()
-        for flow in range(len(cli.enumerate_flows(web))):
+        for flow in range(len(enumerate_flows(web))):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 seen.add(main(["bij", "iota", "--word", str(web.word), "--n", str(web.n),
@@ -516,24 +517,51 @@ FLOW_WEBS = [(["--word", str(web.word), "--n", str(web.n), "--ell", str(web.ell)
 FLOW_WEBS += [(["--preset", name], preset_web(name)) for name in PRESET_NAMES]
 
 
+def _flow_row_dicts(web):
+    """The oracle rows of `flows enumerate` and `flows expand` on the web: one dict per
+    flow of enumerate_flows, and per state of its flow vector's expansion."""
+    flows = enumerate_flows(web)
+    listed = [{"flow": idx,
+               "moves": json.dumps([sorted(h) for h in f.moves]),
+               "strands": json.dumps([[sorted(s) for s in layer] for layer in f.layers]),
+               "state": json.dumps(list(f.state)),
+               "weight": f.exponent} for idx, f in enumerate(flows)]
+    expanded = [{"state": json.dumps(list(j)), "coefficient": str(p)}
+                for j, p in sorted(tensor_expansion(flow_vector(flows)).items(), reverse=True)]
+    return listed, expanded
+
+
 @pytest.mark.parametrize("argv,web", FLOW_WEBS, ids=[" ".join(a) for a, _w in FLOW_WEBS])
 def test_flows_json_is_the_dumps_of_its_row_dicts(capsys, argv, web):
     # the rows are written from one template per flow or state; the oracle is one row
     # dict each, dumped whole
-    flows = enumerate_flows(web)
-    rows = [{"flow": idx,
-             "moves": json.dumps([sorted(h) for h in f.moves]),
-             "strands": json.dumps([[sorted(s) for s in layer] for layer in f.layers]),
-             "state": json.dumps(list(f.state)),
-             "weight": f.exponent} for idx, f in enumerate(flows)]
+    listed, expanded = _flow_row_dicts(web)
     code, out = run_cli(capsys, "--format", "json", "flows", "enumerate", *argv)
-    assert code == 0 and len(rows) > 0
-    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    rows = [{"state": json.dumps(list(j)), "coefficient": str(p)}
-            for j, p in sorted(tensor_expansion(flow_vector(flows)).items(), reverse=True)]
+    assert code == 0 and len(listed) > 0
+    assert out == json.dumps(listed, indent=2, sort_keys=True) + "\n"
     code, out = run_cli(capsys, "--format", "json", "flows", "expand", *argv)
     assert code == 0
-    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(expanded, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,web", FLOW_WEBS, ids=[" ".join(a) for a, _w in FLOW_WEBS])
+def test_flows_text_and_csv_write_the_row_dicts(capsys, argv, web):
+    # the same oracle rows, as the text lines and the CSV the two actions write
+    listed, expanded = _flow_row_dicts(web)
+    code, out = run_cli(capsys, "flows", "enumerate", *argv)
+    assert code == 0 and out == "".join(
+        f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  weight={r['weight']}\n"
+        for r in listed)
+    code, out = run_cli(capsys, "flows", "expand", *argv)
+    assert code == 0 and out == "".join(
+        f"state={r['state']}  coefficient={r['coefficient']}\n" for r in expanded)
+    for action, rows in (("enumerate", listed), ("expand", expanded)):
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        code, out = run_cli(capsys, "--format", "csv", "flows", action, *argv)
+        assert code == 0 and out == buf.getvalue(), action
 
 
 # Exit code, stdout sha256 and stderr sha256 of argv that argparse itself

@@ -1,6 +1,8 @@
 """Flow enumeration, weights, brackets and tensor expansions."""
 
+import gc
 import itertools
+import json
 
 import pytest
 
@@ -286,12 +288,27 @@ def test_web_vector_reads_a_patched_rule(monkeypatch):
     assert any(bracket(ClosedWeb(*pair)) != brackets[pair] for pair in pairs)
 
 
+def test_flows_enumerate_reads_a_patched_rule(monkeypatch, capsys):
+    webs = [web for signs in classical_sign_strings(5) for _, web in enumerate_basis(signs)]
+    plain = {web: [f.exponent for f in enumerate_flows(web)] for web in webs}
+    real = flows.transition_exponent
+    monkeypatch.setattr(flows, "transition_exponent", lambda *sets: -real(*sets))
+    changed = 0
+    for web in webs:
+        argv = ["--word", str(web.word), "--n", str(web.n), "--ell", str(web.ell)]
+        assert cli.main(["--format", "json", "flows", "enumerate", *argv]) == 0
+        weights = [row["weight"] for row in json.loads(capsys.readouterr().out)]
+        assert weights == [f.exponent for f in enumerate_flows(web)], web
+        changed += weights != plain[web]
+    assert changed > 0
+
+
 def test_bracket_and_expand_build_no_flow(monkeypatch, capsys):
     def refused(*args):
         raise AssertionError("a flow was built")
 
     monkeypatch.setattr(flows, "enumerate_flows", refused)
-    monkeypatch.setattr(cli, "enumerate_flows", refused)
+    monkeypatch.setattr(cli, "_flow_walk", refused)
     monkeypatch.setattr(flows, "Flow", refused)
     for argv in (["bracket", "--pair", "theta"],
                  ["bracket", "--pair", "F2 F1^2 F3^2 F2^2", "F1^2 F2 F3^2 F2^2", "--n", "4", "--ell", "2"],
@@ -304,9 +321,36 @@ def test_bij_iota_builds_the_flow_it_fills(monkeypatch, capsys):
     real, built = flows.Flow, []
     monkeypatch.setattr(flows, "Flow", lambda *fields: built.append(fields) or real(*fields))
     monkeypatch.setattr(flows, "enumerate_flows", None)
-    monkeypatch.setattr(cli, "enumerate_flows", None)
     assert cli.main(["bij", "iota", "--preset", "hexagon", "--flow", "7"]) == 0
     assert len(built) == 1 and capsys.readouterr().out
+
+
+def test_flow_walks_leave_no_garbage_for_the_collector(capsys):
+    # every reader of the prefix walk is freed by reference counting alone
+    webs = [web for signs in classical_sign_strings(5) for _, web in enumerate_basis(signs)]
+    gc.collect()
+    gc.disable()
+    try:
+        for web in webs:
+            enumerate_flows(web)
+            flow_at(web, 0)
+            cli._flow_rows(web)
+        assert cli.main(["--format", "json", "flows", "enumerate", "--preset", "hexagon"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
+
+
+def test_flows_enumerate_builds_no_flow(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a flow was built")
+
+    monkeypatch.setattr(flows, "enumerate_flows", refused)
+    monkeypatch.setattr(flows, "Flow", refused)
+    for fmt in ("text", "json", "csv"):
+        assert cli.main(["--format", fmt, "flows", "enumerate", "--preset", "hexagon"]) == 0
+        assert capsys.readouterr().out
 
 
 # -- tensor expansion ------------------------------------------------------------------
@@ -415,10 +459,13 @@ def test_each_web_computes_each_of_its_moves_once(monkeypatch):
             calls.clear()
             fs = enumerate_flows(web)
             listed = list(calls)
-            calls.clear()
-            survey_web(web, states)
-            # each path computes every move once, and both compute the same moves
-            assert len(listed) == len(set(listed)) == len(calls) and set(calls) == set(listed), web
+            # each path computes every move once, and all compute the same moves
+            for path in (lambda: survey_web(web, states), lambda: flow_at(web, 0),
+                         lambda: cli._flow_rows(web)):
+                calls.clear()
+                path()
+                assert len(calls) == len(set(calls)) and set(calls) == set(listed), web
+            assert len(listed) == len(set(listed)), web
             used = {(f.layers[s][i - 1], f.layers[s][i], f.moves[s])
                     for f in fs for s, (i, _j) in enumerate(web.word.application_order())}
             assert used <= set(listed), web
