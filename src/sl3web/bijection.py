@@ -17,20 +17,19 @@ cap (`cap_step`) has a kind, and the table places into its moved colors.
 
 `survey` is the one place that fills a boundary's flows; the checks, the
 cellular basis, the graded dimensions and the roundtrips all read its
-records.  It walks each web's flow-prefix tree once, placing a rung's
-nodes and adding their degree share at the prefix, so every prefix is
-filled and graded once; `iota` and `bkw_degree` stay the per-flow
-definitions it is tested against.  It keeps nothing between calls: a
-caller that reads one boundary several times holds on to the survey.
+records, plain (state, degree, weight, moves, filling) tuples.  It reads
+each web's flow prefixes off `flows._flow_walk`, placing a rung's nodes and
+adding their degree share at the prefix, so every prefix is filled and
+graded once; `iota` and `bkw_degree` stay the per-flow definitions it is
+tested against.  It keeps nothing between calls: a caller that reads one
+boundary several times holds on to the survey.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from sl3web.flows import (
-    COLORS, Flow, _bottom_subsets, _legal, _top_state, flow_from_moves, flow_to_colstrict,
-)
+from sl3web.flows import COLORS, Flow, _flow_walk, _top_state, flow_from_moves, flow_to_colstrict
 from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
     Multipartition3,
@@ -173,9 +172,9 @@ def _classify(k: int, a: int, b: int, j: int, left: frozenset, right: frozenset,
     )
 
 
-def shape_of_boundary(web: LadderWeb, flow: Flow) -> Multipartition3:
-    """Multipartition encoding the boundary pair of the web with flow."""
-    return colstrict_to_multipartition(flow_to_colstrict(web, flow))
+def shape_of_boundary(web: LadderWeb, top: tuple[frozenset, ...]) -> Multipartition3:
+    """Multipartition encoding the boundary pair of the web with a flow of this top layer."""
+    return colstrict_to_multipartition(flow_to_colstrict(web, top))
 
 
 def cap_step(web: LadderWeb) -> int | None:
@@ -213,7 +212,7 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     """
     if (cap := cap_step(web)) is not None:
         raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
-    shape = shape_of_boundary(web, flow)
+    shape = shape_of_boundary(web, flow.layers[-1])
     parts = shape.components
     filled = [[[0] * length for length in p] for p in parts]
     front = [[0] * len(p) for p in parts]  # filled prefix length of every row
@@ -348,10 +347,11 @@ def grow(t: StdMultitableau3, n: int | None = None) -> tuple[LadderWeb, Flow]:
     return web, flow_from_moves(web, moves)
 
 
-def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
-    """Whether grow(t), for t = iota(web, flow), returns the web and flow
-    unchanged: whether the word and moves it reads off t's residues are theirs."""
-    return _read_word(t) == (web.word, flow.moves)
+def roundtrip_holds(web: LadderWeb, moves: tuple[frozenset, ...], t: StdMultitableau3) -> bool:
+    """Whether grow(t), for t the filling of the flow with these moves on the web,
+    returns the web and flow unchanged: whether the word and moves it reads off t's
+    residues are theirs."""
+    return _read_word(t) == (web.word, moves)
 
 
 # -- the boundary survey --------------------------------------------------------
@@ -359,7 +359,7 @@ def roundtrip_holds(web: LadderWeb, flow: Flow, t: StdMultitableau3) -> bool:
 
 class WebSurvey(NamedTuple):
     """A basis web with every flow on it filled once: per flow (state, filling degree,
-    flow, iota(web, flow)), and per state its degrees."""
+    weight, moves, filling), and per state its degrees."""
 
     web: LadderWeb
     records: tuple[tuple, ...]
@@ -369,68 +369,54 @@ class WebSurvey(NamedTuple):
 def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     """Enumerate the flows on one web, with their states, fillings and degrees.
 
-    One depth-first walk over the flow-prefix tree, in `enumerate_flows`
-    order, reading a rung's moves off `flows._moves` once per web.  A prefix
-    node places the moved colors' nodes as `iota` does and adds that entry's
-    share of `bkw_degree` and the move's exponent to the flow's weight, on
-    state the walk undoes when it backtracks.  The residue shift is the web's:
-    ell less the leading weight-3 strands on top, whose rows are empty in
-    every component.  With the shift fixed and a residue naming one row
-    (`_next_node`), no placement needs the shape: a leaf checks that the grown
-    row lengths, with the web's shift, are the shape `shape_of_boundary` reads
-    off the flow.  A top layer fixes the state and the shape, so `states` maps
-    it to (state, shape, row lengths padded to the shift), read off its first
-    flow, and the leaf hands the state to its flow; `survey` shares the map
-    between the webs of a boundary, which share ell and top weights.
+    A reader of `flows._flow_walk`, so in `enumerate_flows` order.  A prefix carries
+    (entries placed, degree, row lengths per component, moves, link): its move places
+    the sorted colors' nodes as `iota` does, on copies of the components it touches,
+    adds that entry's share of `bkw_degree`, and links the nodes to the parent's link;
+    the walk adds the weight.  The residue shift is the web's: ell less the leading
+    weight-3 strands on top, whose rows are empty in every component.  With the shift
+    fixed and a residue naming one row (`_next_node`), no placement needs the shape: a
+    leaf checks that its grown row lengths, with the web's shift, are the shape
+    `shape_of_boundary` reads off its top layer, and fills the rows from its links.  A
+    top layer fixes the state and the shape, so `states` maps it to (state, shape, row
+    lengths padded to the shift), read once; `survey` shares the map between the webs
+    of a boundary, which share ell and top weights.
     """
     if (cap := cap_step(web)) is not None:
         raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
-    order = web.word.application_order()
+    residues = [i for i, _j in web.word.application_order()]
     top = web.layers[-1]
     m = web.ell - next((s for s, w in enumerate(top) if w != 3), len(top))
-    lengths = ([0] * m, [0] * m, [0] * m)  # row lengths grown so far, per component
-    rows = tuple([[] for _ in range(m)] for _ in range(3))  # and their entries
-    moves, layers = [], [_bottom_subsets(web)]
-    records, by_state = [], {}
-    table: dict = {}  # (left, right, j) -> _moves, for this web only
 
-    def leaf(degree: int, exponent: int) -> None:
-        if (known := states.get(layers[-1])) is None:
-            flow = Flow(web, tuple(moves), tuple(layers), exponent, _top_state(layers[-1]))
-            shape = shape_of_boundary(web, flow)
-            padded = tuple(list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components)
-            known = states[layers[-1]] = (flow.state, shape, padded)
+    def place(prefix, move, _layer):
+        k, degree, lengths, moves, link = prefix
+        i, grown, nodes = residues[k], list(lengths), []
+        for l in move[4]:
+            grown[l - 1] = comp = lengths[l - 1].copy()
+            nodes.append(_next_node(comp, l, i, m))
+        degree += _entry_degree(grown, m, nodes, i)
+        return k + 1, degree, grown, moves + move[:1], (link, nodes)
+
+    records, by_state = [], {}
+    root = (0, 0, [[0] * m, [0] * m, [0] * m], (), None)
+    for layer, weight, (k, degree, lengths, moves, link) in _flow_walk(web, root, place):
+        if (known := states.get(layer)) is None:
+            shape = shape_of_boundary(web, layer)
+            padded = [list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components]
+            known = states[layer] = (_top_state(layer), shape, padded)
         state, shape, padded = known
-        flow = Flow(web, tuple(moves), tuple(layers), exponent, state)
         # rows grown out of order, or with another shift than the shape's, differ
         if lengths != padded:
-            raise RuntimeError(f"flow {flow.moves} on {web} fills rows {lengths}, not {shape}")
-        filled = tuple(tuple(tuple(row) for row in comp if row) for comp in rows)
-        records.append((state, degree, flow, StdMultitableau3._make((shape, filled))))
+            raise RuntimeError(f"flow {moves} on {web} fills rows {lengths}, not {shape}")
+        rows = [[[0] * n for n in comp] for comp in shape.components]
+        while link is not None:
+            link, nodes = link
+            for node in nodes:
+                rows[node.comp - 1][node.row - 1][node.col - 1] = k
+            k -= 1
+        filled = tuple(tuple(map(tuple, comp)) for comp in rows)
+        records.append((state, degree, weight, moves, StdMultitableau3._make((shape, filled))))
         by_state.setdefault(state, []).append(degree)
-
-    def walk(step: int, degree: int, exponent: int) -> None:
-        if step > len(order):
-            return leaf(degree, exponent)
-        i, j = order[step - 1]
-        cur = layers[-1]
-        head, tail = cur[:i - 1], cur[i + 1:]
-        for h, left, right, e, combo in _legal(table, cur, i, j):
-            nodes = [_next_node(lengths[l - 1], l, i, m) for l in combo]
-            grown = degree + _entry_degree(lengths, m, nodes, i)
-            for node in nodes:
-                rows[node.comp - 1][node.row - 1].append(step)
-            moves.append(h)
-            layers.append(head + (left, right) + tail)
-            walk(step + 1, grown, exponent + e)
-            moves.pop()
-            layers.pop()
-            for node in nodes:
-                lengths[node.comp - 1][node.row - 1] -= 1
-                rows[node.comp - 1][node.row - 1].pop()
-
-    walk(1, 0, 0)
-    del walk, leaf  # walk calls itself through its cell: free the cycle now, not at a collection
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})
 
 

@@ -5,11 +5,11 @@ counterexample is a JSON payload that can be replayed through the command
 line.  `run_checks` builds one `Boundary` per sign string, hands it to every
 check and drops it before the next.  A `Boundary` builds on first read the
 basis, its `bijection.survey` (the only enumeration of the boundary's flows),
-one `flows.flow_vector` per web (the survey's flows weighed by rung exponents
-instead of filling degrees), their pairing per ordered pair of webs (the
-bracket of the glued pair), the halves of `foamword.cellular_halves` (degrees
-and generator keys, no foam word) and their distinct generators, each interned
-once with its reflection: a pair's degree and involution follow from theirs.
+one `flows.flow_vector` per web (the survey records' states and weights: rung
+exponents instead of filling degrees), their pairing per ordered pair of webs
+(the bracket of the glued pair), the halves of `foamword.cellular_halves`
+(degrees and generator keys, no foam word) and their distinct generators, each
+built once with its reflection: a pair's degree and involution follow from theirs.
 An exception inside one check is a failing result.
 """
 
@@ -53,7 +53,7 @@ class Boundary:
 
     @cached_property
     def vectors(self):
-        return [flow_vector(f for _j, _d, f, _t in entry.records) for entry in self.surveys]
+        return [flow_vector((j, w) for j, _d, w, _m, _t in entry.records) for entry in self.surveys]
 
     @cached_property
     def brackets(self):
@@ -80,17 +80,17 @@ def check_roundtrip(b: Boundary):
     """iota is injective and grow(iota(u_f)) returns every web with flow unchanged."""
     seen: dict[tuple, tuple] = {}
     for entry in b.surveys:
-        for _j, _d, flow, t in entry.records:
-            val = (entry.web.word, flow.moves)
+        for _j, _d, _w, moves, t in entry.records:
+            val = (entry.web.word, moves)
             if seen.setdefault((t.shape, t.rows), val) != val:
                 return False, _payload(
                     b.signs, word=str(entry.web.word), reason="iota not injective"
                 )
-            if not roundtrip_holds(entry.web, flow, t):
+            if not roundtrip_holds(entry.web, moves, t):
                 return False, _payload(
                     b.signs,
                     word=str(entry.web.word),
-                    flow=[sorted(h) for h in flow.moves],
+                    flow=[sorted(h) for h in moves],
                     reason="grow did not invert",
                 )
     return True, None
@@ -99,8 +99,7 @@ def check_roundtrip(b: Boundary):
 def check_degree_duality(b: Boundary):
     """Filling degree equals minus the flow weight, flow by flow."""
     for entry in b.surveys:
-        for j, d, flow, _t in entry.records:
-            w = flow.exponent
+        for j, d, w, _m, _t in entry.records:
             if d != -w:
                 return False, _payload(
                     b.signs, word=str(entry.web.word), state=list(j), weight=w, degree=d

@@ -219,7 +219,7 @@ def _flow_rows(web: LadderWeb) -> list[tuple]:
     subset = _SUBSET_TEXT.__getitem__
     moves = {s: ", " + text for s, text in _SUBSET_TEXT.items()}
     walk = _flow_walk(web, ("", "[[" + ", ".join(map(subset, _bottom_subsets(web))) + "]"),
-                      lambda p, h, layer: (p[0] + moves[h],
+                      lambda p, move, layer: (p[0] + moves[move[0]],
                                            p[1] + ", [" + ", ".join(map(subset, layer)) + "]"))
     return [(idx, "[" + m[2:] + "]", s + "]", "[" + ", ".join(map(str, _top_state(top))) + "]",
              weight) for idx, (top, weight, (m, s)) in enumerate(walk)]
@@ -284,8 +284,8 @@ def cmd_bij(args) -> int:
     signs = _signs(args, "bij roundtrip")
     rows, all_ok = [], True
     for entry in survey(enumerate_basis(signs)):
-        for idx, (_j, _d, flow, t) in enumerate(entry.records):
-            ok = roundtrip_holds(entry.web, flow, t)
+        for idx, (_j, _d, _w, moves, t) in enumerate(entry.records):
+            ok = roundtrip_holds(entry.web, moves, t)
             all_ok &= ok
             rows.append({"word": str(entry.web.word), "flow": idx, "ok": ok})
     _emit(args, rows, ["word", "flow", "ok"],

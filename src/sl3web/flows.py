@@ -9,7 +9,8 @@ rung exponents have no cache.  `_flow_walk` is the one walk over a web's flow
 prefixes, rung by rung on one move table; each reader builds only what it
 needs of a prefix from its parent's: `enumerate_flows` the moves and layers
 tuples, `flow_at` a link to the parent, unwound for the one flow it returns,
-and the CLI's `flows enumerate` the rows' text.
+the CLI's `flows enumerate` the rows' text, and `bijection.survey_web` the
+filling's row lengths, degree and moves.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
@@ -18,7 +19,7 @@ by the flow as `exponent` next to its boundary `state`.  The flow vector
 A_w(j) of a web sums q^-weight over its flows of state j.  `_top_counts`
 counts a web's flow prefixes per exponent and top layer, building no flow; a
 top layer fixes the state, so `web_vector` is one polynomial per top layer.
-`flow_vector` sums the flows it is handed, the checks' from the survey.
+`flow_vector` sums (state, weight) pairs, the checks' from the survey's records.
 A closed web, presented as a pair (u, v) glued along a common boundary,
 adds one plus the boundary state per strand, so its bracket is the
 `pairing` sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors;
@@ -95,7 +96,7 @@ def divided_power_identity_holds(left: frozenset, right: frozenset, moved: froze
 class Flow(NamedTuple):
     """Moved color subsets per rung, in application order, strand subsets per layer,
     bottom to top, the weight (the rungs' transition exponents summed) and the
-    boundary state.  Built by `enumerate_flows`, `flow_at`, `flow_from_moves` or the survey."""
+    boundary state.  Built by `enumerate_flows`, `flow_at` or `flow_from_moves`."""
 
     web: LadderWeb
     moves: tuple[frozenset, ...]
@@ -158,16 +159,18 @@ def _flow_walk(web: LadderWeb, root, step) -> list[tuple]:
     """(top layer, weight, payload) of every flow on the web, in `enumerate_flows` order.
 
     The prefixes grow rung by rung on one move table (`_legal`); a prefix's payload is
-    `step(parent's payload, moved subset, new layer)`, the empty prefix's is `root`."""
+    `step(parent's payload, move, new layer)`, the move as `_legal` lists it; the empty
+    prefix's is `root`."""
     table: dict = {}
     partial = [(_bottom_subsets(web), 0, root)]
     for i, j in web.word.application_order():
         grown = []
         for cur, weight, payload in partial:
             head, tail = cur[:i - 1], cur[i + 1:]
-            for h, left, right, e, _combo in _legal(table, cur, i, j):
+            for move in _legal(table, cur, i, j):
+                _h, left, right, e, _combo = move
                 layer = head + (left, right) + tail
-                grown.append((layer, weight + e, step(payload, h, layer)))
+                grown.append((layer, weight + e, step(payload, move, layer)))
         partial = grown
     return partial
 
@@ -175,7 +178,7 @@ def _flow_walk(web: LadderWeb, root, step) -> list[tuple]:
 def enumerate_flows(web: LadderWeb) -> list[Flow]:
     """All flows on the web, in a deterministic order."""
     walk = _flow_walk(web, ((), (_bottom_subsets(web),)),
-                      lambda p, h, layer: (p[0] + (h,), p[1] + (layer,)))
+                      lambda p, move, layer: (p[0] + move[:1], p[1] + (layer,)))
     return [Flow(web, moves, layers, weight, _top_state(top))
             for top, weight, (moves, layers) in walk]
 
@@ -183,7 +186,7 @@ def enumerate_flows(web: LadderWeb) -> list[Flow]:
 def flow_at(web: LadderWeb, k: int) -> tuple[Flow | None, int]:
     """`enumerate_flows(web)[k]` (None unless 0 <= k < count) and the count.  A prefix
     links to its parent, so only the k-th flow's moves and layers are unwound."""
-    walk = _flow_walk(web, None, lambda parent, h, layer: (parent, h, layer))
+    walk = _flow_walk(web, None, lambda parent, move, layer: (parent, move[0], layer))
     if not 0 <= k < len(walk):
         return None, len(walk)
     top, weight, link = walk[k]
@@ -213,16 +216,16 @@ def _top_counts(web: LadderWeb, table: dict) -> dict[tuple, dict[int, int]]:
 
 
 def web_vector(web: LadderWeb) -> dict[tuple[int, ...], LaurentPoly]:
-    """`flow_vector(enumerate_flows(web))`, states in the same order, built with no
-    flow: a top layer fixes the state, so each one's counts are one polynomial."""
+    """The flow vector of `enumerate_flows(web)`, states in the same order, built with
+    no flow: a top layer fixes the state, so each one's counts are one polynomial."""
     return {_top_state(top): LaurentPoly(counts) for top, counts in _top_counts(web, {}).items()}
 
 
-def flow_vector(flows) -> dict[tuple[int, ...], LaurentPoly]:
-    """Sum of q^-exponent over the given flows of one web (the survey's), per state."""
+def flow_vector(pairs) -> dict[tuple[int, ...], LaurentPoly]:
+    """Sum of q^-weight over the (state, weight) of each flow of one web, per state."""
     counts: dict[tuple[int, ...], Counter] = {}
-    for f in flows:
-        counts.setdefault(f.state, Counter())[-f.exponent] += 1
+    for state, weight in pairs:
+        counts.setdefault(state, Counter())[-weight] += 1
     return {j: LaurentPoly(c) for j, c in counts.items()}
 
 
@@ -346,11 +349,11 @@ def tensor_expansion(vector: dict) -> dict:
 # -- column-strict reading and the canonical flow ----------------------------
 
 
-def flow_to_colstrict(web: LadderWeb, flow: Flow):
-    """Column c lists the strands holding color c at the top, top to bottom."""
+def flow_to_colstrict(web: LadderWeb, top: tuple[frozenset, ...]):
+    """Column c lists the strands holding color c in a flow's top layer, top to bottom."""
     columns = []
     for c in COLORS:
-        strands = sorted(k for k, subset in enumerate(flow.layers[-1], start=1) if c in subset)
+        strands = sorted(k for k, subset in enumerate(top, start=1) if c in subset)
         if len(strands) != web.ell:
             raise RuntimeError(f"color {c} held by {len(strands)} strands, not {web.ell}")
         columns.append(strands)
@@ -371,7 +374,7 @@ def canonical_flow(web: LadderWeb, tableau, flows) -> Flow:
     """The unique flow whose column-strict reading is `tableau`, the one the web
     was built from, searched among `flows`, which are all the flows on the web."""
     wanted = tuple(tuple(r) for r in tableau)
-    matches = [f for f in flows if flow_to_colstrict(web, f) == wanted]
+    matches = [f for f in flows if flow_to_colstrict(web, f.layers[-1]) == wanted]
     if len(matches) != 1:
         raise RuntimeError(
             f"expected a unique canonical flow on {web}, found {len(matches)}"

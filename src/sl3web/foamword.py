@@ -11,8 +11,8 @@ The cellular basis is computed in degrees.  Per boundary state,
 one on the frame's integers (`_swap_walk`), one generator key per swap, and
 keeps the sum of their degrees.  A pair weighs its two filling degrees once
 the dots and each distinct generator's reflection are checked.  Generators
-(`_gen` interns them, reflected ones too) and words (`half_foam`) are built
-on request only.
+(`reflections` builds each distinct one and its reflection) and words
+(`half_foam`) are built on request only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import itertools
 import operator
 from collections import Counter
 from collections.abc import Iterator
-from functools import lru_cache
 from typing import NamedTuple
 
 from sl3web.bijection import WebSurvey, survey
@@ -35,7 +34,7 @@ from sl3web.tableaux import (
 
 
 class FoamGen(NamedTuple):
-    """One foam generator with its degree contribution; build it with `_gen`."""
+    """One foam generator with its degree contribution."""
 
     kind: str  # zip | unzip | digon_removal | theta_removal | shift | dots | identity
     degree: int
@@ -57,17 +56,11 @@ class FoamGen(NamedTuple):
         return tag
 
 
-@lru_cache(maxsize=None)
-def _gen(kind: str, degree: int, position: int | None, count: int, mirrored: bool) -> FoamGen:
-    """The one generator with these fields (pass all five positionally)."""
-    return FoamGen(kind, degree, position, count, mirrored)
-
-
 _MIRROR = {"zip": "unzip", "unzip": "zip"}  # reflection swaps these kinds, keeps the rest
 
 
 def _reflect(g: FoamGen) -> FoamGen:
-    return _gen(_MIRROR.get(g.kind, g.kind), g.degree, g.position, g.count, not g.mirrored)
+    return FoamGen(_MIRROR.get(g.kind, g.kind), g.degree, g.position, g.count, not g.mirrored)
 
 
 class FoamWord(NamedTuple):
@@ -282,11 +275,11 @@ def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
 
 def half_foam(t: StdMultitableau3, bottom: LTWord) -> FoamWord:
     """The half foam of a filling, from its web's word `bottom` to its shape's
-    idempotent: the walk's keys (`_half_keys`) as interned generators.  Built on
+    idempotent: the walk's keys (`_half_keys`) as generators.  Built on
     request only; the basis and the checks read the keys' degrees."""
     frame = _frame(t.shape)
     keys = _half_keys(t, frame, _swap_keys(t.shape.size))
-    return _word(bottom, _idempotent(frame[0]), tuple(_gen(*key, False) for key in keys))
+    return _word(bottom, _idempotent(frame[0]), tuple(FoamGen(*key, False) for key in keys))
 
 
 def _dot_generators(dots: list[int]) -> tuple[tuple, ...]:
@@ -295,8 +288,8 @@ def _dot_generators(dots: list[int]) -> tuple[tuple, ...]:
 
 
 def reflections(keys) -> dict[FoamGen, FoamGen]:
-    """Each generator key's interned generator, mapped to its reflection."""
-    return {g: _reflect(g) for g in (_gen(*key, False) for key in keys)}
+    """Each generator key's generator, mapped to its reflection."""
+    return {g: _reflect(g) for g in (FoamGen(*key, False) for key in keys)}
 
 
 class CellState(NamedTuple):
@@ -320,7 +313,7 @@ def cellular_halves(surveys) -> Iterator[CellState]:
     this raises."""
     groups: dict[tuple, list[tuple[StdMultitableau3, int]]] = {}
     for entry in surveys:
-        for j, d, _flow, t in entry.records:
+        for j, d, _w, _m, t in entry.records:
             groups.setdefault(j, []).append((t, d))
     swaps = _swap_keys(max((group[0][0].shape.size for group in groups.values()), default=0))
     for group in groups.values():

@@ -160,7 +160,7 @@ def test_iota_shape_matches_boundary_encoding():
         for _rows, web in enumerate_basis(signs):
             for flow in enumerate_flows(web):
                 t = iota(web, flow)
-                assert t.shape == shape_of_boundary(web, flow)
+                assert t.shape == shape_of_boundary(web, flow.layers[-1])
 
 
 # -- weight diagram towers ---------------------------------------------------------
@@ -229,7 +229,7 @@ def test_grow_superstandard_of_canonical_shapes():
         for rows, web in enumerate_basis(signs):
             shape = iota(web, canonical_flow(web, rows, enumerate_flows(web))).shape
             grown, gflow = grow(superstandard(shape))
-            assert flow_to_colstrict(grown, gflow) == rows
+            assert flow_to_colstrict(grown, gflow.layers[-1]) == rows
 
 
 def test_grow_emits_only_rightward_rungs():
@@ -250,7 +250,7 @@ def test_roundtrip_exhaustive_small():
     for signs in classical_sign_strings(5):
         for _rows, web in enumerate_basis(signs):
             for flow in enumerate_flows(web):
-                assert roundtrip_holds(web, flow, iota(web, flow))
+                assert roundtrip_holds(web, flow.moves, iota(web, flow))
 
 
 def test_iota_injective_small():
@@ -298,7 +298,7 @@ def test_residue_shift_is_fixed_per_web():
     assert any(web.layers[-1][0] == 3 for web in webs)
     for web in webs:
         for flow in enumerate_flows(web):
-            assert shape_of_boundary(web, flow).m == _shift_rule(web), (web, flow)
+            assert shape_of_boundary(web, flow.layers[-1]).m == _shift_rule(web), (web, flow)
 
 
 def test_next_node_needs_a_cell_above():
@@ -314,9 +314,9 @@ def test_survey_records_match_iota_and_bkw_degree():
         for _rows, web in enumerate_basis(signs):
             flows = enumerate_flows(web)
             entry = survey_web(web, states)
-            assert [flow for _j, _d, flow, _t in entry.records] == flows
-            for (j, d, flow, t), ref in zip(entry.records, flows):
-                assert flow.layers == ref.layers
+            # in order, each record's state, weight and moves are its flow's
+            for (j, d, w, moves, t), ref in zip(entry.records, flows, strict=True):
+                assert (j, w, moves) == (ref.state, ref.exponent, ref.moves)
                 filled = iota(web, ref)
                 assert t == filled
                 assert d == bkw_degree(filled)[0]
@@ -325,7 +325,7 @@ def test_survey_records_match_iota_and_bkw_degree():
 
 def test_survey_leaves_no_garbage_for_the_collector():
     # with the collector off, reference counting alone frees a web's survey scratch:
-    # the walk's closures, the records and row lists they build and the move table
+    # the walk's prefixes, their links and row lengths, the records and the move table
     bases = [list(enumerate_basis(signs)) for signs in classical_sign_strings(5)]
     gc.collect()
     gc.disable()
@@ -350,9 +350,9 @@ def test_roundtrip_reads_what_grow_grows():
         for _rows, web in enumerate_basis(signs):
             records = survey_web(web, {}).records
             # each filling against its own flow and against the next flow on the web
-            for (_j, _d, flow, t), (_j2, _d2, other, _t2) in zip(records, records[1:] + records[:1]):
+            for (*_r, moves, t), (*_r2, other, _t2) in zip(records, records[1:] + records[:1]):
                 grown, gflow = grow(t, n=web.n)
-                for f in (flow, other):
-                    same = grown.word == web.word and gflow.moves == f.moves
+                for f in (moves, other):
+                    same = grown.word == web.word and gflow.moves == f
                     assert roundtrip_holds(web, f, t) == same
-                assert roundtrip_holds(web, flow, t)
+                assert roundtrip_holds(web, moves, t)

@@ -1,7 +1,6 @@
 """Every check reads one survey per boundary and can still fail."""
 
 import contextlib
-import functools
 import importlib.util
 import inspect
 import io
@@ -98,7 +97,8 @@ def test_survey_fed_vectors_equal_enumerated_vectors():
     for signs in checks.classical_sign_strings(6):
         b = checks.Boundary(signs)
         for entry, vector in zip(b.surveys, b.vectors):
-            assert vector == flows.flow_vector(enumerate_flows(entry.web)), (signs, entry.web)
+            want = flows.flow_vector((f.state, f.exponent) for f in enumerate_flows(entry.web))
+            assert vector == want, (signs, entry.web)
             webs += 1
     assert webs == 176  # every basis web over the 42 boundaries with n <= 6
 
@@ -272,25 +272,26 @@ def _mutant(module, old, new):
 
 
 def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch, capsys):
-    # no foam word is built, per half or per pair, and `_gen` builds each distinct
-    # generator and its reflection once, on a cache of its own
+    # no foam word is built, per half or per pair, and each distinct generator and its
+    # reflection are built once
     def refuse(*args):
         raise AssertionError("a foam word was built")
 
     monkeypatch.setattr(foamword, "FoamWord", refuse)
     monkeypatch.setattr(foamword, "_word", refuse)
+    real = foamword.FoamGen
     for argv in (["--format", "json", "foam", "basis", "--signs", SIGNS],
                  ["verify", "all", "--signs", SIGNS]):
-        calls, fresh = [], functools.lru_cache(maxsize=None)(foamword.FoamGen)
-        monkeypatch.setattr(foamword, "_gen", lambda *key: calls.append(key) or fresh(*key))
+        calls = []
+        monkeypatch.setattr(foamword, "FoamGen", lambda *key: calls.append(key) or real(*key))
         assert main(argv) == 0, capsys.readouterr()
         built = [key for key in calls if not key[4]]
-        assert fresh.cache_info().misses == len(set(calls)) == 2 * len(set(built)) > 10
+        mirrored = [key for key in calls if key[4]]
+        assert len(mirrored) == len(set(mirrored)) == len(set(built)) > 10
         if argv[0] != "verify":
-            assert len(calls) == fresh.cache_info().misses
+            assert len(built) == len(set(built))
         else:  # save cellular's second reflection, which gives the generator back
             assert Counter(built) == dict.fromkeys(built, 2)
-            assert len(calls) == fresh.cache_info().misses + len(set(built))
 
 
 def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
@@ -298,7 +299,7 @@ def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
 
     def heavier(g):
         r = real(g)
-        return foamword._gen(r.kind, r.degree + 1, r.position, r.count, r.mirrored)
+        return r._replace(degree=r.degree + 1)
 
     monkeypatch.setattr(foamword, "_reflect", heavier)
     assert _failure("cellular")["reason"] == "involution is not involutive"
@@ -333,7 +334,7 @@ def test_reflection_that_changes_a_degree_fails_basis_assembly(monkeypatch):
 
     def heavier(g):
         r = real(g)
-        return foamword._gen(r.kind, r.degree + 1, r.position, r.count, r.mirrored)
+        return r._replace(degree=r.degree + 1)
 
     monkeypatch.setattr(foamword, "_reflect", heavier)
     with pytest.raises(RuntimeError, match="basis foam degree"):
@@ -432,3 +433,18 @@ def test_verify_reproves_no_rule_per_flow(monkeypatch):
     monkeypatch.setattr(foamword.FoamWord, "reflected", refuse)
     results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5))
     assert all(r["ok"] for r in results), [r for r in results if not r["ok"]]
+
+
+def test_verify_and_foam_basis_build_no_flow(monkeypatch, capsys):
+    # the survey's records are plain tuples: no check and no basis foam builds a flow
+    argvs = (["verify", "all", "--max-n", "5"], ["foam", "basis", "--signs", "-+--++"])
+    plain = [(main(argv), capsys.readouterr().out) for argv in argvs]
+    assert all(out for _code, out in plain)
+
+    def refuse(*fields):
+        raise AssertionError("a flow was built")
+
+    for module in (flows, bijection):
+        monkeypatch.setattr(module, "Flow", refuse)
+    for argv, want in zip(argvs, plain):
+        assert (main(argv), capsys.readouterr().out) == want, argv

@@ -526,8 +526,9 @@ def _flow_row_dicts(web):
                "strands": json.dumps([[sorted(s) for s in layer] for layer in f.layers]),
                "state": json.dumps(list(f.state)),
                "weight": f.exponent} for idx, f in enumerate(flows)]
+    vector = flow_vector((f.state, f.exponent) for f in flows)
     expanded = [{"state": json.dumps(list(j)), "coefficient": str(p)}
-                for j, p in sorted(tensor_expansion(flow_vector(flows)).items(), reverse=True)]
+                for j, p in sorted(tensor_expansion(vector).items(), reverse=True)]
     return listed, expanded
 
 

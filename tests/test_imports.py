@@ -1,7 +1,7 @@
 """No module in src/, scripts/ or tests/ imports a name it never uses, the
 command line imports no stdlib module that only slows its cold start, a
-record in src/ takes its equality from its fields, and src/ caches only the
-functions whose caches pay."""
+record in src/ takes its equality from its fields, src/ caches only the
+functions whose caches pay, and only flows.py lists a rung's moves."""
 
 import ast
 import os
@@ -95,8 +95,9 @@ def test_only_validated_values_define_their_own_equality():
     assert owners <= values
 
 
-# interned generators; a rung's exponents are read once per web through its move table
-CACHED = {"foamword._gen"}
+# none: a rung's exponents are read once per web through its move table, and a
+# generator is built where it is used
+CACHED: set[str] = set()
 
 
 def cached_functions(source: str) -> list[str]:
@@ -130,3 +131,40 @@ def test_guard_sees_a_cached_function():
     seeded = _src_cached(lambda path: path.read_text().replace(
         "\ndef _reflect(", "\n@lru_cache(maxsize=None)\ndef _reflect("))
     assert seeded - CACHED == {"foamword._reflect"}
+
+
+# a rung's legal moves are listed in flows.py alone, by `_moves` through the per-web
+# table of `_legal`; every other module reads them off the flow-prefix walk
+MOVE_LISTERS = {"_legal", "_moves"}
+
+
+def _move_listers_outside_flows(read=Path.read_text):
+    found = set()
+    for path in FILES:
+        if path.is_relative_to(ROOT / "src") and path.name != "flows.py":
+            for node in ast.walk(ast.parse(read(path))):
+                if isinstance(node, ast.ImportFrom):
+                    found.update(f"{path.stem}.{alias.name}" for alias in node.names
+                                 if alias.name in MOVE_LISTERS)
+                elif isinstance(node, ast.Attribute) and node.attr in MOVE_LISTERS:
+                    found.add(f"{path.stem}.{node.attr}")
+    return found
+
+
+def test_only_flows_lists_a_rungs_moves():
+    assert _move_listers_outside_flows() == set()
+
+
+def test_guard_sees_a_move_listing_import():
+    # a second walk in bijection that imports the move table's filler is caught
+    def seeded(path):
+        source = path.read_text()
+        if path.name == "bijection.py":
+            source = source.replace("\nfrom sl3web.flows import ",
+                                    "\nfrom sl3web.flows import _legal, ")
+        return source
+
+    assert _move_listers_outside_flows(seeded) == {"bijection._legal"}
+    # ... as is a module that reads it as an attribute
+    assert _move_listers_outside_flows(lambda path: path.read_text().replace(
+        "\nclass Boundary:", "\nLISTER = flows._moves\n\n\nclass Boundary:")) == {"checks._moves"}

@@ -307,4 +307,4 @@ def test_c_of_s_counts_nodes():
         constant = c_of_S(signs)
         for _, web in enumerate_basis(signs):
             for flow in enumerate_flows(web)[:3]:
-                assert shape_of_boundary(web, flow).size == constant
+                assert shape_of_boundary(web, flow.layers[-1]).size == constant
