@@ -7,8 +7,7 @@ residue equals the rung index.  The inverse `grow` reads the entries of a
 standard multitableau level by level and re-emits one ladder rung per
 level at the residue of that level's nodes, recovering the web and the
 flow; `roundtrip_holds` compares the rungs it reads off the filling's
-residues with the web's.  `weight_diagram_tower` draws the same levels as
-weight diagrams, for display.
+residues with the web's.
 
 Every rung also carries a classification (family, type, color) determined
 by which of its four edge germs are erased and by the flow, and the static
@@ -226,82 +225,7 @@ def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     return StdMultitableau3(shape, filled)
 
 
-# -- weight diagrams and the growth algorithm --------------------------------
-
-
-class WeightDiagram(NamedTuple):
-    """Z-graded entries over {x, o, +1, 0, -1}, optionally starred.
-
-    Entries equal the trivial diagram (x at positions <= 0, o above)
-    outside the stored window.
-    """
-
-    entries: tuple[tuple[int, str, bool], ...]  # (position, symbol, starred)
-
-    @staticmethod
-    def trivial_symbol(position: int) -> str:
-        return "x" if position <= 0 else "o"
-
-    def symbol(self, position: int) -> tuple[str, bool]:
-        for p, s, star in self.entries:
-            if p == position:
-                return s, star
-        return self.trivial_symbol(position), False
-
-    def window(self, lo: int, hi: int) -> tuple[str, ...]:
-        out = []
-        for p in range(lo, hi + 1):
-            s, star = self.symbol(p)
-            out.append(s + ("*" if star else ""))
-        return tuple(out)
-
-    def __str__(self):
-        ps = [p for p, _, _ in self.entries]
-        lo, hi = min(ps + [0]) - 1, max(ps + [0]) + 1
-        return " ".join(self.window(lo, hi))
-
-
-def _occupancy(t: StdMultitableau3):
-    """Per level j = 0, 1, ..., max entry: the row lengths of t cut at j, per
-    component, padded with empty rows so the trivial diagram shows below them.
-    The lengths are one list, grown in place as the entries are added."""
-    depth = max(t.shape.m, max(len(c) for c in t.shape.components), 1) + 1
-    lengths = [[0] * depth for _ in range(3)]
-    occ = t.entries()
-    for j in range(1, t.max_entry + 2):
-        yield lengths
-        for node in occ.get(j, ()):
-            lengths[node.comp - 1][node.row - 1] += 1
-
-
-def _diagram(lengths, lo: int, hi: int) -> WeightDiagram:
-    """The weight diagram of the occupancy positions length(r) - (r - 1)."""
-    positions = [{length - r for r, length in enumerate(comp)} for comp in lengths]
-    entries = []
-    for p in range(lo, hi + 1):
-        holders = [l for l in (1, 2, 3) if p in positions[l - 1]]
-        count = len(holders)
-        if count == 3:
-            sym, star = "x", False
-        elif count == 0:
-            sym, star = "o", False
-        else:
-            star = count == 2
-            if holders in ([1], [1, 2]):
-                sym = "1"
-            elif holders in ([2], [1, 3]):
-                sym = "0"
-            else:  # [3] or [2, 3]
-                sym = "-1"
-        if sym != WeightDiagram.trivial_symbol(p) or star:
-            entries.append((p, sym, star))
-    return WeightDiagram(tuple(entries))
-
-
-def weight_diagram_tower(t: StdMultitableau3) -> list[WeightDiagram]:
-    """Tower of weight diagrams, one level per entry, trivial at the bottom."""
-    hi = max((c[0] for c in t.shape.components if c), default=0) + 1
-    return [_diagram(lengths, -len(lengths[0]), hi) for lengths in _occupancy(t)]
+# -- the growth algorithm ----------------------------------------------------
 
 
 def _read_word(t: StdMultitableau3) -> tuple[LTWord, tuple[frozenset, ...]]:

@@ -24,10 +24,10 @@ A closed web, presented as a pair (u, v) glued along a common boundary,
 adds one plus the boundary state per strand, so its bracket is the
 `pairing` sum_j q^-(len j + sum j) A_u(j) A_v(j) of the two vectors;
 `bracket` pairs the halves' layer counts by top layer, as the halves share
-their top weights.  `closed_flows` and `closed_weight` are the flow-by-flow
-definition it is tested against.
+their top weights.  `closed_flows` pairs the halves' flows one by one, the
+flow-by-flow side that the tests and reports/calibration.md weigh it against.
 The convention is pinned by reports/calibration.md and by the exact
-divided-power identity checked in _transition_poly.
+divided-power identity that the tests check against single-color moves.
 """
 
 from __future__ import annotations
@@ -36,24 +36,13 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from sl3web.laurent import LaurentPoly, monomial, qfactorial
+from sl3web.laurent import LaurentPoly
 from sl3web.ladderweb import LadderWeb
 
 COLORS = (1, 2, 3)
 
 
 # -- transition exponents ----------------------------------------------------
-
-
-def _single_exponent(h: int, left: frozenset, right: frozenset) -> int:
-    """Exponent for moving one color h from left to right strand."""
-    e = 0
-    for b in COLORS:
-        if b <= h:
-            continue
-        w = (b in left and b not in right) - (b in right and b not in left)
-        e -= w
-    return e
 
 
 def transition_exponent(left: frozenset, right: frozenset, moved: frozenset) -> int:
@@ -66,28 +55,6 @@ def transition_exponent(left: frozenset, right: frozenset, moved: frozenset) -> 
         e += sum(1 for b in right - left if b > h)
         e -= sum(1 for b in stay if b > h)
     return e
-
-
-def _transition_poly(left: frozenset, right: frozenset, moved: frozenset) -> LaurentPoly:
-    """Brute-force k-fold single moves summed over orderings of `moved`.
-
-    Equals [k]! * q^transition_exponent; the identity is asserted by the
-    test suite and the calibration report, keeping the closed form honest.
-    """
-    total = LaurentPoly()
-    for order in itertools.permutations(sorted(moved)):
-        l, r, e = set(left), set(right), 0
-        for h in order:
-            e += _single_exponent(h, frozenset(l), frozenset(r))
-            l.remove(h)
-            r.add(h)
-        total = total + monomial(e)
-    return total
-
-
-def divided_power_identity_holds(left: frozenset, right: frozenset, moved: frozenset) -> bool:
-    expected = qfactorial(len(moved)) * monomial(transition_exponent(left, right, moved))
-    return _transition_poly(left, right, moved) == expected
 
 
 # -- flows on a single ladder web -------------------------------------------
@@ -323,13 +290,6 @@ def closed_flows(closed: ClosedWeb) -> list[ClosedFlow]:
     return out
 
 
-def closed_weight(closed: ClosedWeb, cf: ClosedFlow) -> int:
-    """Weight of a closed flow: both halves plus one per boundary strand
-    corrected by the shared boundary state."""
-    j = cf.bottom.state
-    return cf.bottom.exponent + cf.top.exponent + len(j) + sum(j)
-
-
 # -- tensor expansion --------------------------------------------------------
 
 
@@ -346,7 +306,7 @@ def tensor_expansion(vector: dict) -> dict:
     }
 
 
-# -- column-strict reading and the canonical flow ----------------------------
+# -- column-strict reading ---------------------------------------------------
 
 
 def flow_to_colstrict(web: LadderWeb, top: tuple[frozenset, ...]):
@@ -369,14 +329,3 @@ def tableau_state(rows) -> tuple[int, ...]:
     return _top_state(tuple(frozenset(c for c, col in zip(COLORS, zip(*rows)) if k in col)
                             for k in range(1, n + 1)))
 
-
-def canonical_flow(web: LadderWeb, tableau, flows) -> Flow:
-    """The unique flow whose column-strict reading is `tableau`, the one the web
-    was built from, searched among `flows`, which are all the flows on the web."""
-    wanted = tuple(tuple(r) for r in tableau)
-    matches = [f for f in flows if flow_to_colstrict(web, f.layers[-1]) == wanted]
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"expected a unique canonical flow on {web}, found {len(matches)}"
-        )
-    return matches[0]

@@ -1,18 +1,17 @@
-"""Symbolic foams: idempotents, dots, permutation words and the basis.
+"""Symbolic foams: idempotents, dots, half foams and the basis.
 
-Foams are never evaluated topologically.  A foam word records an ordered
-list of generators (zips, unzips, digon removals, shifts, dots, identity)
-together with bottom and top ladder words; its degree is the sum of the
-generator degrees.  Signs are not modeled.
+Foams are never evaluated topologically.  A half foam is an ordered list of
+generators (zips, unzips, digon removals, shifts, dots, identity), each a
+key (kind, degree, position, count); its degree is the sum of the generator
+degrees.  Signs are not modeled.
 
 The cellular basis is computed in degrees.  Per boundary state,
 `cellular_halves` builds one frame of its nodes' residues and neighbours
 (`_frame`); each flow's half walks its expanded filling to the superstandard
 one on the frame's integers (`_swap_walk`), one generator key per swap, and
 keeps the sum of their degrees.  A pair weighs its two filling degrees once
-the dots and each distinct generator's reflection are checked.  Generators
-(`reflections` builds each distinct one and its reflection) and words
-(`half_foam`) are built on request only.
+the dots and each distinct generator's reflection are checked; `reflections`
+builds each distinct generator and its reflection.
 """
 
 from __future__ import annotations
@@ -26,11 +25,7 @@ from typing import NamedTuple
 from sl3web.bijection import WebSurvey, survey
 from sl3web.laurent import LaurentPoly
 from sl3web.ladderweb import LTWord, enumerate_basis
-from sl3web.tableaux import (
-    Multipartition3,
-    StdMultitableau3,
-    superstandard,
-)
+from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 
 class FoamGen(NamedTuple):
@@ -63,27 +58,6 @@ def _reflect(g: FoamGen) -> FoamGen:
     return FoamGen(_MIRROR.get(g.kind, g.kind), g.degree, g.position, g.count, not g.mirrored)
 
 
-class FoamWord(NamedTuple):
-    """Generator list between two ladder words, with its degree, the sum of
-    the generators' degrees; build it with `_word`."""
-
-    bottom: LTWord
-    top: LTWord
-    generators: tuple[FoamGen, ...]
-    degree: int
-
-    def reflected(self) -> "FoamWord":
-        return _word(self.top, self.bottom, tuple(map(_reflect, reversed(self.generators))))
-
-    def __str__(self):
-        gens = " . ".join(str(g) for g in self.generators) or "id"
-        return f"[{self.bottom}] => [{self.top}] : {gens} (deg {self.degree})"
-
-
-def _word(bottom: LTWord, top: LTWord, generators: tuple[FoamGen, ...]) -> FoamWord:
-    return FoamWord(bottom, top, generators, sum(g.degree for g in generators))
-
-
 # -- idempotents and dots ------------------------------------------------------
 
 
@@ -108,16 +82,9 @@ def boundary_strand_count(shape: Multipartition3) -> int:
     return max(shape.m + max((c[0] for c in shape.components if c), default=0), 1)
 
 
-def orthogonality_check(a: Multipartition3, b: Multipartition3) -> bool:
-    """Whether the idempotents of two shapes are equal (else orthogonal)."""
-    return (
-        superstandard(a).residue_sequence() == superstandard(b).residue_sequence()
-    )
-
-
 def dot_placement(shape: Multipartition3) -> list[int]:
     """Dots per node step: addable nodes of equal residue after each node
-    of the superstandard filling, counted in its truncation.
+    of the superstandard filling, counted on the entries up to that node.
 
     The superstandard filling grows the shape in reading order, so after a
     node (r, c) of component l every later row is empty.  The first cell of
@@ -133,22 +100,12 @@ def dot_placement(shape: Multipartition3) -> list[int]:
 # -- permutations between fillings ---------------------------------------------
 
 
-class Transposition(NamedTuple):
-    """Swap of entries j and j+1, with the residues at those positions."""
-
-    j: int
-    res_low: int  # residue of the entry j before the swap
-    res_high: int  # residue of the entry j+1 before the swap
-
-    def __str__(self):
-        return f"t{self.j}"
-
-
 def _frame(shape: Multipartition3) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Per node of the shape in reading order (component, row, column, as
     the superstandard filling numbers them): its residue, and the reading
     indices of its right and lower neighbours (-1 where there is none), on
-    which a swap may not put the next entry (`swap_keeps_standard`)."""
+    which a swap may not put the next entry: swapping j and j + 1 breaks a
+    standard filling exactly when j + 1 sits right of or below j."""
     residues, blocked = [], []
     for comp in shape.components:
         for r, length in enumerate(comp):
@@ -162,29 +119,10 @@ def _frame(shape: Multipartition3) -> tuple[tuple[int, ...], tuple[tuple[int, in
 
 def _node_order(rows) -> tuple[list[int], list[int]]:
     """A filling's entries in reading order, and its nodes' reading indices
-    in entry order, repeats leftmost component first: the nodes of the
-    expanded filling (`expand_repeats`) holding 1, 2, ..."""
+    in entry order, repeats leftmost component first: the nodes holding 1,
+    2, ... once repeated entries are renumbered consecutively."""
     flat = [v for comp in rows for row in comp for v in row]
     return flat, sorted(range(len(flat)), key=flat.__getitem__)
-
-
-def minimal_permutation(t: StdMultitableau3) -> tuple[list[Transposition], list[StdMultitableau3]]:
-    """The `_swap_walk` carrying t (entries all distinct) to its shape's
-    superstandard filling, as transpositions with the fillings after each
-    swap, the last one the superstandard."""
-    flat, node_of = _node_order(t.rows)
-    if len(set(flat)) != len(flat):
-        raise ValueError("minimal permutation needs all-distinct entries")
-    residues, blocked = _frame(t.shape)
-    seq: list[Transposition] = []
-    steps: list[StdMultitableau3] = []
-    for v, low, high in _swap_walk(node_of, blocked, t):
-        seq.append(Transposition(v, residues[low], residues[high]))
-        flat[low], flat[high] = v + 1, v
-        it = iter(flat)
-        rows = tuple(tuple(tuple(itertools.islice(it, n)) for n in comp) for comp in t.shape.components)
-        steps.append(StdMultitableau3._make((t.shape, rows)))
-    return seq, steps
 
 
 def _swap_walk(
@@ -221,24 +159,9 @@ def _swap_walk(
             yield v, low, high
 
 
-def permutation_word(seq: list[Transposition]) -> str:
-    """Display form with the first applied transposition rightmost."""
-    return " ".join(str(tr) for tr in reversed(seq)) or "1"
-
-
 # (kind, degree, count) of a swap by the residue of its low node less that of
 # its high node; any other difference shifts
 _SWAP_KINDS = {0: ("digon_removal", -2, 2), -1: ("zip", 1, 0), 1: ("unzip", 1, 0)}
-
-
-def classify_transposition(res_a: int, res_b: int) -> tuple[str, int]:
-    """Generator kind and degree of a transposition swapping residues a, b.
-
-    Adjacent residues give a zip or unzip of degree 1 (a zip when the lower
-    position carries the smaller residue), equal residues remove two digons
-    at degree -2, and distant residues commute freely at degree 0.
-    """
-    return _SWAP_KINDS.get(res_a - res_b, ("shift", 0))[:2]
 
 
 # -- half foams and the basis ---------------------------------------------------
@@ -271,15 +194,6 @@ def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
         kinds, shift = swaps[v]
         keys.append(kinds.get(residues[low] - residues[high], shift))
     return keys or [_IDENTITY]
-
-
-def half_foam(t: StdMultitableau3, bottom: LTWord) -> FoamWord:
-    """The half foam of a filling, from its web's word `bottom` to its shape's
-    idempotent: the walk's keys (`_half_keys`) as generators.  Built on
-    request only; the basis and the checks read the keys' degrees."""
-    frame = _frame(t.shape)
-    keys = _half_keys(t, frame, _swap_keys(t.shape.size))
-    return _word(bottom, _idempotent(frame[0]), tuple(FoamGen(*key, False) for key in keys))
 
 
 def _dot_generators(dots: list[int]) -> tuple[tuple, ...]:

@@ -136,21 +136,6 @@ def build_web(word: LTWord, n: int, ell: int):
 # -- the ladder-word algorithm on semi-standard tableaux --------------------
 
 
-def is_semistandard(rows) -> bool:
-    """Rows weakly increase, columns strictly increase."""
-    for row in rows:
-        for a, b in zip(row, row[1:]):
-            if a > b:
-                return False
-    for r in range(len(rows) - 1):
-        if len(rows[r + 1]) > len(rows[r]):
-            return False
-        for c in range(len(rows[r + 1])):
-            if rows[r][c] >= rows[r + 1][c]:
-                return False
-    return True
-
-
 def _below_row_cells(rows, v: int) -> list[tuple[int, int]]:
     """Cells holding value v in rows above row v (1-based), reading order."""
     out = []

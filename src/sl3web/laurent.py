@@ -95,9 +95,6 @@ def _term_str(c: int, e: int) -> str:
     return q if c == 1 else f"{c}*{q}"
 
 
-ONE = LaurentPoly({0: 1})
-
-
 def monomial(exponent: int, coefficient: int = 1) -> LaurentPoly:
     return LaurentPoly({exponent: coefficient})
 
@@ -108,12 +105,3 @@ def qint(a: int) -> LaurentPoly:
         raise ValueError(f"quantum integer needs a >= 1, got {a}")
     return LaurentPoly({a - 1 - 2 * i: 1 for i in range(a)})
 
-
-def qfactorial(a: int) -> LaurentPoly:
-    """Quantum factorial [a]! = [a][a-1]...[1]."""
-    if a < 0:
-        raise ValueError(f"quantum factorial needs a >= 0, got {a}")
-    out = ONE
-    for i in range(2, a + 1):
-        out = out * qint(i)
-    return out

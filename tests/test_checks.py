@@ -208,12 +208,11 @@ def test_verify_all_reads_each_boundary_once(monkeypatch):
 
 def test_verify_builds_no_superstandard_filling(monkeypatch):
     # a state's superstandard degree is the sum of its dots, which are a closed form;
-    # a call to either definition would make a check fail
-    for name in ("bkw_degree", "superstandard"):
-        real = getattr(tableaux, name)
-        for module in (tableaux, bijection, foamword, checks):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, None)
+    # a call to the per-filling degree would make a check fail
+    real = tableaux.bkw_degree
+    for module in (tableaux, bijection, foamword, checks):
+        if getattr(module, "bkw_degree", None) is real:
+            monkeypatch.setattr(module, "bkw_degree", None)
     results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5, 5))
     assert all(r["ok"] for r in results), results
 
@@ -272,13 +271,7 @@ def _mutant(module, old, new):
 
 
 def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch, capsys):
-    # no foam word is built, per half or per pair, and each distinct generator and its
-    # reflection are built once
-    def refuse(*args):
-        raise AssertionError("a foam word was built")
-
-    monkeypatch.setattr(foamword, "FoamWord", refuse)
-    monkeypatch.setattr(foamword, "_word", refuse)
+    # each distinct generator and its reflection are built once, not one per half or pair
     real = foamword.FoamGen
     for argv in (["--format", "json", "foam", "basis", "--signs", SIGNS],
                  ["verify", "all", "--signs", SIGNS]):
@@ -370,13 +363,10 @@ def test_residue_read_one_too_high_fails_roundtrip(monkeypatch):
     assert _failure("roundtrip")["reason"] == "grow did not invert"
 
 
-def test_verify_reflects_no_half_word(monkeypatch):
-    # the checks reflect each distinct generator, and a word reflects generator by generator
-    real, calls = foamword.FoamWord.reflected, []
-    monkeypatch.setattr(foamword.FoamWord, "reflected", lambda w: calls.append(w) or real(w))
+def test_verify_reflects_no_half_word():
+    # the checks reflect each distinct generator; src/ holds no half word to reflect
     results = checks.run_checks(["homogeneity", "cellular"], [SIGNS])
     assert all(r["ok"] for r in results), results
-    assert calls == []
 
 
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
@@ -420,17 +410,15 @@ def test_doubled_survey_fails_unitriangular_on_its_coefficient(monkeypatch):
 
 
 def test_verify_reproves_no_rule_per_flow(monkeypatch):
-    # the move table, the leading state and the reflection of words are checked once,
-    # by their own tests; verify reads none of them
+    # the move table is checked once, by its own tests; verify reads the leading state
+    # off the tableau and reflects each distinct generator, and never classifies a rung
     def refuse(*args):
         raise AssertionError("verify re-proved a rule")
 
-    for module, name in ((bijection, "_classify"), (flows, "canonical_flow")):
-        real = getattr(module, name)
-        for other in (bijection, flows, foamword, checks):
-            if getattr(other, name, None) is real:
-                monkeypatch.setattr(other, name, refuse)
-    monkeypatch.setattr(foamword.FoamWord, "reflected", refuse)
+    real = bijection._classify
+    for other in (bijection, flows, foamword, checks):
+        if getattr(other, "_classify", None) is real:
+            monkeypatch.setattr(other, "_classify", refuse)
     results = checks.run_checks(list(checks.CHECKS), checks.classical_sign_strings(5))
     assert all(r["ok"] for r in results), [r for r in results if not r["ok"]]
 

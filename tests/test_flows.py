@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from reference import canonical_flow, closed_weight, divided_power_identity_holds
 from sl3web import checks, cli, flows
 from sl3web.bijection import survey, survey_web
 from sl3web.checks import classical_sign_strings
@@ -14,10 +15,7 @@ from sl3web.flows import (
     ClosedWeb,
     boundary_state,
     bracket,
-    canonical_flow,
     closed_flows,
-    closed_weight,
-    divided_power_identity_holds,
     enumerate_flows,
     flow_at,
     flow_from_moves,

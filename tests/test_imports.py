@@ -1,10 +1,12 @@
 """No module in src/, scripts/ or tests/ imports a name it never uses, the
 command line imports no stdlib module that only slows its cold start, a
 record in src/ takes its equality from its fields, src/ caches only the
-functions whose caches pay, and only flows.py lists a rung's moves."""
+functions whose caches pay, only flows.py lists a rung's moves, and src/
+holds only what the tool's callers reach."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,3 +170,105 @@ def test_guard_sees_a_move_listing_import():
     # ... as is a module that reads it as an attribute
     assert _move_listers_outside_flows(lambda path: path.read_text().replace(
         "\nclass Boundary:", "\nLISTER = flows._moves\n\n\nclass Boundary:")) == {"checks._moves"}
+
+
+# -- src/ holds what the tool runs ---------------------------------------------------
+
+SRC = ROOT / "src" / "sl3web"
+# a console script's target, `name = "sl3web.module:function"`
+_SCRIPT_TARGET = re.compile(r'^[\w-]+\s*=\s*"sl3web[\w.]*:(\w+)"', re.M)
+# `from sl3web... import a, b as c`, also inside a string that a child interpreter runs
+_SL3WEB_IMPORT = re.compile(r"from sl3web[\w.]* import (\([^)]*\)|.*)")
+
+
+def reach_roots(read=Path.read_text) -> set[str]:
+    """The names the tool's callers start from: the console scripts in pyproject.toml,
+    the package's `__all__`, and every name that hostbench/ and scripts/ import from
+    sl3web."""
+    scripts = read(ROOT / "pyproject.toml").partition("[project.scripts]")[2].partition("\n[")[0]
+    names = set(_SCRIPT_TARGET.findall(scripts))
+    for node in ast.parse(read(SRC / "__init__.py")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    for path in sorted(p for d in ("hostbench", "scripts") for p in (ROOT / d).glob("*.py")):
+        for match in _SL3WEB_IMPORT.finditer(read(path)):
+            for alias in re.sub(r"#.*", "", match.group(1)).strip("()").split(","):
+                if name := re.match(r"\s*(\w*)", alias).group(1):
+                    names.add(name)
+    return names
+
+
+def _names(nodes) -> set[str]:
+    """The names and attribute names that code reads, annotations left out."""
+    found, todo = set(), list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo.extend(v for v in (value if isinstance(value, list) else [value])
+                            if isinstance(v, ast.AST))
+    return found
+
+
+def unreached(read=Path.read_text) -> list[str]:
+    """Top-level functions, classes and non-dunder methods of src/ that a walk by name
+    from `reach_roots` never reaches.  Module-level code other than imports is reached;
+    a reached definition reaches every name its body reads; a class reaches its bases
+    and its class-level code, dunder methods included, and a method is reached once its
+    class is and its name is read."""
+    defs = []  # (label, name, label of the owning class or None, code it reads)
+    read_names = reach_roots(read)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(read(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node.name, None, [node]))
+            elif isinstance(node, ast.ClassDef):
+                label = f"{path.stem}.{node.name}"
+                methods = [f for f in node.body
+                           if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+                body = [*node.bases, *node.decorator_list, *(n for n in node.body if n not in methods)]
+                defs.append((label, node.name, None, body))
+                defs.extend((f"{label}.{f.name}", f.name, label, [f]) for f in methods)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                read_names |= _names([node])
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, owner, code in defs:
+            if label not in reached and name in read_names and owner in (None, *reached):
+                reached.add(label)
+                read_names |= _names(code)
+                grew = True
+    return [label for label, *_ in defs if label not in reached]
+
+
+def test_src_holds_only_what_its_callers_reach():
+    # a capability nothing runs is deleted; a definition tests compare against lives in
+    # tests/reference.py
+    assert unreached() == []
+
+
+def test_guard_sees_an_unused_definition():
+    # its roots: the console script, the package's exports, the benchmark's and the
+    # reports' imports, one name each
+    roots = reach_roots()
+    assert {"main", "LaurentPoly", "qint", "iota", "enumerate_flows", "build_parser",
+            "closed_flows", "MOVE_TABLE", "web_from_tableau"} <= roots
+    assert all(name.isidentifier() for name in roots)
+    seeded = "\n\ndef _seeded_unused(web):\n    return web\n"
+    assert unreached(lambda path: path.read_text() + (
+        seeded if path.name == "flows.py" else "")) == ["flows._seeded_unused"]
+    # ... an unused method of a reached class, and a function only it reads
+    method = "\n    def seeded_method(self):\n        return _seeded_unused(self)\n"
+    assert unreached(lambda path: path.read_text().replace(
+        "\nclass ClosedFlow(NamedTuple):\n    bottom: Flow\n    top: Flow\n",
+        "\nclass ClosedFlow(NamedTuple):\n    bottom: Flow\n    top: Flow\n" + method
+    ) + (seeded if path.name == "flows.py" else "")) == [
+        "flows.ClosedFlow.seeded_method", "flows._seeded_unused"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import is_semistandard
 from sl3web import ladderweb
 from sl3web.checks import classical_sign_strings
 from sl3web.ladderweb import (
@@ -125,7 +126,7 @@ def _reference_lowerable(rows):
     return sorted(
         v
         for v in {x for row in rows for x in row}
-        if ladderweb._below_row_cells(rows, v) and ladderweb.is_semistandard(lowered(v))
+        if ladderweb._below_row_cells(rows, v) and is_semistandard(lowered(v))
     )
 
 
