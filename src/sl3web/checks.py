@@ -9,8 +9,9 @@ one `flows.flow_vector` per web (the survey records' states and weights: rung
 exponents instead of filling degrees), their pairing per ordered pair of webs
 (the bracket of the glued pair), the halves of `foamword.cellular_halves`
 (degrees and generator keys, no foam word) and their distinct generators, each
-built once with its reflection: a pair's degree and involution follow from theirs.
-An exception inside one check is a failing result.
+built once with its reflection by `foamword.reflections`: a pair's degree and
+involution follow from theirs.  Those two raise on a degree that breaks
+homogeneity, and an exception inside one check is a failing result.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class Boundary:
 
     @cached_property
     def generators(self):
-        """Each distinct generator of the dots and the halves, mapped to its reflection."""
-        return reflections(dict.fromkeys(key for state in self.halves for key in state.keys))
+        """Each distinct generator of the dots and the halves, mapped to its reflection
+        (`reflections` raises on one that changes a degree)."""
+        return reflections(self.halves)
 
 
 def _payload(signs: str, **extra) -> dict:
@@ -176,18 +178,10 @@ def check_graded_dim(b: Boundary):
 
 
 def check_homogeneity(b: Boundary):
-    """A half weighs filling minus superstandard degree (`cellular_halves` raises
-    otherwise), as does its reflection if every generator's does; the dots weigh twice
-    the superstandard degree, each half's filling degree less its own."""
-    for shape, _residues, dots, halves, _keys in b.halves:
-        _t, d, degree = halves[0]
-        want = 2 * (d - degree)
-        got = sum(key[1] for key in dots)
-        if got != want:
-            return False, _payload(b.signs, shape=shape.to_json(), dot_degree=got, expected=want)
-    for g, r in b.generators.items():
-        if r.degree != g.degree:
-            return False, _payload(b.signs, generator=str(g), reason="reflection changed a degree")
+    """A half weighs filling minus superstandard degree and the dots twice the
+    superstandard degree (`cellular_halves` raises otherwise), and a reflected half as
+    much as the half (`reflections` raises unless every generator's reflection does)."""
+    b.generators  # read for its checks: the halves and reflections raise, or both hold
     return True, None
 
 
@@ -198,7 +192,7 @@ def check_cellularity(b: Boundary):
         if r.reflected() != g:
             return False, _payload(b.signs, generator=str(g), reason="involution is not involutive")
     count = 0
-    for shape, _residues, _dots, halves, _keys in b.halves:
+    for shape, _residues, halves, _keys in b.halves:
         if len({t for t, _d, _degree in halves}) != len(halves):
             return False, _payload(
                 b.signs, shape=shape.to_json(), reason="involution fixes a non-diagonal"

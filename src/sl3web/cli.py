@@ -5,9 +5,9 @@ counterexample payload) or on an exception that no payload parser turned into
 a usage error (one ``internal error:`` line); 2 on a usage error, rejected by
 argparse, by a payload parser below, by the ``--flow``/``--max-n`` range checks
 or by ``--format csv`` on a verb that writes no CSV rows.
-An argv spelled out in full is read from the option table, ARGUMENTS; any other builds
-its verb's argparse sub-parser, or all six for root help, and only then loads argparse
-(csv loads only for CSV output).
+An argv spelled out in full is read from the option table, ARGUMENTS; only help and
+usage errors build the argparse parser of every verb, and only they load argparse (csv
+loads only for CSV output).
 Each verb builds only what it prints.  `flows enumerate` builds no flow: it writes the
 rows' texts off the flow-prefix walk (`flows._flow_walk`), each prefix's text its
 parent's plus one move and one layer; `flows expand` expands the top layers' counts, one
@@ -21,7 +21,6 @@ import functools
 import io
 import json
 import re
-import shutil
 import sys
 import types
 from collections import Counter
@@ -407,17 +406,12 @@ ARGUMENTS = {
 }
 
 
-def build_parser(verb: str | None = None):
-    """The root parser with every verb's sub-parser, or with `verb`'s only."""
+def build_parser():
+    """The root parser with every verb's sub-parser."""
     import argparse
 
-    # argparse makes a formatter per argument (to check its metavar) and per parser, and
-    # one given no width reads the terminal size: read it once, as HelpFormatter would
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="sl3web",
-        formatter_class=formatter,
         description="Webs as ladder words, flows, fillings and symbolic foams.",
         epilog=(
             "CSV columns per verb: webs list (tableau, word, boundary, length, "
@@ -431,12 +425,9 @@ def build_parser(verb: str | None = None):
         parser.add_argument(name, **kwargs)
     sub = parser.add_subparsers(dest="verb", required=True)
     for name in VERBS:
-        if verb in (None, name):
-            p = sub.add_parser(name, help=ARGUMENTS[name][0], formatter_class=formatter)
-            for arg, kwargs in ARGUMENTS[name][1]:
-                p.add_argument(arg, **kwargs)
-    # Root usage lines and "invalid choice" errors list every verb either way.
-    sub.choices = VERBS
+        p = sub.add_parser(name, help=ARGUMENTS[name][0])
+        for arg, kwargs in ARGUMENTS[name][1]:
+            p.add_argument(arg, **kwargs)
     return parser
 
 
@@ -516,11 +507,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     argv = _normalize_argv(list(argv))
     if (args := _fast_parse(argv)) is None:
-        # Root help needs every sub-parser; any other call builds its verb's only.
-        verb = next((t for t in argv if t in VERBS or t.startswith(("-h", "--h"))), None)
-        parser = build_parser(verb if verb in VERBS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             return 0 if e.code in (0, None) else 2
     try:

@@ -9,9 +9,10 @@ The cellular basis is computed in degrees.  Per boundary state,
 `cellular_halves` builds one frame of its nodes' residues and neighbours
 (`_frame`); each flow's half walks its expanded filling to the superstandard
 one on the frame's integers (`_swap_walk`), one generator key per swap, and
-keeps the sum of their degrees.  A pair weighs its two filling degrees once
-the dots and each distinct generator's reflection are checked; `reflections`
-builds each distinct generator and its reflection.
+keeps the sum of their degrees.  It raises unless that sum is the filling's
+degree drop and the dots weigh twice the superstandard degree.  A pair weighs
+its two filling degrees once `reflections`, which builds each distinct
+generator and its reflection, has checked that each reflection keeps its degree.
 """
 
 from __future__ import annotations
@@ -201,21 +202,27 @@ def _dot_generators(dots: list[int]) -> tuple[tuple, ...]:
     return tuple(("dots", 2 * mk, k, mk) for k, mk in enumerate(dots, start=1) if mk)
 
 
-def reflections(keys) -> dict[FoamGen, FoamGen]:
-    """Each generator key's generator, mapped to its reflection."""
-    return {g: _reflect(g) for g in (FoamGen(*key, False) for key in keys)}
-
-
 class CellState(NamedTuple):
-    """A boundary state's shape, residue sequence (its idempotent), dot generator keys,
-    one (filling, filling degree, half foam degree) per flow, and the distinct generator
-    keys of the dots and the halves in order of first use."""
+    """A boundary state's shape, residue sequence (its idempotent), one (filling,
+    filling degree, half foam degree) per flow, and the distinct generator keys of the
+    dots and the halves in order of first use."""
 
     shape: Multipartition3
     residues: tuple[int, ...]
-    dots: tuple[tuple, ...]
     halves: list[tuple[StdMultitableau3, int, int]]
     keys: dict[tuple, None]
+
+
+def reflections(states) -> dict[FoamGen, FoamGen]:
+    """Each distinct generator of the states' keys, mapped to its reflection; this
+    raises unless every reflection weighs what its generator weighs."""
+    out = {}
+    for key in dict.fromkeys(key for state in states for key in state.keys):
+        g = FoamGen(*key, False)
+        if (r := _reflect(g)).degree != g.degree:
+            raise RuntimeError(f"basis foam degree: {g} reflects to {r} of degree {r.degree}")
+        out[g] = r
+    return out
 
 
 def cellular_halves(surveys) -> Iterator[CellState]:
@@ -223,8 +230,8 @@ def cellular_halves(surveys) -> Iterator[CellState]:
 
     Each half is walked once, and a state's halves only when the caller moves on to
     that state, on the state's frame (`_frame`) and the boundary's swap keys.  A half
-    weighs its filling degree less the superstandard degree, the sum of the dots, or
-    this raises."""
+    weighs its filling degree less the superstandard degree, the sum of the dots, and
+    the dot generators twice that, or this raises."""
     groups: dict[tuple, list[tuple[StdMultitableau3, int]]] = {}
     for entry in surveys:
         for j, d, _w, _m, t in entry.records:
@@ -242,8 +249,9 @@ def cellular_halves(surveys) -> Iterator[CellState]:
                 raise RuntimeError(f"half foam degree {degree} != degree drop {d - d_sup} for {t}")
             halves.append((t, d, degree))
         dot_keys = _dot_generators(dots)
-        keys = dict.fromkeys(itertools.chain(dot_keys, *walks))
-        yield CellState(shape, frame[0], dot_keys, halves, keys)
+        if (weight := sum(key[1] for key in dot_keys)) != 2 * d_sup:
+            raise RuntimeError(f"basis foam degree: dots of {shape} weigh {weight}")
+        yield CellState(shape, frame[0], halves, dict.fromkeys(itertools.chain(dot_keys, *walks)))
 
 
 class BasisFoam(NamedTuple):
@@ -267,23 +275,17 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     (residue sequence, top filling's rows, bottom filling's rows).
 
     A foam is a lower half, the dots and a reflected upper half: it weighs d_top + d_bot
-    once each half weighs its degree drop (`cellular_halves`), each state's dots twice
-    its superstandard degree and each distinct generator's reflection as much as it;
-    the last two are checked here, once each.  States with one residue sequence are
-    taken together, each state's halves sorted once and the group's upper halves once.
+    once each half weighs its degree drop, each state's dots twice its superstandard
+    degree (`cellular_halves` checks both) and each distinct generator's reflection as
+    much as it (`reflections`).  States with one residue sequence are taken together,
+    each state's halves sorted once and the group's upper halves once.
     """
+    states = list(cellular_halves(survey(enumerate_basis(S))))
+    reflections(states)
     groups: dict[tuple, list] = {}
-    keys: dict[tuple, None] = {}
-    for state in cellular_halves(survey(enumerate_basis(S))):
-        _t, d, degree = state.halves[0]
-        if (weight := sum(key[1] for key in state.dots)) != 2 * (d - degree):
-            raise RuntimeError(f"basis foam degree: dots of {state.shape} weigh {weight}")
-        keys.update(state.keys)
+    for state in states:
         groups.setdefault(state.residues, []).append(
             (state.shape, sorted(state.halves, key=lambda h: h[0].rows)))
-    for g, r in reflections(keys).items():
-        if r.degree != g.degree:
-            raise RuntimeError(f"basis foam degree: {g} reflects to {r} of degree {r.degree}")
     basis = []
     for _residues, group in sorted(groups.items()):
         uppers = [(t, d, shape, lowers) for shape, lowers in group for t, d, _h in lowers]

@@ -136,26 +136,13 @@ def build_web(word: LTWord, n: int, ell: int):
 # -- the ladder-word algorithm on semi-standard tableaux --------------------
 
 
-def _below_row_cells(rows, v: int) -> list[tuple[int, int]]:
-    """Cells holding value v in rows above row v (1-based), reading order."""
-    out = []
-    for r, row in enumerate(rows, start=1):
-        if r >= v:
-            break
-        for c, entry in enumerate(row, start=1):
-            if entry == v:
-                out.append((r, c))
-    return out
-
-
-def _lower_all(rows, v: int):
-    """Lower every occurrence of v sitting above row v by one; the new rows and
-    the count.  Only values `_lowerable` offers keep the tableau semi-standard."""
-    cells = _below_row_cells(rows, v)
+def _lower_all(rows, v: int, cells):
+    """The rows with v lowered by one on `cells`, the (1-based) cells holding v above
+    row v.  Only values `_lowerable` offers keep the tableau semi-standard."""
     new_rows = [list(row) for row in rows]
     for r, c in cells:
         new_rows[r - 1][c - 1] = v - 1
-    return tuple(map(tuple, new_rows)), len(cells)
+    return tuple(map(tuple, new_rows))
 
 
 def _entry(rows, r: int, c: int):
@@ -164,34 +151,36 @@ def _entry(rows, r: int, c: int):
     return None
 
 
-def _is_extraordinary(rows, v: int) -> bool:
-    """Whether lowering v must be deferred to a higher value.
+def _is_extraordinary(rows, v: int, cells) -> bool:
+    """Whether lowering v, above its own row on `cells`, must be deferred to a
+    higher value.
 
     The deferral patterns require v to sit exactly once above its own row,
     at position (v-1, 2), with the start of row v equal to v, and either a
     v+1 at the start of row v+1 (a nested component below) or a v+1 right of
     the focal cell at (v-1, 3).
     """
-    if _below_row_cells(rows, v) != [(v - 1, 2)]:
+    if cells != [(v - 1, 2)]:
         return False
     if _entry(rows, v, 1) != v:
         return False
     return _entry(rows, v + 1, 1) == v + 1 or _entry(rows, v - 1, 3) == v + 1
 
 
-def _lowerable(rows) -> list[int]:
-    """Sorted values v above row v whose lowering keeps the tableau semi-standard,
-    in one pass.  A lowered cell's left neighbour holds at most v (and is lowered
-    too if it holds v), its right one at least v and the cell below more than v,
-    so only the cell above can break it: v is blocked when one holds v - 1."""
-    found, blocked = set(), set()
+def _lowerable(rows) -> dict[int, list[tuple[int, int]]]:
+    """Each value v above row v whose lowering keeps the tableau semi-standard, in
+    ascending order, mapped to its (1-based) cells above row v in reading order; one
+    pass.  A lowered cell's left neighbour holds at most v (and is lowered too if it
+    holds v), its right one at least v and the cell below more than v, so only the
+    cell above can break it: v is blocked when one holds v - 1."""
+    found, blocked = {}, set()
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if r + 1 < v:
-                found.add(v)
+                found.setdefault(v, []).append((r + 1, c + 1))
                 if r and rows[r - 1][c] == v - 1:
                     blocked.add(v)
-    return sorted(found - blocked)
+    return {v: found[v] for v in sorted(found.keys() - blocked)}
 
 
 def lt_generators(rows) -> LTWord:
@@ -202,7 +191,8 @@ def lt_generators(rows) -> LTWord:
     F_{v-1}^(count).  When v matches a deferral pattern the step instead uses
     the next higher value whose above-row occurrences reach beyond the first
     two columns ("outside first"); the target is re-tested against the
-    patterns.  Only the chosen v is lowered: one `_lower_all` per factor.
+    patterns.  Each step scans the tableau once (`_lowerable`) and lowers only the
+    chosen v on the cells that scan found: one `_lower_all` per factor.
     """
     factors = []
     guard = 0
@@ -213,23 +203,16 @@ def lt_generators(rows) -> LTWord:
         candidates = _lowerable(rows)
         if not candidates:
             break
-        v = candidates[0]
-        while _is_extraordinary(rows, v):
+        v = next(iter(candidates))
+        while _is_extraordinary(rows, v, candidates[v]):
             higher = [w for w in candidates if w > v]
-            outside = [
-                w
-                for w in higher
-                if any(c >= 3 for _, c in _below_row_cells(rows, w))
-            ] or [
-                w
-                for w in higher
-                if any(c >= 2 for _, c in _below_row_cells(rows, w))
-            ]
+            outside = [w for w in higher if any(c >= 3 for _, c in candidates[w])] or [
+                w for w in higher if any(c >= 2 for _, c in candidates[w])]
             if not outside:
                 break
             v = outside[0]
-        rows, count = _lower_all(rows, v)
-        factors.append((v - 1, count))
+        rows = _lower_all(rows, v, candidates[v])
+        factors.append((v - 1, len(candidates[v])))
     return LTWord(tuple(factors))
 
 

@@ -287,7 +287,21 @@ def test_homogeneity_and_cellular_build_no_pair_foam(monkeypatch, capsys):
             assert Counter(built) == dict.fromkeys(built, 2)
 
 
-def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
+def _basis_degree_error(name):
+    """The error of a check that `foamword` failed on a basis foam degree; it replays."""
+    ce = _failure(name)
+    assert ce["error"].startswith("RuntimeError: basis foam degree: "), ce
+    assert ce["replay"] == f"sl3web verify {name} --signs {SIGNS}"
+    return ce["error"]
+
+
+def _foam_basis_fails_with(capsys, error):
+    assert main(["--format", "json", "foam", "basis", "--signs", SIGNS]) == 1
+    assert capsys.readouterr() == ("", f"internal error: {error}\n")
+
+
+def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch, capsys):
+    # `reflections` raises as it builds the generators both checks read
     real = foamword._reflect
 
     def heavier(g):
@@ -295,8 +309,21 @@ def test_reflection_that_changes_a_degree_fails_cellular(monkeypatch):
         return r._replace(degree=r.degree + 1)
 
     monkeypatch.setattr(foamword, "_reflect", heavier)
+    error = _basis_degree_error("cellular")
+    assert " reflects to " in error
+    assert _basis_degree_error("homogeneity") == error
+    _foam_basis_fails_with(capsys, error)
+
+
+def test_reflection_that_is_no_involution_fails_cellular(monkeypatch):
+    # every degree kept, so homogeneity holds, but a second reflection moves the
+    # generator one more position instead of giving it back
+    real = foamword._reflect
+    monkeypatch.setattr(foamword, "_reflect",
+                        lambda g: real(g)._replace(position=(g.position or 0) + 1))
     assert _failure("cellular")["reason"] == "involution is not involutive"
-    assert _failure("homogeneity")["reason"] == "reflection changed a degree"
+    (result,) = checks.run_checks(["homogeneity"], [SIGNS])
+    assert result["ok"], result
 
 
 def test_dots_dropped_at_their_source_fail_homogeneity(monkeypatch):
@@ -308,10 +335,11 @@ def test_dots_dropped_at_their_source_fail_homogeneity(monkeypatch):
     assert ce["error"].startswith("RuntimeError: half foam degree")
 
 
-def test_dot_generators_dropped_fail_homogeneity(monkeypatch):
+def test_dot_generators_dropped_fail_homogeneity(monkeypatch, capsys):
     monkeypatch.setattr(foamword, "_dot_generators", lambda dots: ())
-    ce = _failure("homogeneity")
-    assert ce["dot_degree"] == 0 and ce["expected"] > 0
+    error = _basis_degree_error("homogeneity")
+    assert error.startswith("RuntimeError: basis foam degree: dots of ") and error.endswith(" weigh 0")
+    _foam_basis_fails_with(capsys, error)
 
 
 def test_pair_without_dots_fails_basis_assembly(monkeypatch):

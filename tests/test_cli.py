@@ -8,13 +8,12 @@ import io
 import itertools
 import json
 import re
-import shutil
 from collections import Counter
 
 import pytest
 
 from sl3web import checks, cli, ladderweb
-from sl3web.cli import build_parser, main
+from sl3web.cli import main
 from sl3web.flows import enumerate_flows, flow_vector, tensor_expansion
 from sl3web.foamword import enumerate_cellular_basis
 from sl3web.presets import PRESET_NAMES, preset_web
@@ -382,32 +381,6 @@ def test_bad_json_payload_names_its_cell_or_field(capsys, argv, err):
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
-@pytest.mark.parametrize(
-    "argv,parsers",
-    [
-        # spelled out in full: read from the option table, no parser built
-        ("flows enumerate --preset arc", []),
-        ("--format json --max-total-length 9 bij iota --preset arc", []),
-        ("frobnicate webs list", ["webs"]),
-        ("webs --help", ["webs"]),
-        ("-h flows", [None]),
-        ("--he webs list", [None]),
-        ("--format json", [None]),
-    ],
-    ids=lambda p: None if isinstance(p, str) else "-".join(map(str, p)) or "no parser",
-)
-def test_main_builds_only_the_named_verb(monkeypatch, capsys, argv, parsers):
-    built = []
-
-    def spy(name=None):
-        built.append(name)
-        return build_parser(name)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    main(argv.split())
-    assert built == parsers
-
-
 def test_identical_config_identical_output(capsys):
     args = ("--format", "csv", "foam", "basis", "--signs", "+-+-")
     _, first = run_cli(capsys, *args)
@@ -668,13 +641,3 @@ def test_pinned_parser_output_at_other_widths(capsys, monkeypatch, columns, argv
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
-
-
-@pytest.mark.parametrize("verb", [None, *cli.VERBS], ids=["root", *cli.VERBS])
-def test_parser_reads_the_terminal_size_once(monkeypatch, verb):
-    # argparse makes a formatter per argument and per parser; none reads the size again
-    real, calls = shutil.get_terminal_size, []
-    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
-    parser = build_parser(verb)
-    parser.format_help()
-    assert len(calls) == 1

@@ -114,30 +114,38 @@ def _classical_tableaux(max_n: int, min_n: int = 2):
             yield signs, rows
 
 
+def _above_row_cells(rows, v):
+    """The (1-based) cells holding v in rows above row v, in reading order."""
+    return [(r, c) for r, row in enumerate(rows[:v - 1], start=1)
+            for c, entry in enumerate(row, start=1) if entry == v]
+
+
 def _reference_lowerable(rows):
-    """The candidates as lt_generators once computed them: every value above its
-    own row whose lowering, copied and re-checked, stays semi-standard."""
+    """The candidates as lt_generators once computed them, each with its cells above
+    its row: every value above its own row whose lowering, copied and re-checked,
+    stays semi-standard, in ascending order."""
     def lowered(v):
         copy = [list(row) for row in rows]
-        for r, c in ladderweb._below_row_cells(rows, v):
+        for r, c in _above_row_cells(rows, v):
             copy[r - 1][c - 1] = v - 1
         return copy
 
-    return sorted(
-        v
-        for v in {x for row in rows for x in row}
-        if ladderweb._below_row_cells(rows, v) and is_semistandard(lowered(v))
-    )
+    return {
+        v: _above_row_cells(rows, v)
+        for v in sorted({x for row in rows for x in row})
+        if _above_row_cells(rows, v) and is_semistandard(lowered(v))
+    }
 
 
 def test_lowerable_matches_the_lowering_test(monkeypatch):
     # at every step of every basis tableau with n <= 8, the one-pass candidates are
-    # the values whose lowered copy passes is_semistandard
+    # the values whose lowered copy passes is_semistandard, in order, with their cells
     real, steps = ladderweb._lowerable, []
 
     def checked(rows):
         got = real(rows)
-        assert got == _reference_lowerable(rows), rows
+        want = _reference_lowerable(rows)
+        assert list(got.items()) == list(want.items()), rows
         steps.append(rows)
         return got
 
@@ -151,9 +159,9 @@ def test_lt_generators_lowers_once_per_factor(monkeypatch):
     # only the chosen value is lowered: one copy of the tableau per emitted factor
     real, calls = ladderweb._lower_all, []
 
-    def counted(rows, v):
+    def counted(rows, v, cells):
         calls.append(v)
-        return real(rows, v)
+        return real(rows, v, cells)
 
     monkeypatch.setattr(ladderweb, "_lower_all", counted)
     tableaux = 0
