@@ -55,6 +55,8 @@ class UsageError(Exception):
 
 # one flat row's keys and values, laid out as json.dumps(rows, indent=2) lays them out
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+# a sign string that `_normalize_argv` joins onto `--signs`, leading '-' and all
+_SIGNS = re.compile(r"[+\-ox]+")
 # one row of `foam basis`, `flows enumerate` or `flows expand`, its values filled in in
 # column order, as json.dumps lays it out; the flow rows' strings hold digits, brackets,
 # commas, spaces, q, ^, *, + and -, none of which JSON escapes, so the templates quote them
@@ -493,7 +495,7 @@ def _normalize_argv(argv):
     while i < len(argv):
         tok = argv[i]
         if (tok == "--signs" and i + 1 < len(argv) and argv[i + 1] != "--"
-                and re.fullmatch(r"[+\-ox]+", argv[i + 1])):
+                and _SIGNS.fullmatch(argv[i + 1])):
             out.append(f"--signs={argv[i + 1]}")
             i += 2
             continue

@@ -4,13 +4,13 @@ A flow assigns to every edge of a ladder web a subset of the three colors
 {1, 2, 3} whose size is the edge label; at every rung the subset leaving a
 strand is carried across and must land on colors absent from the target
 strand.  A flow is stored as the tuple of moved subsets, one per rung, in
-application order.  `_moves` lists a rung's legal moves once per call, and
-rung exponents have no cache.  `_flow_walk` is the one walk over a web's flow
-prefixes, rung by rung on one move table; each reader builds only what it
-needs of a prefix from its parent's: `enumerate_flows` the moves and layers
-tuples, `flow_at` a link to the parent, unwound for the one flow it returns,
-the CLI's `flows enumerate` the rows' text, and `bijection.survey_web` the
-filling's row lengths, degree and moves.
+application order.  `_moves` lists a rung's legal moves, each walk keeps them in
+a table local to the call, and rung exponents have no cache.  `_flow_walk` is the
+one walk over a web's flow prefixes, rung by rung on one move table; each reader
+builds only what it needs of a prefix from its parent's: `enumerate_flows` the
+moves and layers tuples, `flow_at` a link to the parent, unwound for the one flow
+it returns, the CLI's `flows enumerate` the rows' text, and `bijection.survey_web`
+the filling's row lengths, degree and moves.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
@@ -46,14 +46,18 @@ COLORS = (1, 2, 3)
 
 
 def transition_exponent(left: frozenset, right: frozenset, moved: frozenset) -> int:
-    """Exponent of the divided-power transition moving `moved` left-to-right."""
-    if not moved <= left or (moved & right):
+    """Exponent of the divided-power transition moving `moved` left-to-right: for each
+    moved color, the colors above it already on the right less those staying behind."""
+    if not moved <= left or not moved.isdisjoint(right):
         raise ValueError("moved colors must leave the left strand onto free colors")
-    stay = (left - right) - moved
     e = 0
     for h in moved:
-        e += sum(1 for b in right - left if b > h)
-        e -= sum(1 for b in stay if b > h)
+        for b in right:
+            if b > h and b not in left:
+                e += 1
+        for b in left:
+            if b > h and b not in right and b not in moved:
+                e -= 1
     return e
 
 
@@ -114,27 +118,21 @@ def flow_from_moves(web: LadderWeb, moves) -> Flow:
     return Flow(web, tuple(moves), tuple(layers), exponent, _top_state(layers[-1]))
 
 
-def _legal(table: dict, cur: tuple, i: int, j: int) -> list[tuple]:
-    """The `_moves` of rung F_i^(j) on layer `cur`, kept in the caller's per-web table."""
-    key = (cur[i - 1], cur[i], j)
-    if (legal := table.get(key)) is None:
-        legal = table[key] = _moves(*key)
-    return legal
-
-
 def _flow_walk(web: LadderWeb, root, step) -> list[tuple]:
     """(top layer, weight, payload) of every flow on the web, in `enumerate_flows` order.
 
-    The prefixes grow rung by rung on one move table (`_legal`); a prefix's payload is
-    `step(parent's payload, move, new layer)`, the move as `_legal` lists it; the empty
-    prefix's is `root`."""
+    The prefixes grow rung by rung on one move table local to the call, filled from
+    `_moves` on a miss; a prefix's payload is `step(parent's payload, move, new layer)`,
+    the move as `_moves` lists it; the empty prefix's is `root`."""
     table: dict = {}
     partial = [(_bottom_subsets(web), 0, root)]
     for i, j in web.word.application_order():
         grown = []
         for cur, weight, payload in partial:
             head, tail = cur[:i - 1], cur[i + 1:]
-            for move in _legal(table, cur, i, j):
+            if (legal := table.get(key := (cur[i - 1], cur[i], j))) is None:
+                legal = table[key] = _moves(*key)
+            for move in legal:
                 _h, left, right, e, _combo = move
                 layer = head + (left, right) + tail
                 grown.append((layer, weight + e, step(payload, move, layer)))
@@ -168,13 +166,16 @@ def flow_at(web: LadderWeb, k: int) -> tuple[Flow | None, int]:
 
 def _top_counts(web: LadderWeb, table: dict) -> dict[tuple, dict[int, int]]:
     """Each top layer of the web's flows -> {q-exponent, minus the weight: flow prefixes},
-    counted rung by rung over distinct layers on the caller's move table (`_legal`)."""
+    counted rung by rung over distinct layers on the caller's move table, filled from
+    `_moves` on a miss."""
     layers = {_bottom_subsets(web): {0: 1}}
     for i, j in web.word.application_order():
         grown: dict = {}
         for cur, counts in layers.items():
             head, tail = cur[:i - 1], cur[i + 1:]
-            for _h, left, right, e, _combo in _legal(table, cur, i, j):
+            if (legal := table.get(key := (cur[i - 1], cur[i], j))) is None:
+                legal = table[key] = _moves(*key)
+            for _h, left, right, e, _combo in legal:
                 out = grown.setdefault(head + (left, right) + tail, {})
                 for x, c in counts.items():
                     out[x - e] = out.get(x - e, 0) + c

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 SIGN_TO_WEIGHT = {"o": 0, "+": 1, "-": 2, "x": 3}
 WEIGHT_TO_SIGN = {v: k for k, v in SIGN_TO_WEIGHT.items()}
+# one factor of a ladder word's text: F3, F3^2 or F3^(2)
+_FACTOR = re.compile(r"[Ff](\d+)(?:\^(?:\((\d+)\)|(\d+)))?")
 
 #: Sentinel for a word that kills the highest weight vector.
 ZERO = None
@@ -77,7 +79,7 @@ class LTWord(NamedTuple):
             return cls()
         factors = []
         for token in text.split():
-            m = re.fullmatch(r"[Ff](\d+)(?:\^(?:\((\d+)\)|(\d+)))?", token)
+            m = _FACTOR.fullmatch(token)
             if not m:
                 raise ValueError(f"cannot parse ladder factor {token!r}")
             factors.append((int(m.group(1)), int(m.group(2) or m.group(3) or 1)))

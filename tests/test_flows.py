@@ -52,6 +52,17 @@ def test_transition_exponent_matches_divided_power_action():
                             assert divided_power_identity_holds(l, r, frozenset(moved))
 
 
+def test_transition_exponent_refuses_an_illegal_move():
+    # moved colors must all leave the left strand and land on colors the right lacks
+    subsets = [frozenset(c) for k in range(4) for c in itertools.combinations(COLORS, k)]
+    illegal = [(l, r, m) for l in subsets for r in subsets for m in subsets
+               if m and not (m <= l and m.isdisjoint(r))]
+    assert len(illegal) == 7 * 8 * 8 - 61
+    for left, right, moved in illegal:
+        with pytest.raises(ValueError, match="moved colors must leave the left strand"):
+            transition_exponent(left, right, moved)
+
+
 # -- enumeration ----------------------------------------------------------------
 
 

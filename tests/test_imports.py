@@ -135,9 +135,9 @@ def test_guard_sees_a_cached_function():
     assert seeded - CACHED == {"foamword._reflect"}
 
 
-# a rung's legal moves are listed in flows.py alone, by `_moves` through the per-web
-# table of `_legal`; every other module reads them off the flow-prefix walk
-MOVE_LISTERS = {"_legal", "_moves"}
+# a rung's legal moves are listed in flows.py alone, by `_moves`, and each walk fills its
+# own per-call table from it; every other module reads them off the flow-prefix walk
+MOVE_LISTERS = {"_moves"}
 
 
 def _move_listers_outside_flows(read=Path.read_text):
@@ -163,10 +163,10 @@ def test_guard_sees_a_move_listing_import():
         source = path.read_text()
         if path.name == "bijection.py":
             source = source.replace("\nfrom sl3web.flows import ",
-                                    "\nfrom sl3web.flows import _legal, ")
+                                    "\nfrom sl3web.flows import _moves, ")
         return source
 
-    assert _move_listers_outside_flows(seeded) == {"bijection._legal"}
+    assert _move_listers_outside_flows(seeded) == {"bijection._moves"}
     # ... as is a module that reads it as an attribute
     assert _move_listers_outside_flows(lambda path: path.read_text().replace(
         "\nclass Boundary:", "\nLISTER = flows._moves\n\n\nclass Boundary:")) == {"checks._moves"}
