@@ -19,23 +19,26 @@ cellular basis, the graded dimensions and the roundtrips all read its
 records, plain (state, degree, weight, moves, filling) tuples.  It reads
 each web's flow prefixes off `flows._flow_walk`, placing a rung's nodes and
 adding their degree share at the prefix, so every prefix is filled and
-graded once; `iota` and `bkw_degree` stay the per-flow definitions it is
-tested against.  It keeps nothing between calls: a caller that reads one
-boundary several times holds on to the survey.
+graded once.  It places them as `iota` and `tableaux.bkw_degree` do, with
+`tableaux._place` on the abacus: three ints per prefix.  It keeps nothing
+between calls: a caller that reads one boundary several times holds on to
+the survey.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from sl3web.flows import COLORS, Flow, _flow_walk, _top_state, flow_from_moves, flow_to_colstrict
+from sl3web.flows import COLORS, Flow, _flow_walk, _top_state, flow_from_moves
 from sl3web.ladderweb import LadderWeb, LTWord, build_web
 from sl3web.tableaux import (
     Multipartition3,
-    Node,
     StdMultitableau3,
-    _entry_degree,
-    colstrict_to_multipartition,
+    _abacus,
+    _abacus_rows,
+    _empty_abacus,
+    _place,
+    _row_length,
 )
 
 
@@ -172,8 +175,22 @@ def _classify(k: int, a: int, b: int, j: int, left: frozenset, right: frozenset,
 
 
 def shape_of_boundary(web: LadderWeb, top: tuple[frozenset, ...]) -> Multipartition3:
-    """Multipartition encoding the boundary pair of the web with a flow of this top layer."""
-    return colstrict_to_multipartition(flow_to_colstrict(web, top))
+    """Multipartition encoding the boundary pair of the web with a flow of this top layer.
+
+    Component c is read off the strands k_1 < ... < k_ell that hold color c on top,
+    column c of the column-strict reading: its parts are k_r - r for r = ell, ..., 1,
+    weakly decreasing, with the zeros dropped.  The shift m is the most parts of a
+    component."""
+    strands: tuple[list[int], ...] = ([], [], [])
+    for k, subset in enumerate(top, start=1):
+        for c in subset:
+            strands[c - 1].append(k)
+    comps = []
+    for c, held in enumerate(strands, start=1):
+        if len(held) != web.ell:
+            raise RuntimeError(f"color {c} held by {len(held)} strands, not {web.ell}")
+        comps.append(tuple(part for r in range(web.ell, 0, -1) if (part := held[r - 1] - r)))
+    return Multipartition3._make((tuple(comps), max(map(len, comps))))
 
 
 def cap_step(web: LadderWeb) -> int | None:
@@ -185,43 +202,26 @@ def cap_step(web: LadderWeb) -> int | None:
     return None
 
 
-def _next_node(lengths: list[int], l: int, res: int, m: int) -> Node:
-    """The node of residue res that rows of these lengths in component l take next.
-
-    A partition's next cells have distinct contents, so there is at most one.
-    """
-    for r, c in enumerate(lengths):
-        if c - r + m == res:
-            if r == 0 or lengths[r - 1] > c:
-                return Node(r + 1, c + 1, l)
-            break
-    raise RuntimeError(
-        f"component {l} offers 0 nodes of residue {res}; "
-        "the state dictionary and the diagram disagree"
-    )
-
-
 def iota(web: LadderWeb, flow: Flow) -> StdMultitableau3:
     """Standard filling of the boundary multipartition from a web with flow.
 
     Step k adds a node labeled k with residue equal to the rung index to
     every component named by the moved color subset.  Rows fill left to
-    right, so each row offers one candidate cell: the one after its filled
-    prefix.
+    right, so each component offers at most one node of a residue: the one
+    that `tableaux._place` finds on its abacus.
     """
     if (cap := cap_step(web)) is not None:
         raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
     shape = shape_of_boundary(web, flow.layers[-1])
-    parts = shape.components
+    parts, m = shape.components, shape.m
     filled = [[[0] * length for length in p] for p in parts]
-    front = [[0] * len(p) for p in parts]  # filled prefix length of every row
+    masks = _empty_abacus(m)
     for step, (i, _j) in enumerate(web.word.application_order(), start=1):
-        for l in sorted(flow.moves[step - 1]):
-            node = _next_node(front[l - 1], l, i, shape.m)
-            if node.col > parts[l - 1][node.row - 1]:
-                raise RuntimeError(f"component {l} has no room for residue {i} in {shape}")
-            filled[l - 1][node.row - 1][node.col - 1] = step
-            front[l - 1][node.row - 1] += 1
+        masks, _share, cells = _place(masks, sorted(flow.moves[step - 1]), i, m)
+        for l, r, c in cells:
+            if c >= _row_length(parts[l], r + 1):
+                raise RuntimeError(f"component {l + 1} has no room for residue {i} in {shape}")
+            filled[l][r][c] = step
     return StdMultitableau3(shape, filled)
 
 
@@ -294,17 +294,17 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     """Enumerate the flows on one web, with their states, fillings and degrees.
 
     A reader of `flows._flow_walk`, so in `enumerate_flows` order.  A prefix carries
-    (entries placed, degree, row lengths per component, moves, link): its move places
-    the sorted colors' nodes as `iota` does, on copies of the components it touches,
-    adds that entry's share of `bkw_degree`, and links the nodes to the parent's link;
-    the walk adds the weight.  The residue shift is the web's: ell less the leading
-    weight-3 strands on top, whose rows are empty in every component.  With the shift
-    fixed and a residue naming one row (`_next_node`), no placement needs the shape: a
-    leaf checks that its grown row lengths, with the web's shift, are the shape
-    `shape_of_boundary` reads off its top layer, and fills the rows from its links.  A
-    top layer fixes the state and the shape, so `states` maps it to (state, shape, row
-    lengths padded to the shift), read once; `survey` shares the map between the webs
-    of a boundary, which share ell and top weights.
+    (entries placed, degree, abacus, moves, link).  The abacus is three ints, each
+    component's beta numbers (`tableaux._place`).  A move places the sorted colors'
+    nodes on the parent's abacus as `iota` does, adds that entry's share of
+    `bkw_degree`, and links the nodes' cells to the parent's link; the walk adds the
+    weight.  The residue shift is the web's: ell less the leading weight-3 strands on
+    top, whose rows are empty in every component.  With the shift fixed and a residue
+    naming one row, no placement needs the shape: a leaf checks that its abacus is the
+    one of the shape `shape_of_boundary` reads off its top layer, with the web's shift,
+    and fills the rows from its links.  A top layer fixes the state and the shape, so
+    `states` maps it to (state, shape, abacus), read once; `survey` shares the map
+    between the webs of a boundary, which share ell and top weights.
     """
     if (cap := cap_step(web)) is not None:
         raise RuntimeError(f"rung {cap} of {web} is a cap, which matches no move")
@@ -312,33 +312,30 @@ def survey_web(web: LadderWeb, states: dict) -> WebSurvey:
     top = web.layers[-1]
     m = web.ell - next((s for s, w in enumerate(top) if w != 3), len(top))
 
-    def place(prefix, move, _layer):
-        k, degree, lengths, moves, link = prefix
-        i, grown, nodes = residues[k], list(lengths), []
-        for l in move[4]:
-            grown[l - 1] = comp = lengths[l - 1].copy()
-            nodes.append(_next_node(comp, l, i, m))
-        degree += _entry_degree(grown, m, nodes, i)
-        return k + 1, degree, grown, moves + move[:1], (link, nodes)
+    def step(prefix, move, _layer):
+        k, degree, masks, moves, link = prefix
+        masks, share, cells = _place(masks, move[4], residues[k], m)
+        return k + 1, degree + share, masks, moves + move[:1], (link, cells)
 
     records, by_state = [], {}
-    root = (0, 0, [[0] * m, [0] * m, [0] * m], (), None)
-    for layer, weight, (k, degree, lengths, moves, link) in _flow_walk(web, root, place):
+    root = (0, 0, _empty_abacus(m), (), None)
+    for layer, weight, (k, degree, masks, moves, link) in _flow_walk(web, root, step):
         if (known := states.get(layer)) is None:
             shape = shape_of_boundary(web, layer)
-            padded = [list(comp) + [0] * (shape.m - len(comp)) for comp in shape.components]
-            known = states[layer] = (_top_state(layer), shape, padded)
-        state, shape, padded = known
+            grown = tuple(_abacus(comp, shape.m) for comp in shape.components)
+            known = states[layer] = (_top_state(layer), shape, grown)
+        state, shape, grown = known
         # rows grown out of order, or with another shift than the shape's, differ
-        if lengths != padded:
+        if masks != grown:
+            lengths = [_abacus_rows(mask, m) for mask in masks]
             raise RuntimeError(f"flow {moves} on {web} fills rows {lengths}, not {shape}")
-        rows = [[[0] * n for n in comp] for comp in shape.components]
+        a, b, c = rows = [[[0] * n for n in comp] for comp in shape.components]
         while link is not None:
-            link, nodes = link
-            for node in nodes:
-                rows[node.comp - 1][node.row - 1][node.col - 1] = k
+            link, cells = link
+            for l, r, col in cells:
+                rows[l][r][col] = k
             k -= 1
-        filled = tuple(tuple(map(tuple, comp)) for comp in rows)
+        filled = (tuple(map(tuple, a)), tuple(map(tuple, b)), tuple(map(tuple, c)))
         records.append((state, degree, weight, moves, StdMultitableau3._make((shape, filled))))
         by_state.setdefault(state, []).append(degree)
     return WebSurvey(web, tuple(records), {j: tuple(ds) for j, ds in by_state.items()})

@@ -11,13 +11,14 @@ exponents instead of filling degrees), their pairing per ordered pair of webs
 (degrees and generator keys, no foam word) and their distinct generators, each
 built once with its reflection by `foamword.reflections`: a pair's degree and
 involution follow from theirs.  Those two raise on a degree that breaks
-homogeneity, and an exception inside one check is a failing result.
+homogeneity, and an exception inside one check is a failing result.  A part
+whose build raised is not built again: every check that reads it gets the
+same exception.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from sl3web.bijection import roundtrip_holds, survey
 from sl3web.flows import flow_vector, pairing, tableau_state, tensor_expansion
@@ -37,37 +38,63 @@ def classical_sign_strings(max_n: int, min_n: int = 2) -> list[str]:
     return out
 
 
+class _part:
+    """A `Boundary` part, built on its first read and kept as long as the value;
+    an exception its build raises is kept too, and every later read raises it
+    again rather than building the part anew."""
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, b, owner=None):
+        if b is None:
+            return self
+        if (error := b.failed.get(self.name)) is not None:
+            raise error
+        try:
+            # later reads find the value in the instance dict and skip this descriptor
+            value = b.__dict__[self.name] = self.build(b)
+        except Exception as e:
+            b.failed[self.name] = e
+            raise
+        return value
+
+
 class Boundary:
     """One classical sign string and what the checks read of it, each part
-    built on its first read and kept as long as the value."""
+    built once, on its first read (`_part`)."""
 
     def __init__(self, signs: str):
         self.signs = signs
+        self.failed: dict[str, Exception] = {}  # part name -> what its build raised
 
-    @cached_property
+    @_part
     def basis(self):
         return enumerate_basis(self.signs)
 
-    @cached_property
+    @_part
     def surveys(self):
         return survey(self.basis)
 
-    @cached_property
+    @_part
     def vectors(self):
         return [flow_vector((j, w) for j, _d, w, _m, _t in entry.records) for entry in self.surveys]
 
-    @cached_property
+    @_part
     def brackets(self):
         """(survey of u, survey of v, pairing of their flow vectors) per ordered pair."""
         pairs = itertools.product(zip(self.surveys, self.vectors), repeat=2)
         return [(u, v, pairing(a, c)) for (u, a), (v, c) in pairs]
 
-    @cached_property
+    @_part
     def halves(self):
         """The `foamword.CellState` of every boundary state: halves as degrees."""
         return list(cellular_halves(self.surveys))
 
-    @cached_property
+    @_part
     def generators(self):
         """Each distinct generator of the dots and the halves, mapped to its reflection
         (`reflections` raises on one that changes a degree)."""

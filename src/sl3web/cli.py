@@ -302,13 +302,15 @@ def cmd_bij(args) -> int:
 def cmd_foam(args) -> int:
     if args.action == "basis":
         basis = enumerate_cellular_basis(_signs(args, "foam basis"))
-        # each shape and filling recurs in many foams: write its text once; a JSON row
-        # holds that text as a string
+        # each shape and filling recurs in many foams: write its text once, a filling's
+        # keyed by its rows; a JSON row holds that text as a string, and a filling's
+        # text (digits, brackets, commas, spaces) needs no escaping, only quotes
         quote = json.dumps if args.format == "json" else str
         shapes = functools.cache(lambda shape: quote(json.dumps(shape.to_json(), sort_keys=True)))
-        cells = functools.cache(lambda t: quote(json.dumps(tableau_cells(t.rows))))
-        rows = [(shapes(f.shape), cells(f.top_tableau), cells(f.bottom_tableau), f.degree)
-                for f in basis]
+        wrap = '"{}"' if args.format == "json" else "{}"
+        cells = functools.cache(lambda rows: wrap.format(json.dumps(tableau_cells(rows))))
+        rows = [(shapes(f.shape), cells(f.top_tableau.rows), cells(f.bottom_tableau.rows),
+                 f.degree) for f in basis]
         _emit_rows(args, _BASIS_ROW, rows, ["shape", "top", "bottom", "degree"])
         return 0
     if args.action == "dims":

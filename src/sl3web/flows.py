@@ -310,22 +310,10 @@ def tensor_expansion(vector: dict) -> dict:
 # -- column-strict reading ---------------------------------------------------
 
 
-def flow_to_colstrict(web: LadderWeb, top: tuple[frozenset, ...]):
-    """Column c lists the strands holding color c in a flow's top layer, top to bottom."""
-    columns = []
-    for c in COLORS:
-        strands = sorted(k for k, subset in enumerate(top, start=1) if c in subset)
-        if len(strands) != web.ell:
-            raise RuntimeError(f"color {c} held by {len(strands)} strands, not {web.ell}")
-        columns.append(strands)
-    return tuple(
-        tuple(columns[c][r] for c in range(3)) for r in range(web.ell)
-    )
-
-
 def tableau_state(rows) -> tuple[int, ...]:
-    """The state of the flow whose column-strict reading (`flow_to_colstrict`) is
-    `rows`, a basis web's leading state: strand k holds color c when column c lists k."""
+    """The state of the flow whose column-strict reading is `rows`, a basis web's
+    leading state: column c lists, increasing, the strands holding color c in the
+    flow's top layer, so strand k holds color c when column c lists k."""
     n = max(map(max, rows), default=0)
     return _top_state(tuple(frozenset(c for c, col in zip(COLORS, zip(*rows)) if k in col)
                             for k in range(1, n + 1)))

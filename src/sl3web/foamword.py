@@ -8,7 +8,7 @@ degrees.  Signs are not modeled.
 The cellular basis is computed in degrees.  Per boundary state,
 `cellular_halves` builds one frame of its nodes' residues and neighbours
 (`_frame`); each flow's half walks its expanded filling to the superstandard
-one on the frame's integers (`_swap_walk`), one generator key per swap, and
+one on the frame's integers (`_half_keys`), one generator key per swap, and
 keeps the sum of their degrees.  It raises unless that sum is the filling's
 degree drop and the dots weigh twice the superstandard degree.  A pair weighs
 its two filling degrees once `reflections`, which builds each distinct
@@ -101,20 +101,21 @@ def dot_placement(shape: Multipartition3) -> list[int]:
 # -- permutations between fillings ---------------------------------------------
 
 
-def _frame(shape: Multipartition3) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _frame(shape: Multipartition3) -> tuple[tuple[int, ...], tuple[frozenset, ...]]:
     """Per node of the shape in reading order (component, row, column, as
     the superstandard filling numbers them): its residue, and the reading
-    indices of its right and lower neighbours (-1 where there is none), on
-    which a swap may not put the next entry: swapping j and j + 1 breaks a
-    standard filling exactly when j + 1 sits right of or below j."""
+    indices of its left and upper neighbours (-1 where there is none), from
+    which a swap may not bring it the next entry: swapping j and j + 1
+    breaks a standard filling exactly when j sits just left of or just above
+    j + 1."""
     residues, blocked = [], []
     for comp in shape.components:
         for r, length in enumerate(comp):
-            below = comp[r + 1] if r + 1 < len(comp) else 0
+            above = comp[r - 1] if r else 0
             for c in range(length):
                 i = len(residues)
                 residues.append(c - r + shape.m)
-                blocked.append((i + 1 if c + 1 < length else -1, i + length if c < below else -1))
+                blocked.append(frozenset((i - 1 if c else -1, i - above if r else -1)))
     return tuple(residues), tuple(blocked)
 
 
@@ -124,40 +125,6 @@ def _node_order(rows) -> tuple[list[int], list[int]]:
     2, ... once repeated entries are renumbered consecutively."""
     flat = [v for comp in rows for row in comp for v in row]
     return flat, sorted(range(len(flat)), key=flat.__getitem__)
-
-
-def _swap_walk(
-    node_of: list[int], blocked: tuple[tuple[int, int], ...], source
-) -> Iterator[tuple[int, int, int]]:
-    """The swaps (v, low, high) of entries v and v + 1, in order, moving the
-    entries onto the superstandard filling; low held v and high v + 1
-    before the swap.  Nodes are reading indices (`_frame`).
-
-    ``node_of[v - 1]`` holds entry v of a standard all-distinct filling and
-    is updated in place before each swap is yielded.  For j = 1, 2, ... in
-    turn, the value w on the j-th node is walked down by t(w-1), ..., tj;
-    entries below j already sit on their nodes.  A swap of consecutive
-    entries keeps the filling standard exactly when high is not ``low``'s
-    right or lower neighbour (``blocked[low]``); one that breaks it raises
-    RuntimeError.
-    """
-    entry_at = [0] * len(node_of)
-    for v, node in enumerate(node_of, start=1):
-        entry_at[node] = v
-    for j in range(1, len(node_of) + 1):
-        w = entry_at[j - 1]
-        if w < j:
-            raise RuntimeError("target node holds a smaller entry; not reachable")
-        for v in range(w - 1, j - 1, -1):
-            low, high = node_of[v - 1], node_of[v]
-            if high in blocked[low]:
-                raise RuntimeError(
-                    f"transposition t{v} left the standard fillings on the way "
-                    f"from {source} to the superstandard filling"
-                )
-            node_of[v - 1], node_of[v] = high, low
-            entry_at[low], entry_at[high] = v + 1, v
-            yield v, low, high
 
 
 # (kind, degree, count) of a swap by the residue of its low node less that of
@@ -171,17 +138,34 @@ _FACE_KINDS = {2: ("digon_removal", -1), 3: ("theta_removal", -3)}
 _IDENTITY = ("identity", 0, None, 0)
 
 
-def _swap_keys(size: int) -> list[tuple[dict, tuple]]:
-    """Per entry v < size, the generator keys of a swap of v and v + 1 by the residue
-    difference of its nodes (`_SWAP_KINDS`), and that of a shift, for any other."""
-    return [({diff: (kind, degree, v, count) for diff, (kind, degree, count) in _SWAP_KINDS.items()},
-             ("shift", 0, v, 0)) for v in range(size)]
+def _swap_keys(size: int) -> list[list[tuple]]:
+    """Per entry v < size, the generator key of a swap of v and v + 1 by the residue
+    difference d of its nodes, at index d of a list, a negative d counted from its end
+    (`_SWAP_KINDS`, and a shift for any other d).  Two nodes' residues c - r + m differ
+    by less than the size of a shape that holds both."""
+    keys = []
+    for v in range(size):
+        row = [("shift", 0, v, 0)] * (2 * size + 1)
+        for diff, (kind, degree, count) in _SWAP_KINDS.items():
+            row[diff] = (kind, degree, v, count)
+        keys.append(row)
+    return keys
 
 
 def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
     """Generator keys (kind, degree, position, count) of a filling's half foam on the
     frame of its shape: one face removal per repeated entry, then one of `swaps` per
-    swap of its expanded filling (`_swap_walk`); the identity if neither."""
+    swap of its expanded filling on the way to the superstandard one; the identity if
+    neither.
+
+    The walk: for the n-th node in reading order, n = 1, 2, ..., the entry w it holds
+    is walked down onto it by the swaps t(w-1), ..., tn, the entries below n already
+    sitting on their nodes.  The swap tv exchanges v, on some node `low`, with v + 1,
+    by then on the n-th node, and keeps the filling standard exactly when `low` is
+    not that node's left or upper neighbour (`_frame`); one that breaks it raises
+    RuntimeError.  After the swaps that node holds n, and each entry from n to w - 1
+    is one higher, on the same node.
+    """
     residues, blocked = frame
     flat, node_of = _node_order(t.rows)
     keys = []  # in node order the entries are sorted, so an entry's copies sit side by side
@@ -191,9 +175,22 @@ def _half_keys(t: StdMultitableau3, frame: tuple, swaps: list) -> list[tuple]:
                 keys[-1] = (*_FACE_KINDS[3], v, 1)
             else:
                 keys.append((*_FACE_KINDS[2], v, 1))
-    for v, low, high in _swap_walk(node_of, blocked, t):
-        kinds, shift = swaps[v]
-        keys.append(kinds.get(residues[low] - residues[high], shift))
+    for j, res in enumerate(residues):  # the node of reading index j takes entry j + 1
+        if (w := node_of.index(j, j)) == j:  # it holds entry w + 1
+            continue
+        moving = node_of[j:w]  # the nodes of the entries j + 1, ..., w
+        if not blocked[j].isdisjoint(moving):
+            v = next(v for v in range(w, j, -1) if node_of[v - 1] in blocked[j])
+            raise RuntimeError(
+                f"transposition t{v} left the standard fillings on the way "
+                f"from {t} to the superstandard filling"
+            )
+        v = w  # the swaps tw, ..., t(j + 1), the first with the node of entry w
+        for low in reversed(moving):
+            keys.append(swaps[v][residues[low] - res])
+            v -= 1
+        del node_of[w]
+        node_of.insert(j, j)
     return keys or [_IDENTITY]
 
 

@@ -5,9 +5,13 @@ tuple of positive row lengths, with a residue shift.  Nodes live at 1-based
 (row, col) positions inside one of three components.
 Every node carries a ladder residue  ``col - row + m``  where the shift m is
 by default the maximal number of non-zero rows among the three components;
-a shape given m keeps it, and the degree grows its row lengths node by node
-under one fixed m.  Residues are constant along diagonals and select which
-ladder operator a node corresponds to.
+a shape given m keeps it.  Residues are constant along diagonals and select
+which ladder operator a node corresponds to.
+
+A filling grows on the abacus: each component is its set of beta numbers
+length(s) - s + m, one per row s = 1..m, as the bits of one int.  `_place`
+adds one entry's nodes of a residue there and counts that entry's share of
+the degree; the survey, `bijection.iota` and `bkw_degree` all grow by it.
 """
 
 from __future__ import annotations
@@ -207,60 +211,68 @@ def bkw_degree(t: StdMultitableau3) -> tuple[int, list[int]]:
     its residue strictly after it, counted on the partial diagram grown so
     far; same-entry nodes are added one at a time starting from the
     leftmost component and the total is corrected by 0/1/3 for
-    multiplicity 1/2/3.
+    multiplicity 1/2/3.  The diagram grows on the abacus (`_place`).
     """
-    lengths: tuple[list[int], ...] = ([], [], [])  # row lengths grown so far
+    m = t.shape.m
+    masks = _empty_abacus(m)
     occ = t.entries()
-    breakdown = [
-        _entry_degree(lengths, t.shape.m, occ[j], t.shape.residue(occ[j][0]))
-        for j in range(1, t.max_entry + 1)
-    ]
+    breakdown = []
+    for j in range(1, t.max_entry + 1):
+        nodes = occ[j]
+        masks, share, _cells = _place(masks, [node.comp for node in nodes], residue(nodes[0], m), m)
+        breakdown.append(share)
     return sum(breakdown), breakdown
 
 
-def _entry_degree(lengths: tuple[list[int], ...], m: int, nodes, k: int) -> int:
-    """One entry's share of the degree: its nodes, of residue k, grow the
-    row lengths in place one at a time, leftmost component first, and each
-    adds its `_same_residue_after`."""
-    contribution = 0
-    for node in nodes:
-        grown = lengths[node.comp - 1]
-        if node.row > len(grown):
-            grown.append(0)
-        grown[node.row - 1] += 1
-        contribution += _same_residue_after(lengths, m, node, k)
-    return contribution - _MULTIPLICITY_CORRECTION[len(nodes)]
+# -- the abacus ------------------------------------------------------------------
+# A component with shift m is its beta numbers length(s) - s + m for its rows
+# s = 1..m, empty rows included: the set bits of one int.
 
 
-def _same_residue_after(lengths: tuple[list[int], ...], m: int, node: Node, k: int) -> int:
-    """Addable less removable nodes of residue k strictly after ``node``, the
-    last cell of its row r, in the diagram with these row lengths per component.
+def _empty_abacus(m: int) -> tuple[int, int, int]:
+    """Three empty components: rows 1..m hold the beta numbers m - 1, ..., 0."""
+    return ((1 << m) - 1,) * 3
 
-    The node's own component has none: every cell below row r has a residue
-    below k = length(r) - r + m, save the next cell of row r + 1 when that row
-    is as long, and then that cell is not addable.  A later component with beta
-    numbers B = {length(s) - s + m : s >= 1}, empty rows included, has an
-    addable node of residue k exactly when k - 1 is in B and k is not, and a
-    removable one exactly when k is in B and k - 1 is not: it adds
-    [k - 1 in B] - [k in B].
+
+def _abacus(comp: tuple[int, ...], m: int) -> int:
+    """A partition's beta numbers with shift m, as the set bits of one int."""
+    return sum(1 << (_row_length(comp, s) - s + m) for s in range(1, m + 1))
+
+
+def _abacus_rows(mask: int, m: int) -> list[int]:
+    """The lengths of rows 1..m of a component's abacus, `_abacus` undone."""
+    betas = [b for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
+    return [b + s - m for s, b in enumerate(betas, start=1)]
+
+
+def _place(masks: tuple[int, int, int], comps, i: int, m: int) -> tuple[tuple, int, list]:
+    """One entry's nodes of residue i added to the components `comps`, in increasing
+    order, on the abacus `masks` with shift m: the grown masks, the entry's share of
+    the degree and each node's cell, as 0-based (component, row, column) indices.
+
+    A component takes a node of residue i exactly when i - 1 is a beta number and i
+    is not.  The node ends the row s whose beta number length(s) - s + m is i - 1,
+    in column i - m + s; s counts the beta numbers from i - 1 up.  It moves that bead
+    from i - 1 to i.  A partition's addable nodes have distinct residues, so there is
+    at most one.  The node adds, per later component, its addable less its removable
+    nodes of residue i, [i - 1 is a beta number] - [i is one]; its own component has
+    none after it (every cell below row s has a smaller residue, save the next cell
+    of row s + 1 when that row is as long, and then it is not addable).  The share is
+    the sum less `_MULTIPLICITY_CORRECTION`, read at each call.
     """
-    out = 0
-    for rows in lengths[node.comp:]:
-        betas = {length - s + m for s, length in enumerate(rows, start=1)}
-        empty = m - len(rows)  # the rows past the list are every beta number below this
-        out += (k - 1 in betas or k - 1 < empty) - (k in betas or k < empty)
-    return out
-
-
-# -- column-strict tableaux ------------------------------------------------
-
-
-def colstrict_to_multipartition(rows) -> Multipartition3:
-    """Read a column-strict 3-column tableau as a 3-multipartition.
-
-    Subtract the row number from each entry, which leaves an increasing column
-    of positive entries non-negative, and read it bottom to top as a partition.
-    """
-    return Multipartition3([[row[c] - r for r, row in enumerate(rows, start=1)][::-1]
-                            for c in range(3)])
-
+    shift = i - 1
+    grown, cells = list(masks), []
+    share = -_MULTIPLICITY_CORRECTION[len(comps)]
+    for l in comps:
+        mask = grown[l - 1]
+        if mask >> shift & 3 != 1:
+            raise RuntimeError(
+                f"component {l} offers 0 nodes of residue {i}; "
+                "the state dictionary and the diagram disagree"
+            )
+        row = (mask >> shift).bit_count()
+        cells.append((l - 1, row - 1, shift - m + row))
+        grown[l - 1] = mask ^ 3 << shift
+        for later in grown[l:]:
+            share += (later >> shift & 1) - (later >> i & 1)
+    return tuple(grown), share, cells

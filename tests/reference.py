@@ -4,16 +4,19 @@ Each one is the direct, unoptimised statement of something `src/` computes
 another way, and none of them is run by the tool:
 
 - the node-by-node degree (`addable_nodes`, `removable_nodes`,
-  `strictly_after`, `nodes_after`, `add_node`) against
-  `tableaux._entry_degree`;
+  `strictly_after`, `nodes_after`, `add_node`), and the degree grown on row
+  lengths (`next_node`, `entry_degree`, `same_residue_after`,
+  `degree_by_rows`), against `tableaux._place` and `tableaux.bkw_degree`, and
+  `iota_by_rows` against `bijection.iota` and the survey;
 - `truncate` and `nodes_with_entry` against `foamword.dot_placement`;
 - `superstandard` and `residue_sequence` against `foamword.idempotent` and
-  `foamword._frame`, and `expand_repeats` and `swap_keeps_standard` against
-  the frame's blocked pairs;
+  `foamword._frame`, and `expand_repeats`, `swap_keeps_standard` and
+  `swap_walk` against the frame's blocked pairs and `foamword._half_keys`;
 - `standard_tableaux`, every standard filling of a shape, the domain of the
   tableau tests;
-- `is_column_strict` and `multipartition_to_colstrict` against
-  `tableaux.colstrict_to_multipartition`;
+- `flow_to_colstrict` and `colstrict_to_multipartition` against
+  `bijection.shape_of_boundary`, and `is_column_strict` and
+  `multipartition_to_colstrict` against them;
 - `is_semistandard` against `ladderweb._lowerable` and
   `ladderweb.semistandard_tableaux`;
 - the single-color moves (`_single_exponent`, `_transition_poly`,
@@ -27,14 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from sl3web.flows import (
-    COLORS,
-    ClosedFlow,
-    ClosedWeb,
-    Flow,
-    flow_to_colstrict,
-    transition_exponent,
-)
+from sl3web.flows import COLORS, ClosedFlow, ClosedWeb, Flow, transition_exponent
 from sl3web.laurent import LaurentPoly, monomial, qint
 from sl3web.ladderweb import LadderWeb
 from sl3web.tableaux import Multipartition3, Node, StdMultitableau3, _row_length
@@ -141,6 +137,29 @@ def is_column_strict(rows) -> bool:
     return True
 
 
+def flow_to_colstrict(web: LadderWeb, top: tuple[frozenset, ...]):
+    """Column c lists the strands holding color c in a flow's top layer, top to bottom."""
+    columns = []
+    for c in COLORS:
+        strands = sorted(k for k, subset in enumerate(top, start=1) if c in subset)
+        if len(strands) != web.ell:
+            raise RuntimeError(f"color {c} held by {len(strands)} strands, not {web.ell}")
+        columns.append(strands)
+    return tuple(
+        tuple(columns[c][r] for c in range(3)) for r in range(web.ell)
+    )
+
+
+def colstrict_to_multipartition(rows) -> Multipartition3:
+    """Read a column-strict 3-column tableau as a 3-multipartition.
+
+    Subtract the row number from each entry, which leaves an increasing column
+    of positive entries non-negative, and read it bottom to top as a partition.
+    """
+    return Multipartition3([[row[c] - r for r, row in enumerate(rows, start=1)][::-1]
+                            for c in range(3)])
+
+
 def multipartition_to_colstrict(shape: Multipartition3, nrows: int):
     """Inverse of colstrict_to_multipartition for a given row count."""
     rows = []
@@ -201,6 +220,88 @@ def add_node(shape: Multipartition3, node: Node) -> Multipartition3:
     comps = [list(c) + [0] for c in shape.components]
     comps[node.comp - 1][node.row - 1] += 1
     return Multipartition3(comps, m=shape.m)
+
+
+# -- the degree grown on row lengths ---------------------------------------------------
+# Each component is its list of row lengths, grown one node at a time.
+
+MULTIPLICITY_CORRECTION = {1: 0, 2: 1, 3: 3}
+
+
+def next_node(lengths: list[int], l: int, res: int, m: int) -> Node:
+    """The node of residue res that rows of these lengths in component l take next.
+
+    A partition's next cells have distinct contents, so there is at most one.
+    """
+    for r, c in enumerate(lengths):
+        if c - r + m == res:
+            if r == 0 or lengths[r - 1] > c:
+                return Node(r + 1, c + 1, l)
+            break
+    raise RuntimeError(
+        f"component {l} offers 0 nodes of residue {res}; "
+        "the state dictionary and the diagram disagree"
+    )
+
+
+def entry_degree(lengths: tuple[list[int], ...], m: int, nodes, k: int) -> int:
+    """One entry's share of the degree: its nodes, of residue k, grow the
+    row lengths in place one at a time, leftmost component first, and each
+    adds its `same_residue_after`."""
+    contribution = 0
+    for node in nodes:
+        grown = lengths[node.comp - 1]
+        if node.row > len(grown):
+            grown.append(0)
+        grown[node.row - 1] += 1
+        contribution += same_residue_after(lengths, m, node, k)
+    return contribution - MULTIPLICITY_CORRECTION[len(nodes)]
+
+
+def same_residue_after(lengths: tuple[list[int], ...], m: int, node: Node, k: int) -> int:
+    """Addable less removable nodes of residue k strictly after ``node``, the
+    last cell of its row r, in the diagram with these row lengths per component.
+
+    The node's own component has none: every cell below row r has a residue
+    below k = length(r) - r + m, save the next cell of row r + 1 when that row
+    is as long, and then that cell is not addable.  A later component with beta
+    numbers B = {length(s) - s + m : s >= 1}, empty rows included, has an
+    addable node of residue k exactly when k - 1 is in B and k is not, and a
+    removable one exactly when k is in B and k - 1 is not: it adds
+    [k - 1 in B] - [k in B].
+    """
+    out = 0
+    for rows in lengths[node.comp:]:
+        betas = {length - s + m for s, length in enumerate(rows, start=1)}
+        empty = m - len(rows)  # the rows past the list are every beta number below this
+        out += (k - 1 in betas or k - 1 < empty) - (k in betas or k < empty)
+    return out
+
+
+def iota_by_rows(web: LadderWeb, flow: Flow) -> StdMultitableau3:
+    """The filling of a web with flow, its shape read off the column-strict reading
+    and each step's nodes taken by `next_node` on the rows filled so far."""
+    shape = colstrict_to_multipartition(flow_to_colstrict(web, flow.layers[-1]))
+    parts = shape.components
+    filled = [[[0] * length for length in p] for p in parts]
+    front = [[0] * len(p) for p in parts]  # filled prefix length of every row
+    for step, (i, _j) in enumerate(web.word.application_order(), start=1):
+        for l in sorted(flow.moves[step - 1]):
+            node = next_node(front[l - 1], l, i, shape.m)
+            if node.col > parts[l - 1][node.row - 1]:
+                raise RuntimeError(f"component {l} has no room for residue {i} in {shape}")
+            filled[l - 1][node.row - 1][node.col - 1] = step
+            front[l - 1][node.row - 1] += 1
+    return StdMultitableau3(shape, filled)
+
+
+def degree_by_rows(t: StdMultitableau3) -> tuple[int, list[int]]:
+    """The degree and its per-entry breakdown, grown on row lengths (`entry_degree`)."""
+    lengths: tuple[list[int], ...] = ([], [], [])
+    occ = t.entries()
+    breakdown = [entry_degree(lengths, t.shape.m, occ[j], t.shape.residue(occ[j][0]))
+                 for j in range(1, t.max_entry + 1)]
+    return sum(breakdown), breakdown
 
 
 # -- fillings ---------------------------------------------------------------------------
@@ -271,6 +372,34 @@ def swap_keeps_standard(low: Node, high: Node) -> bool:
     beside = low.row == high.row and low.col + 1 == high.col
     below = low.col == high.col and low.row + 1 == high.row
     return not (beside or below)
+
+
+def swap_walk(t: StdMultitableau3) -> list[tuple[int, Node, Node]]:
+    """The swaps (v, low, high) of entries v and v + 1, in order, that move the
+    all-distinct filling t onto the superstandard one; low held v and high v + 1
+    before the swap.
+
+    For the n-th node in reading order, n = 1, 2, ..., the entry w on it is walked
+    down by t(w-1), ..., tn; entries below n already sit on their nodes.  A swap
+    that leaves the standard fillings (`swap_keeps_standard`) raises RuntimeError.
+    """
+    node_of = {v: node for v, (node,) in t.entries().items()}
+    entry_at = {node: v for v, node in node_of.items()}
+    targets = [Node(r, c, l) for l, comp in enumerate(t.shape.components, start=1)
+               for r, length in enumerate(comp, start=1) for c in range(1, length + 1)]
+    swaps = []
+    for n, target in enumerate(targets, start=1):
+        for v in range(entry_at[target] - 1, n - 1, -1):
+            low, high = node_of[v], node_of[v + 1]
+            if not swap_keeps_standard(low, high):
+                raise RuntimeError(
+                    f"transposition t{v} left the standard fillings on the way "
+                    f"from {t} to the superstandard filling"
+                )
+            node_of[v], node_of[v + 1] = high, low
+            entry_at[low], entry_at[high] = v + 1, v
+            swaps.append((v, low, high))
+    return swaps
 
 
 def standard_tableaux(shape: Multipartition3) -> list[StdMultitableau3]:

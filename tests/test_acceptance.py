@@ -174,16 +174,16 @@ def test_criterion_12_minimal_permutation_example():
         Multipartition3(((2, 1), (1,), (2, 1))),
         (((1, 3), (6,)), ((5,),), ((2, 4), (7,))),
     )
-    # the swaps of the walk to the superstandard filling, the first applied rightmost
-    _flat, node_of = foamword._node_order(start.rows)
-    _residues, blocked = foamword._frame(start.shape)
-    swaps = [v for v, _low, _high in foamword._swap_walk(node_of, blocked, start)]
+    # the swaps of the walk to the superstandard filling, the first applied rightmost:
+    # the positions of the half's keys, one per swap
+    swap_keys = foamword._swap_keys(start.shape.size)
+    keys = foamword._half_keys(start, foamword._frame(start.shape), swap_keys)
+    swaps = [v for _kind, _degree, v, _count in keys]
     assert " ".join(f"t{v}" for v in reversed(swaps)) == "t4 t5 t3 t4 t5 t2"
     assert len(swaps) == 6  # each swap passed the local standardness rule
     # a swap's kind by the residue of its low node less that of its high one
     kind, degree, _count = foamword._SWAP_KINDS[2 - 1]
     assert kind in ("zip", "unzip") and degree == 1
     assert foamword._SWAP_KINDS[2 - 2][:2] == ("digon_removal", -2)
-    kinds, shift = foamword._swap_keys(2)[1]  # any other difference shifts
-    assert kinds.get(1 - 3, shift)[:2] == ("shift", 0)
+    assert swap_keys[1][1 - 3][:2] == ("shift", 0)  # any other difference shifts
     report(12, t0, "permutation t4 t5 t3 t4 t5 t2 with standard intermediates")

@@ -5,11 +5,17 @@ import itertools
 
 import pytest
 
-from reference import canonical_flow, superstandard
+from reference import (
+    canonical_flow,
+    colstrict_to_multipartition,
+    degree_by_rows,
+    flow_to_colstrict,
+    iota_by_rows,
+    superstandard,
+)
 from sl3web.bijection import (
     MOVE_TABLE,
     _classify,
-    _next_node,
     cap_step,
     classify_step,
     grow,
@@ -20,9 +26,9 @@ from sl3web.bijection import (
     survey_web,
 )
 from sl3web.checks import classical_sign_strings
-from sl3web.flows import COLORS, boundary_state, enumerate_flows, flow_to_colstrict
+from sl3web.flows import COLORS, boundary_state, enumerate_flows
 from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, web_from_tableau
-from sl3web.tableaux import Multipartition3, StdMultitableau3, bkw_degree
+from sl3web.tableaux import Multipartition3, StdMultitableau3, _abacus, _place, bkw_degree
 
 HALF_THETA = web_from_tableau(((1, 1, 2), (2, 3, 3)))
 NESTED = web_from_tableau(((1, 2, 3), (2, 4, 4)))
@@ -251,8 +257,9 @@ def _shift_rule(web):
     return web.ell - next((k for k, w in enumerate(top) if w != 3), len(top))
 
 
-def test_residue_shift_is_fixed_per_web():
-    # every small web, classical boundary or not: all flows' shapes share the shift
+def _small_webs():
+    """Every basis web with n <= 6, and every web of up to three rungs on 3 or 4
+    strands at ell 1 or 2, classical boundary or not."""
     webs = [web for signs in classical_sign_strings(6) for _rows, web in enumerate_basis(signs)]
     for n, ell in ((3, 1), (3, 2), (4, 2)):
         for length in range(1, 4):
@@ -260,17 +267,60 @@ def test_residue_shift_is_fixed_per_web():
                 web = build_web(LTWord(factors), n, ell)
                 if web is not None:
                     webs.append(web)
+    return webs
+
+
+def test_residue_shift_is_fixed_per_web():
+    # all flows' shapes on a web share the shift
+    webs = _small_webs()
     assert any(web.layers[-1][0] == 3 for web in webs)
     for web in webs:
         for flow in enumerate_flows(web):
             assert shape_of_boundary(web, flow.layers[-1]).m == _shift_rule(web), (web, flow)
 
 
+def test_shape_of_boundary_is_the_column_strict_reading():
+    # the components read straight off the top layer, against the column-strict tableau
+    flows = 0
+    for web in _small_webs():
+        for flow in enumerate_flows(web):
+            top = flow.layers[-1]
+            want = colstrict_to_multipartition(flow_to_colstrict(web, top))
+            assert shape_of_boundary(web, top) == want, (web, flow)
+            flows += 1
+    assert flows > 1000
+    # a top layer whose colors are not held ell times each raises as the reading does
+    top = (frozenset({1, 2}), frozenset({1}), frozenset({3}))
+    for read in (shape_of_boundary, flow_to_colstrict):
+        with pytest.raises(RuntimeError, match="color 2 held by 1 strands, not 2"):
+            read(HALF_THETA, top)
+
+
+def _filled(fill, web, flow):
+    try:
+        return fill(web, flow)
+    except RuntimeError as e:
+        return str(e)
+
+
+def test_iota_fills_as_the_row_growth_does():
+    # the abacus placement against row lengths grown node by node, refusals included
+    refused = 0
+    for web in _small_webs():
+        if cap_step(web) is None:
+            for flow in enumerate_flows(web):
+                filled = _filled(iota, web, flow)
+                assert filled == _filled(iota_by_rows, web, flow), (web, flow)
+                refused += isinstance(filled, str)
+    assert refused > 0
+
+
 def test_next_node_needs_a_cell_above():
     # residue m names row 2 of rows [1, 1]; its next cell (2, 2) has no cell above it
     for m in (2, 3):
-        with pytest.raises(RuntimeError, match="offers 0 nodes of residue"):
-            _next_node([1, 1], 1, m, m)
+        masks = (_abacus((1, 1), m), _abacus((), m), _abacus((), m))
+        with pytest.raises(RuntimeError, match="component 1 offers 0 nodes of residue"):
+            _place(masks, (1,), m, m)
 
 
 def test_survey_records_match_iota_and_bkw_degree():
@@ -283,8 +333,8 @@ def test_survey_records_match_iota_and_bkw_degree():
             for (j, d, w, moves, t), ref in zip(entry.records, flows, strict=True):
                 assert (j, w, moves) == (ref.state, ref.exponent, ref.moves)
                 filled = iota(web, ref)
-                assert t == filled
-                assert d == bkw_degree(filled)[0]
+                assert t == filled == iota_by_rows(web, ref)
+                assert d == bkw_degree(filled)[0] == degree_by_rows(filled)[0]
                 assert j == boundary_state(web, ref)
 
 

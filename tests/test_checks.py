@@ -122,7 +122,8 @@ def _failing_boundaries(max_n):
 
 
 def test_multiplicity_correction_off_by_one_fails_the_degree_checks(monkeypatch):
-    # a triple entry corrected by 2, not 3: only the three boundaries with such a rung see it
+    # a triple entry corrected by 2, not 3: only the three boundaries with such a rung see
+    # it; `tableaux._place` reads the table at each call
     monkeypatch.setattr(tableaux, "_MULTIPLICITY_CORRECTION", {1: 0, 2: 1, 3: 2})
     triples = ["+--++-", "+--+-+", "+---++"]
     assert _failing_boundaries(6) == dict.fromkeys(
@@ -342,6 +343,57 @@ def test_dot_generators_dropped_fail_homogeneity(monkeypatch, capsys):
     _foam_basis_fails_with(capsys, error)
 
 
+def test_failing_halves_are_built_once_per_boundary(monkeypatch):
+    # homogeneity and cellular both read the halves; the exception their build raised
+    # is kept, so each check fails with it and the halves are not built again
+    monkeypatch.setattr(foamword, "_dot_generators", lambda dots: ())
+    real, built = checks.cellular_halves, []
+    monkeypatch.setattr(checks, "cellular_halves", lambda surveys: built.append(1) or real(surveys))
+    every = checks.classical_sign_strings(5)
+    results = checks.run_checks(list(checks.CHECKS), every)
+    assert len(built) == len(every) == 20
+    for r in results:
+        assert r["ok"] == (r["check"] not in ("homogeneity", "cellular")), r
+        if not r["ok"]:
+            ce = r["counterexample"]
+            assert ce["error"].startswith("RuntimeError: basis foam degree: dots of "), ce
+            assert ce["replay"] == f"sl3web verify {r['check']} --signs {r['signs']}"
+
+
+def test_a_failing_part_raises_the_same_exception_on_every_read(monkeypatch):
+    calls = []
+
+    def broken(basis):
+        calls.append(basis)
+        raise RuntimeError("seeded invariant break")
+
+    monkeypatch.setattr(checks, "survey", broken)
+    b = checks.Boundary(SIGNS)
+    errors = []
+    for part in ("surveys", "vectors", "halves", "generators", "surveys"):
+        with pytest.raises(RuntimeError, match="seeded invariant break") as caught:
+            getattr(b, part)
+        errors.append(caught.value)
+    assert len(calls) == 1 and all(e is errors[0] for e in errors)
+    assert b.basis == enumerate_basis(SIGNS)  # a part that built is read as before
+
+
+def test_blocked_swap_fails_homogeneity_and_cellular(monkeypatch):
+    # a frame whose neighbour test forbids every swap: the halves' walk raises
+    real = foamword._frame
+
+    def blocking(shape):
+        residues, _blocked = real(shape)
+        return residues, (frozenset(range(len(residues))),) * len(residues)
+
+    monkeypatch.setattr(foamword, "_frame", blocking)
+    for name in ("homogeneity", "cellular"):
+        ce = _failure(name)
+        assert ce["error"].startswith("RuntimeError: transposition t"), ce
+        assert " left the standard fillings on the way from " in ce["error"]
+        assert ce["replay"] == f"sl3web verify {name} --signs {SIGNS}"
+
+
 def test_pair_without_dots_fails_basis_assembly(monkeypatch):
     # a pair weighs d_top + d_bot only if its state's dots weigh twice the superstandard degree
     monkeypatch.setattr(foamword, "_dot_generators", lambda dots: ())
@@ -398,9 +450,10 @@ def test_verify_reflects_no_half_word():
 
 
 def test_frontier_that_never_advances_fails_roundtrip(monkeypatch):
-    # the survey's rows grow where each entry's degree share is counted
-    frozen = _mutant(tableaux, "grown[node.row - 1] += 1", "pass")
-    monkeypatch.setattr(bijection, "_entry_degree", frozen._entry_degree)
+    # the survey's abacus grows where each entry's degree share is counted: a node
+    # placed without moving its bead leaves the next node of its row no room
+    frozen = _mutant(tableaux, "grown[l - 1] = mask ^ 3 << shift", "grown[l - 1] = mask")
+    monkeypatch.setattr(bijection, "_place", frozen._place)
     assert "offers 0 nodes" in _failure("roundtrip")["error"]
 
 

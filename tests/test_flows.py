@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from reference import canonical_flow, closed_weight, divided_power_identity_holds
+from reference import canonical_flow, closed_weight, divided_power_identity_holds, flow_to_colstrict
 from sl3web import checks, cli, flows
 from sl3web.bijection import survey, survey_web
 from sl3web.checks import classical_sign_strings
@@ -19,7 +19,6 @@ from sl3web.flows import (
     enumerate_flows,
     flow_at,
     flow_from_moves,
-    flow_to_colstrict,
     flow_vector,
     tableau_state,
     tensor_expansion,

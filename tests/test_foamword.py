@@ -7,11 +7,13 @@ import pytest
 
 from reference import (
     canonical_flow,
+    colstrict_to_multipartition,
     expand_repeats,
     nodes_after,
     residue_sequence,
     superstandard,
     swap_keeps_standard,
+    swap_walk,
 )
 from sl3web import foamword
 from sl3web.bijection import iota, survey, survey_web
@@ -32,7 +34,6 @@ from sl3web.tableaux import (
     Node,
     StdMultitableau3,
     bkw_degree,
-    colstrict_to_multipartition,
     residue,
 )
 
@@ -179,15 +180,15 @@ def test_dots_closed_form_matches_the_node_by_node_walk():
 
 def _walk(t):
     """(v, residue of v's node, residue of v + 1's node, rows after the swap) per
-    swap of `_swap_walk` from the all-distinct filling t to the superstandard one."""
-    flat, node_of = foamword._node_order(t.rows)
-    residues, blocked = foamword._frame(t.shape)
+    swap of the reference walk from the all-distinct filling t to the superstandard
+    one; `_half_keys` walks it inline."""
+    rows = [[list(row) for row in comp] for comp in t.rows]
     out = []
-    for v, low, high in foamword._swap_walk(node_of, blocked, t):
-        flat[low], flat[high] = v + 1, v
-        it = iter(flat)
-        rows = tuple(tuple(tuple(itertools.islice(it, n)) for n in comp) for comp in t.shape.components)
-        out.append((v, residues[low], residues[high], rows))
+    for v, low, high in swap_walk(t):
+        rows[low.comp - 1][low.row - 1][low.col - 1] = v + 1
+        rows[high.comp - 1][high.row - 1][high.col - 1] = v
+        out.append((v, residue(low, t.shape.m), residue(high, t.shape.m),
+                    tuple(tuple(map(tuple, comp)) for comp in rows)))
     return out
 
 
@@ -215,16 +216,18 @@ def _blocking_every_node(monkeypatch):
 
     def blocking(shape):
         residues, _blocked = real(shape)
-        return residues, (tuple(range(len(residues))),) * len(residues)
+        return residues, (frozenset(range(len(residues))),) * len(residues)
 
     monkeypatch.setattr(foamword, "_frame", blocking)
 
 
 def test_permutation_raises_when_a_swap_breaks_standardness(monkeypatch):
+    # the first node holds 2, so the walk's first swap is t1, and the seeded frame blocks it
     _blocking_every_node(monkeypatch)
     start = StdMultitableau3(mp((1,), (), (1,)), (((2,),), (), ((1,),)))
-    with pytest.raises(RuntimeError, match="left the standard fillings"):
-        _walk(start)
+    with pytest.raises(RuntimeError, match="^transposition t1 left the standard fillings on the way "
+                       r"from \(2, @, 1\) to the superstandard filling$"):
+        _half(start)
 
 
 def test_frame_neighbours_are_the_swaps_that_break_standardness():
@@ -237,7 +240,7 @@ def test_frame_neighbours_are_the_swaps_that_break_standardness():
         residues, blocked = foamword._frame(shape)
         assert list(residues) == [residue(node, shape.m) for node in nodes]
         for (a, low), (b, high) in itertools.permutations(enumerate(nodes), 2):
-            assert (b in blocked[a]) == (not swap_keeps_standard(low, high)), (shape, low, high)
+            assert (a in blocked[b]) == (not swap_keeps_standard(low, high)), (shape, low, high)
             pairs += 1
     assert len(shapes) > 100 and pairs > 10000
 
@@ -255,8 +258,9 @@ def test_permutation_theta_canonical():
 
 
 def _swap_kind(res_low, res_high):
-    kinds, shift = foamword._swap_keys(2)[1]
-    kind, degree, _position, _count = kinds.get(res_low - res_high, shift)
+    # swap t1's key in the table of a shape with more nodes than the residues differ by
+    diff = res_low - res_high
+    kind, degree, _position, _count = foamword._swap_keys(abs(diff) + 2)[1][diff]
     return kind, degree
 
 

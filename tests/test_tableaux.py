@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 from reference import (
     add_node,
     addable_nodes,
+    colstrict_to_multipartition,
+    degree_by_rows,
+    entry_degree,
     expand_repeats,
     is_column_strict,
     multipartition_to_colstrict,
+    next_node,
     nodes_after,
     nodes_with_entry,
     removable_nodes,
@@ -30,8 +34,11 @@ from sl3web.tableaux import (
     Multipartition3,
     Node,
     StdMultitableau3,
+    _abacus,
+    _abacus_rows,
+    _empty_abacus,
+    _place,
     bkw_degree,
-    colstrict_to_multipartition,
     residue,
 )
 
@@ -374,6 +381,32 @@ def test_degree_matches_node_by_node_definition():
         shifted = StdMultitableau3(mp(*t.shape.components, m=t.shape.m + 1), t.rows)
         for u in (t, shifted):
             assert bkw_degree(u) == _reference_degree(u), u
+
+
+def test_abacus_places_and_weighs_as_the_row_lengths_do():
+    # every filling with at most six nodes, at its shift m and at m + 1: each entry's
+    # nodes and degree share on the abacus, against the row lengths grown node by node
+    entries = 0
+    for t in _fillings(6):
+        for m in (t.shape.m, t.shape.m + 1):
+            u = StdMultitableau3._make((mp(*t.shape.components, m=m), t.rows))  # t is standard
+            masks, lengths, breakdown = _empty_abacus(m), ([], [], []), []
+            occ = u.entries()
+            for j in range(1, u.max_entry + 1):
+                nodes, i = occ[j], u.shape.residue(occ[j][0])
+                comps = [node.comp for node in nodes]
+                want = [next_node(lengths[l - 1] + [0] * (m - len(lengths[l - 1])), l, i, m)
+                        for l in comps]
+                masks, share, cells = _place(masks, comps, i, m)
+                assert [Node(r + 1, c + 1, l + 1) for l, r, c in cells] == list(nodes) == want
+                assert share == entry_degree(lengths, m, nodes, i), (u, j)
+                breakdown.append(share)
+                entries += 1
+            assert [_abacus_rows(mask, m) for mask in masks] == [
+                list(comp) + [0] * (m - len(comp)) for comp in u.shape.components]
+            assert masks == tuple(_abacus(comp, m) for comp in u.shape.components)
+            assert bkw_degree(u) == degree_by_rows(u) == (sum(breakdown), breakdown), u
+    assert entries > 100000
 
 
 def test_dots_match_truncation_definition():
