@@ -11,13 +11,13 @@ loads only for CSV output).
 Each verb builds only what it prints.  `flows enumerate` builds no flow: it writes the
 rows' texts off the flow-prefix walk (`flows._flow_walk`), each prefix's text its
 parent's plus one move and one layer; `flows expand` expands the top layers' counts, one
-polynomial per state; `bij iota` builds the one flow it fills.  With --format json,
-`foam basis` and the `flows` actions fill one row template per row.
+polynomial per state; `bij iota` builds the one flow it fills; `foam basis` writes off the
+cells (`foamword.cellular_blocks`), each shape's and filling's text made once.  With
+--format json, `foam basis` and the `flows` actions fill one row template per row.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import re
@@ -39,14 +39,14 @@ from sl3web.flows import (
 )
 from sl3web.foamword import (
     boundary_strand_count,
+    cellular_blocks,
     dot_placement,
-    enumerate_cellular_basis,
     graded_dim_pair,
     idempotent,
 )
 from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, sign_weights
 from sl3web.presets import PRESET_NAMES, preset_web
-from sl3web.tableaux import Multipartition3, StdMultitableau3, tableau_cells
+from sl3web.tableaux import Multipartition3, StdMultitableau3
 
 
 class UsageError(Exception):
@@ -301,16 +301,23 @@ def cmd_bij(args) -> int:
 
 def cmd_foam(args) -> int:
     if args.action == "basis":
-        basis = enumerate_cellular_basis(_signs(args, "foam basis"))
-        # each shape and filling recurs in many foams: write its text once, a filling's
-        # keyed by its rows; a JSON row holds that text as a string, and a filling's
-        # text (digits, brackets, commas, spaces) needs no escaping, only quotes
+        # a state's texts are made at its first upper: a filling's fills the shape's
+        # template, [row, col, comp, entry] per node, with its entries in reading order;
+        # JSON quotes each text as a string (json.dumps leaves '{}' as it is)
         quote = json.dumps if args.format == "json" else str
-        shapes = functools.cache(lambda shape: quote(json.dumps(shape.to_json(), sort_keys=True)))
-        wrap = '"{}"' if args.format == "json" else "{}"
-        cells = functools.cache(lambda rows: wrap.format(json.dumps(tableau_cells(rows))))
-        rows = [(shapes(f.shape), cells(f.top_tableau.rows), cells(f.bottom_tableau.rows),
-                 f.degree) for f in basis]
+        states, rows = {}, []
+        for shape, _top, d_top, lowers in cellular_blocks(_signs(args, "foam basis")):
+            if (state := states.get(id(lowers))) is None:
+                template = quote("[" + ", ".join(
+                    f"[{r}, {c}, {l}, {{}}]" for l, comp in enumerate(shape.components, start=1)
+                    for r, length in enumerate(comp, start=1) for c in range(1, length + 1)) + "]")
+                cells = [(template.format(*[v for comp in t.rows for row in comp for v in row]), d)
+                         for t, d, _h in lowers]
+                state = states[id(lowers)] = (quote(json.dumps(shape.to_json(), sort_keys=True)),
+                                              cells, iter(cells))
+            text, cells, uppers = state
+            top = next(uppers)[0]  # a state's uppers come in the order of its lowers
+            rows.extend((text, top, bottom, d_top + d) for bottom, d in cells)
         _emit_rows(args, _BASIS_ROW, rows, ["shape", "top", "bottom", "degree"])
         return 0
     if args.action == "dims":

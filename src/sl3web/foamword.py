@@ -13,6 +13,8 @@ keeps the sum of their degrees.  It raises unless that sum is the filling's
 degree drop and the dots weigh twice the superstandard degree.  A pair weighs
 its two filling degrees once `reflections`, which builds each distinct
 generator and its reflection, has checked that each reflection keeps its degree.
+`cellular_blocks` lists the basis by its cells, one block per upper half;
+`enumerate_cellular_basis` flattens them, one foam per block and lower.
 """
 
 from __future__ import annotations
@@ -266,16 +268,16 @@ class BasisFoam(NamedTuple):
         )
 
 
-def enumerate_cellular_basis(S) -> list[BasisFoam]:
-    """All basis foams over a classical sign string, as a list: one per
-    boundary state and ordered pair of flows with that state, in key order
-    (residue sequence, top filling's rows, bottom filling's rows).
+def cellular_blocks(S) -> list[tuple]:
+    """The basis over a classical sign string by its cells: per upper half, in key order
+    (residue sequence, top filling's rows), (shape, top filling, top degree, lowers), the
+    lowers its state's (filling, degree, half degree) sorted by rows, one list shared by
+    every upper of the state.  So a state's uppers come in the order of its lowers.
 
     A foam is a lower half, the dots and a reflected upper half: it weighs d_top + d_bot
     once each half weighs its degree drop, each state's dots twice its superstandard
     degree (`cellular_halves` checks both) and each distinct generator's reflection as
-    much as it (`reflections`).  States with one residue sequence are taken together,
-    each state's halves sorted once and the group's upper halves once.
+    much as it (`reflections`); all of it is checked before the list is returned.
     """
     states = list(cellular_halves(survey(enumerate_basis(S))))
     reflections(states)
@@ -283,13 +285,19 @@ def enumerate_cellular_basis(S) -> list[BasisFoam]:
     for state in states:
         groups.setdefault(state.residues, []).append(
             (state.shape, sorted(state.halves, key=lambda h: h[0].rows)))
-    basis = []
+    blocks = []
     for _residues, group in sorted(groups.items()):
-        uppers = [(t, d, shape, lowers) for shape, lowers in group for t, d, _h in lowers]
-        uppers.sort(key=lambda upper: upper[0].rows)
-        for top, d_top, shape, lowers in uppers:
-            basis.extend(BasisFoam(shape, top, t, d_top + d) for t, d, _h in lowers)
-    return basis
+        uppers = [(shape, t, d, lowers) for shape, lowers in group for t, d, _h in lowers]
+        blocks.extend(sorted(uppers, key=lambda upper: upper[1].rows))
+    return blocks
+
+
+def enumerate_cellular_basis(S) -> list[BasisFoam]:
+    """All basis foams over a classical sign string, as a list: one per boundary state
+    and ordered pair of flows with that state, in key order (residue sequence, top
+    filling's rows, bottom filling's rows); the flattening of `cellular_blocks`."""
+    return [BasisFoam(shape, top, t, d_top + d)
+            for shape, top, d_top, lowers in cellular_blocks(S) for t, d, _h in lowers]
 
 
 def graded_dim_pair(a: WebSurvey, b: WebSurvey) -> LaurentPoly:

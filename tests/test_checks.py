@@ -378,7 +378,7 @@ def test_a_failing_part_raises_the_same_exception_on_every_read(monkeypatch):
     assert b.basis == enumerate_basis(SIGNS)  # a part that built is read as before
 
 
-def test_blocked_swap_fails_homogeneity_and_cellular(monkeypatch):
+def test_blocked_swap_fails_homogeneity_and_cellular(monkeypatch, capsys):
     # a frame whose neighbour test forbids every swap: the halves' walk raises
     real = foamword._frame
 
@@ -392,6 +392,7 @@ def test_blocked_swap_fails_homogeneity_and_cellular(monkeypatch):
         assert ce["error"].startswith("RuntimeError: transposition t"), ce
         assert " left the standard fillings on the way from " in ce["error"]
         assert ce["replay"] == f"sl3web verify {name} --signs {SIGNS}"
+    _foam_basis_fails_with(capsys, ce["error"])
 
 
 def test_pair_without_dots_fails_basis_assembly(monkeypatch):
@@ -414,12 +415,13 @@ def test_reflection_that_changes_a_degree_fails_basis_assembly(monkeypatch):
         foamword.enumerate_cellular_basis(SIGNS)
 
 
-def test_digon_swap_taken_for_a_shift_fails_homogeneity(monkeypatch):
+def test_digon_swap_taken_for_a_shift_fails_homogeneity(monkeypatch, capsys):
     # the half's degree no longer makes its filling's degree drop
     monkeypatch.setitem(foamword._SWAP_KINDS, 0, ("shift", 0, 0))
     ce = _failure("homogeneity")
     assert ce["error"].startswith("RuntimeError: half foam degree")
     assert ce["replay"] == f"sl3web verify homogeneity --signs {SIGNS}"
+    _foam_basis_fails_with(capsys, ce["error"])
     with pytest.raises(RuntimeError, match="half foam degree"):
         foamword.enumerate_cellular_basis(SIGNS)
 
@@ -517,3 +519,25 @@ def test_verify_and_foam_basis_build_no_flow(monkeypatch, capsys):
         monkeypatch.setattr(module, "Flow", refuse)
     for argv, want in zip(argvs, plain):
         assert (main(argv), capsys.readouterr().out) == want, argv
+
+
+def test_foam_basis_builds_no_basis_foam(monkeypatch, capsys):
+    # `foam basis` writes its rows off the cells, one per state and ordered pair of its
+    # halves, with no record per foam
+    argvs = [["--format", fmt, "foam", "basis", "--signs", "-+--++"]
+             for fmt in ("json", "text", "csv")]
+    plain = [(main(argv), capsys.readouterr().out) for argv in argvs]
+    assert all(code == 0 and out for code, out in plain)
+
+    def refuse(*fields):
+        raise AssertionError("a basis foam was built")
+
+    monkeypatch.setattr(foamword, "BasisFoam", refuse)
+    for argv, want in zip(argvs, plain):
+        assert (main(argv), capsys.readouterr().out) == want, argv
+    for signs in checks.classical_sign_strings(5):
+        b = checks.Boundary(signs)
+        count = sum(len(halves) ** 2 for _shape, _residues, halves, _keys in b.halves)
+        assert count == sum(br(1) for _u, _v, br in b.brackets)
+        assert main(["--format", "json", "foam", "basis", "--signs", signs]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == count, signs

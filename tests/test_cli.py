@@ -472,15 +472,21 @@ BASIS_JSON = [*checks.classical_sign_strings(5),
 
 @pytest.mark.parametrize("signs", BASIS_JSON)
 def test_foam_basis_json_is_the_dumps_of_its_row_dicts(capsys, signs):
-    # the rows are written from texts made once per shape and filling; the oracle is
-    # one row dict per foam, dumped whole
+    # the rows are written by cells, from texts made once per shape and filling; the
+    # oracle is one row dict per foam of enumerate_cellular_basis, dumped whole, and
+    # what `_emit` writes of those dicts in each format
+    columns = ["shape", "top", "bottom", "degree"]
     rows = [{"shape": json.dumps(f.shape.to_json(), sort_keys=True),
              "top": json.dumps(tableau_cells(f.top_tableau.rows)),
              "bottom": json.dumps(tableau_cells(f.bottom_tableau.rows)),
              "degree": f.degree} for f in enumerate_cellular_basis(signs)]
-    code, out = run_cli(capsys, "--format", "json", "foam", "basis", "--signs", signs)
-    assert code == 0 and len(rows) > 0
-    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert len(rows) > 0
+    for fmt in ("json", "text", "csv"):
+        cli._emit(argparse.Namespace(format=fmt), rows, columns)
+        want = capsys.readouterr().out
+        assert run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs) == (0, want), fmt
+        if fmt == "json":
+            assert want == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 # every basis web with n <= 5, by its word, and every preset
