@@ -10,9 +10,10 @@ usage errors build the argparse parser of every verb, and only they load argpars
 loads only for CSV output).
 Each verb builds only what it prints.  `flows enumerate` builds no flow: it writes the
 rows' texts off the flow-prefix walk (`flows._flow_walk`), each prefix's text its
-parent's plus one move and one layer; `flows expand` expands the top layers' counts, one
-polynomial per state; `bij iota` builds the one flow it fills; `foam basis` writes off the
-cells (`foamword.cellular_blocks`), each shape's and filling's text made once.  With
+parent's plus one move and one layer; both `flows` actions write one text per state,
+from the top layer and (`flows expand`) its counts, with no polynomial or state tuple;
+`bij iota` builds the one flow it fills; `foam basis` writes off the cells
+(`foamword.cellular_blocks`), each shape's and filling's text made once.  With
 --format json, `foam basis` and the `flows` actions fill one row template per row.
 """
 
@@ -28,14 +29,13 @@ from collections import Counter
 from sl3web import checks
 from sl3web.bijection import cap_step, grow, iota, roundtrip_holds, survey
 from sl3web.flows import (
+    _SUBSET_STATE,
     ClosedWeb,
     _bottom_subsets,
     _flow_walk,
     _top_counts,
-    _top_state,
     bracket,
     flow_at,
-    tensor_expansion,
 )
 from sl3web.foamword import (
     boundary_strand_count,
@@ -45,6 +45,7 @@ from sl3web.foamword import (
     idempotent,
 )
 from sl3web.ladderweb import LadderWeb, LTWord, build_web, enumerate_basis, sign_weights
+from sl3web.laurent import at_minus_q, poly_text
 from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import Multipartition3, StdMultitableau3
 
@@ -67,6 +68,8 @@ _EXPANSION_ROW = '  {{\n    "coefficient": "{1}",\n    "state": "{0}"\n  }}'
 # the JSON text of each subset of the colors, as json.dumps(sorted(subset)) writes it
 _SUBSET_TEXT = {frozenset(s): json.dumps(s)
                 for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])}
+# the text of a classical strand's state, by the subset it holds
+_STATE_TEXT = {s: str(state) for s, state in _SUBSET_STATE.items()}
 
 
 def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
@@ -212,18 +215,34 @@ def cmd_webs(args) -> int:
     return 0
 
 
+def _state_text(web: LadderWeb):
+    """The function from a top layer of the web to its state's text, as json.dumps writes
+    the state's list: the classical strands' positions are read once, per call."""
+    strands = [k for k, w in enumerate(web.layers[-1]) if w in (1, 2)]
+    return lambda top: "[" + ", ".join([_STATE_TEXT[top[k]] for k in strands]) + "]"
+
+
 def _flow_rows(web: LadderWeb) -> list[tuple]:
     """(index, moves, strands, state, weight) of each flow on the web, the lists as JSON
     text.  A prefix's texts are its parent's plus one move and one layer, so each prefix
     writes one layer; nearly every prefix's layer and every flow's top is its own, so no
-    text is cached.  A state of ints is written as json.dumps(list(state)) writes it."""
-    subset = _SUBSET_TEXT.__getitem__
+    text is cached.  A state's text is written from its top layer."""
+    subset, state = _SUBSET_TEXT.__getitem__, _state_text(web)
     moves = {s: ", " + text for s, text in _SUBSET_TEXT.items()}
     walk = _flow_walk(web, ("", "[[" + ", ".join(map(subset, _bottom_subsets(web))) + "]"),
                       lambda p, move, layer: (p[0] + moves[move[0]],
                                            p[1] + ", [" + ", ".join(map(subset, layer)) + "]"))
-    return [(idx, "[" + m[2:] + "]", s + "]", "[" + ", ".join(map(str, _top_state(top))) + "]",
-             weight) for idx, (top, weight, (m, s)) in enumerate(walk)]
+    return [(idx, "[" + m[2:] + "]", s + "]", state(top), weight)
+            for idx, (top, weight, (m, s)) in enumerate(walk)]
+
+
+def _expansion_rows(web: LadderWeb) -> list[tuple]:
+    """(state, coefficient) texts of each top layer of the web and its counts, q -> -q,
+    by state text descending: the state order, as a web's states share one strand count,
+    each value is -1, 0 or 1, and '-' < '0' < '1'."""
+    state = _state_text(web)
+    return sorted(((state(top), poly_text(counts, at_minus_q))
+                   for top, counts in _top_counts(web, {}).items()), reverse=True)
 
 
 def cmd_flows(args) -> int:
@@ -236,12 +255,8 @@ def cmd_flows(args) -> int:
                        f"weight={r['weight']}"
                    ))
         return 0
-    # a top layer fixes the state: one polynomial per state
-    expansion = sorted(((_top_state(top), p)
-                        for top, p in tensor_expansion(_top_counts(web, {})).items()),
-                       reverse=True)
-    rows = [("[" + ", ".join(map(str, j)) + "]", str(p)) for j, p in expansion]
-    _emit_rows(args, _EXPANSION_ROW, rows, ["state", "coefficient"])
+    # one text per state, written from its top layer and its counts
+    _emit_rows(args, _EXPANSION_ROW, _expansion_rows(web), ["state", "coefficient"])
     return 0
 
 

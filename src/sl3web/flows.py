@@ -9,8 +9,8 @@ a table local to the call, and rung exponents have no cache.  `_flow_walk` is th
 one walk over a web's flow prefixes, rung by rung on one move table; each reader
 builds only what it needs of a prefix from its parent's: `enumerate_flows` the
 moves and layers tuples, `flow_at` a link to the parent, unwound for the one flow
-it returns, the CLI's `flows enumerate` the rows' text, and `bijection.survey_web`
-the filling's row lengths, degree and moves.
+it returns, the CLI's `flows enumerate` the rows' text (a state's from its top layer),
+and `bijection.survey_web` the filling's row lengths, degree and moves.
 
 Every rung transition carries an integer exponent (an inversion count
 between the moved colors and the colors staying behind or already present);
@@ -18,7 +18,8 @@ the sum over rungs is the weight of the flow on a web with boundary, carried
 by the flow as `exponent` next to its boundary `state`.  The flow vector
 A_w(j) of a web sums q^-weight over its flows of state j.  `_top_counts`
 counts a web's flow prefixes per exponent and top layer, building no flow; a
-top layer fixes the state, so `web_vector` is one polynomial per top layer.
+top layer fixes the state, so `web_vector` is one polynomial per top layer, and
+the CLI's `flows expand` writes one text per state, from the top layer and its counts.
 `flow_vector` sums (state, weight) pairs, the checks' from the survey's records.
 A closed web, presented as a pair (u, v) glued along a common boundary,
 adds one plus the boundary state per strand, so its bracket is the
@@ -36,7 +37,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from sl3web.laurent import LaurentPoly
+from sl3web.laurent import LaurentPoly, at_minus_q
 from sl3web.ladderweb import LadderWeb
 
 COLORS = (1, 2, 3)
@@ -295,16 +296,13 @@ def closed_flows(closed: ClosedWeb) -> list[ClosedFlow]:
 
 
 def tensor_expansion(vector: dict) -> dict:
-    """Coefficients of a web on elementary tensors, from its flow vector by state or its
-    `_top_counts` by top layer (a top layer fixes the state), keyed as given.
+    """Coefficients of a web on elementary tensors, from its flow vector, keyed by state.
 
     Each flow contributes v^weight with v = -q^(-1), i.e. the monomial
-    (-1)^w q^(-w): the flow vector with q -> -q.
+    (-1)^w q^(-w): the flow vector with q -> -q (`at_minus_q`).
     """
-    return {
-        j: LaurentPoly({e: -c if e % 2 else c for e, c in p.items()})
-        for j, p in vector.items()
-    }
+    return {j: LaurentPoly({e: at_minus_q(e, c) for e, c in p.items()})
+            for j, p in vector.items()}
 
 
 # -- column-strict reading ---------------------------------------------------

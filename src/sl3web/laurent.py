@@ -72,20 +72,27 @@ class LaurentPoly:
     # -- text and JSON forms ---------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            mag = _term_str(abs(c), e)
-            if not parts:
-                parts.append(mag if c > 0 else "-" + mag)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + mag)
-        return " ".join(parts)
+        return poly_text(self._coeffs)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self!s})"
+
+
+def at_minus_q(e: int, c: int) -> int:
+    """The coefficient c of q^e once q -> -q: negated on an odd power."""
+    return -c if e % 2 else c
+
+
+def poly_text(coeffs, sign=None) -> str:
+    """The one text of a polynomial, as `LaurentPoly.__str__` writes it, from its {exponent:
+    nonzero coefficient} mapping, each c of q^e as sign(e, c) if `sign` is given: so
+    `flows expand` writes one text per state from a top layer's counts (`at_minus_q`)."""
+    parts = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e] if sign is None else sign(e, coeffs[e])
+        parts.append(("+ " if c > 0 else "- ") + _term_str(abs(c), e))
+    text = " ".join(parts)  # a leading "+ a" is written "a", a leading "- a" as "-a"
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _term_str(c: int, e: int) -> str:

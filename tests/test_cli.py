@@ -12,10 +12,11 @@ from collections import Counter
 
 import pytest
 
-from sl3web import checks, cli, ladderweb
+from sl3web import checks, cli, flows, ladderweb
 from sl3web.cli import main
-from sl3web.flows import enumerate_flows, flow_vector, tensor_expansion
+from sl3web.flows import _top_counts, _top_state, enumerate_flows, flow_vector, tensor_expansion
 from sl3web.foamword import enumerate_cellular_basis
+from sl3web.laurent import LaurentPoly
 from sl3web.presets import PRESET_NAMES, preset_web
 from sl3web.tableaux import tableau_cells
 
@@ -542,6 +543,40 @@ def test_flows_text_and_csv_write_the_row_dicts(capsys, argv, web):
         writer.writerows(rows)
         code, out = run_cli(capsys, "--format", "csv", "flows", action, *argv)
         assert code == 0 and out == buf.getvalue(), action
+
+
+def test_state_texts_sort_as_the_states():
+    # `flows expand` sorts its rows by state text, which is the order of the state tuples:
+    # a web's states share one strand count, each value is -1, 0 or 1, and '-' < '0' < '1'
+    webs = [web for signs in checks.classical_sign_strings(7)
+            for _rows, web in ladderweb.enumerate_basis(signs)]
+    for web in webs + [preset_web(name) for name in PRESET_NAMES]:
+        text, tops = cli._state_text(web), list(_top_counts(web, {}))
+        states = [_top_state(top) for top in tops]
+        assert [text(top) for top in tops] == [json.dumps(list(j)) for j in states], web
+        assert (sorted(range(len(tops)), key=lambda k: text(tops[k]))
+                == sorted(range(len(tops)), key=states.__getitem__)), web
+        rows = cli._expansion_rows(web)
+        assert [json.loads(j) for j, _c in rows] == sorted(map(list, states), reverse=True), web
+
+
+def test_flow_writers_build_no_polynomial_and_read_no_state_tuple(monkeypatch, capsys):
+    # each row is written from its top layer and, for `flows expand`, its exponent counts
+    real, built = LaurentPoly.__init__, []
+
+    def counted(self, coeffs=None):
+        built.append(coeffs)
+        real(self, coeffs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counted)
+    for module in (flows, cli):
+        monkeypatch.setattr(module, "_top_state", _raise(AssertionError("state tuple read")),
+                            raising=False)
+    for argv, _web in FLOW_WEBS:
+        for fmt, action in itertools.product(("json", "text", "csv"), ("enumerate", "expand")):
+            assert main(["--format", fmt, "flows", action, *argv]) == 0, (fmt, action, argv)
+            assert capsys.readouterr().out
+    assert built == []
 
 
 # Exit code, stdout sha256 and stderr sha256 of argv that argparse itself
