@@ -13,8 +13,9 @@ rows' texts off the flow-prefix walk (`flows._flow_walk`), each prefix's text it
 parent's plus one move and one layer; both `flows` actions write one text per state,
 from the top layer and (`flows expand`) its counts, with no polynomial or state tuple;
 `bij iota` builds the one flow it fills; `foam basis` writes off the cells
-(`foamword.cellular_blocks`), each shape's and filling's text made once.  With
---format json, `foam basis` and the `flows` actions fill one row template per row.
+(`foamword.cellular_blocks`), each shape's and filling's text made once.  A row is a
+tuple in the order of its verb's `COLUMNS`; with --format json, `foam basis` and the
+`flows` actions fill a row template derived from those columns.
 """
 
 from __future__ import annotations
@@ -58,49 +59,65 @@ class UsageError(Exception):
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
 # a sign string that `_normalize_argv` joins onto `--signs`, leading '-' and all
 _SIGNS = re.compile(r"[+\-ox]+")
-# one row of `foam basis`, `flows enumerate` or `flows expand`, its values filled in in
-# column order, as json.dumps lays it out; the flow rows' strings hold digits, brackets,
-# commas, spaces, q, ^, *, + and -, none of which JSON escapes, so the templates quote them
-_BASIS_ROW = '  {{\n    "bottom": {2},\n    "degree": {3},\n    "shape": {0},\n    "top": {1}\n  }}'
-_FLOW_ROW = ('  {{\n    "flow": {0},\n    "moves": "{1}",\n    "state": "{3}",\n'
-             '    "strands": "{2}",\n    "weight": {4}\n  }}')
-_EXPANSION_ROW = '  {{\n    "coefficient": "{1}",\n    "state": "{0}"\n  }}'
 # the JSON text of each subset of the colors, as json.dumps(sorted(subset)) writes it
 _SUBSET_TEXT = {frozenset(s): json.dumps(s)
                 for s in ([], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])}
 # the text of a classical strand's state, by the subset it holds
 _STATE_TEXT = {s: str(state) for s, state in _SUBSET_STATE.items()}
+# the columns of each verb and action that writes rows, in the order its row tuples hold
+# them; the root help lists them, and CSV is refused on any other verb
+COLUMNS = {
+    "webs list": ("tableau", "word", "boundary", "length", "total_length"),
+    "webs show": ("layer", "weights"),
+    "flows enumerate": ("flow", "moves", "strands", "state", "weight"),
+    "flows expand": ("state", "coefficient"),
+    "bij roundtrip": ("word", "flow", "ok"),
+    "foam basis": ("shape", "top", "bottom", "degree"),
+    "foam dims": ("top", "bottom", "graded_dim", "shifted_bracket", "match"),
+}
 
 
-def _emit(args, rows: list[dict], columns: list[str], text_fn=None):
-    if args.format == "json":
-        # json.dumps(rows, indent=2, sort_keys=True), through the C encoder: rows are flat
-        body = ",\n".join("  {\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" for row in rows)
+def _json_template(columns: tuple[str, ...], quoted: tuple[int, ...]) -> str:
+    """One row as `_ROW_ENCODER` lays it out, a format field per column: the columns at
+    `quoted` hold strings that JSON writes as they are, so their fields are quoted; every
+    other column is filled with its value's JSON text."""
+    body = _ROW_ENCODER.encode({c: f"{{{i}}}" for i, c in enumerate(columns)})[1:-1]
+    for i in set(range(len(columns))) - set(quoted):
+        body = body.replace(f'"{{{i}}}"', f"{{{i}}}")
+    return "  {{\n    " + body + "\n  }}"
+
+
+# the row template of each verb whose JSON rows fill one: `foam basis` quotes its texts
+# itself; the `flows` rows' strings hold digits, brackets, commas, spaces, q, ^, *, + and
+# -, none of which JSON escapes
+_TEMPLATES = {verb: _json_template(COLUMNS[verb], quoted) for verb, quoted in (
+    ("foam basis", ()), ("flows enumerate", (1, 2, 3)), ("flows expand", (0, 1)))}
+
+
+def _emit(args, rows: list[tuple], text_fn=None):
+    """Write the rows, tuples in the order of their verb's COLUMNS, as JSON, CSV or text
+    (one line per row: `text_fn` of its values, or column=value pairs)."""
+    verb = f"{args.verb} {args.action}"
+    columns = COLUMNS[verb]
+    if args.format == "json":  # json.dumps(row dicts, indent=2, sort_keys=True)
+        if (template := _TEMPLATES.get(verb)) is not None:
+            body = ",\n".join(template.format(*row) for row in rows)
+        else:
+            body = ",\n".join("  {\n    " + _ROW_ENCODER.encode(dict(zip(columns, row)))[1:-1]
+                              + "\n  }" for row in rows)
         print(f"[\n{body}\n]" if rows else "[]")
     elif args.format == "csv":
         import csv
 
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
     else:
+        line = text_fn or "  ".join(f"{k}={{}}" for k in columns).format
         for row in rows:
-            if text_fn:
-                print(text_fn(row))
-            else:
-                print("  ".join(f"{k}={row[k]}" for k in columns if k in row))
-
-
-def _emit_rows(args, template: str, rows: list[tuple], columns: list[str], text_fn=None):
-    """`_emit` of the rows as dicts over `columns`; JSON fills `template` per row."""
-    if args.format == "json":  # json.dumps(rows, indent=2, sort_keys=True) of the row dicts
-        body = ",\n".join(template.format(*row) for row in rows)
-        print(f"[\n{body}\n]" if rows else "[]")
-    else:
-        _emit(args, [dict(zip(columns, row)) for row in rows], columns, text_fn)
+            print(line(*row))
 
 
 # -- payload parsers: the only source of usage errors ------------------------
@@ -171,9 +188,13 @@ def _json_payload(text: str | None, flag: str, what: str, parse):
     if text is None:
         raise UsageError(f"{what} needs --{flag}")
     try:
-        return parse(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed {flag} JSON at position {e.pos}: {e.msg}") from None
+    except RecursionError:
+        raise UsageError(f"malformed {flag} JSON: nested too deeply to decode") from None
+    try:
+        return parse(data)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -183,22 +204,12 @@ def _json_payload(text: str | None, flag: str, what: str, parse):
 
 def cmd_webs(args) -> int:
     if args.action == "list":
-        rows, skipped = [], 0
-        for tableau, web in enumerate_basis(_signs(args, "webs list")):
-            if web.word.total_length > args.max_total_length:
-                skipped += 1
-                continue
-            rows.append(
-                {
-                    "tableau": "/".join("".join(map(str, r)) for r in tableau),
-                    "word": str(web.word),
-                    "boundary": web.boundary,
-                    "length": web.word.length,
-                    "total_length": web.word.total_length,
-                }
-            )
-        _emit(args, rows, ["tableau", "word", "boundary", "length", "total_length"])
-        if skipped:
+        basis = enumerate_basis(_signs(args, "webs list"))
+        rows = [("/".join("".join(map(str, r)) for r in tableau), str(web.word), web.boundary,
+                 web.word.length, web.word.total_length)
+                for tableau, web in basis if web.word.total_length <= args.max_total_length]
+        _emit(args, rows)
+        if skipped := len(basis) - len(rows):
             print(
                 f"note: {skipped} webs over total length {args.max_total_length} "
                 "suppressed; raise --max-total-length to see them",
@@ -206,12 +217,8 @@ def cmd_webs(args) -> int:
             )
         return 0
     web = _web_from_args(args)
-    rows = [
-        {"layer": i, "weights": " ".join(map(str, layer))}
-        for i, layer in enumerate(web.layers)
-    ]
-    _emit(args, rows, ["layer", "weights"],
-          text_fn=lambda r: f"{r['layer']:>3}  {r['weights']}")
+    _emit(args, [(i, " ".join(map(str, layer))) for i, layer in enumerate(web.layers)],
+          text_fn="{:>3}  {}".format)
     return 0
 
 
@@ -248,15 +255,11 @@ def _expansion_rows(web: LadderWeb) -> list[tuple]:
 def cmd_flows(args) -> int:
     web = _web_from_args(args)
     if args.action == "enumerate":
-        _emit_rows(args, _FLOW_ROW, _flow_rows(web),
-                   ["flow", "moves", "strands", "state", "weight"],
-                   text_fn=lambda r: (
-                       f"flow={r['flow']}  moves={r['moves']}  state={r['state']}  "
-                       f"weight={r['weight']}"
-                   ))
+        # text leaves out the strands
+        _emit(args, _flow_rows(web), text_fn="flow={0}  moves={1}  state={3}  weight={4}".format)
         return 0
     # one text per state, written from its top layer and its counts
-    _emit_rows(args, _EXPANSION_ROW, _expansion_rows(web), ["state", "coefficient"])
+    _emit(args, _expansion_rows(web))
     return 0
 
 
@@ -298,14 +301,12 @@ def cmd_bij(args) -> int:
               else "\n".join(f"{k}: {v}" for k, v in payload.items()))
         return 0
     signs = _signs(args, "bij roundtrip")
-    rows, all_ok = [], True
-    for entry in survey(enumerate_basis(signs)):
-        for idx, (_j, _d, _w, moves, t) in enumerate(entry.records):
-            ok = roundtrip_holds(entry.web, moves, t)
-            all_ok &= ok
-            rows.append({"word": str(entry.web.word), "flow": idx, "ok": ok})
-    _emit(args, rows, ["word", "flow", "ok"],
-          text_fn=lambda r: f"{'pass' if r['ok'] else 'FAIL'}  {r['word']}  flow {r['flow']}")
+    rows = [(str(entry.web.word), idx, roundtrip_holds(entry.web, moves, t))
+            for entry in survey(enumerate_basis(signs))
+            for idx, (_j, _d, _w, moves, t) in enumerate(entry.records)]
+    _emit(args, rows,
+          text_fn=lambda word, idx, ok: f"{'pass' if ok else 'FAIL'}  {word}  flow {idx}")
+    all_ok = all(ok for *_, ok in rows)
     if args.format == "text":
         print(
             f"roundtrip {signs}: "
@@ -333,23 +334,15 @@ def cmd_foam(args) -> int:
             text, cells, uppers = state
             top = next(uppers)[0]  # a state's uppers come in the order of its lowers
             rows.extend((text, top, bottom, d_top + d) for bottom, d in cells)
-        _emit_rows(args, _BASIS_ROW, rows, ["shape", "top", "bottom", "degree"])
+        _emit(args, rows)
         return 0
     if args.action == "dims":
         signs, rows = _signs(args, "foam dims"), []
         for a, b, br in checks.Boundary(signs).brackets:
             gd, shifted = graded_dim_pair(a, b), br.shift(len(signs))
-            rows.append(
-                {
-                    "top": str(a.web.word),
-                    "bottom": str(b.web.word),
-                    "graded_dim": str(gd),
-                    "shifted_bracket": str(shifted),
-                    "match": gd == shifted,
-                }
-            )
-        _emit(args, rows, ["top", "bottom", "graded_dim", "shifted_bracket", "match"])
-        return 0 if all(r["match"] for r in rows) else 1
+            rows.append((str(a.web.word), str(b.web.word), str(gd), str(shifted), gd == shifted))
+        _emit(args, rows)
+        return 0 if all(match for *_, match in rows) else 1
     shape = _json_payload(args.shape, "shape", "foam idem", Multipartition3.from_json)
     word = idempotent(shape)
     if (web := build_web(word, boundary_strand_count(shape), shape.m)) is None:
@@ -393,9 +386,6 @@ def cmd_verify(args) -> int:
 COMMANDS = {"webs": cmd_webs, "flows": cmd_flows, "bij": cmd_bij, "foam": cmd_foam,
             "bracket": cmd_bracket, "verify": cmd_verify}
 VERBS = tuple(COMMANDS)
-# the verbs and actions that write CSV rows, as the root help lists them
-CSV_WRITERS = ("webs list", "webs show", "flows enumerate", "flows expand", "bij roundtrip",
-               "foam basis", "foam dims")
 
 
 # -- parser -------------------------------------------------------------------
@@ -439,13 +429,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl3web",
         description="Webs as ladder words, flows, fillings and symbolic foams.",
-        epilog=(
-            "CSV columns per verb: webs list (tableau, word, boundary, length, "
-            "total_length); webs show (layer, weights); flows enumerate (flow, "
-            "moves, strands, state, weight); flows expand (state, coefficient); "
-            "bij roundtrip (word, flow, ok); foam basis (shape, top, bottom, "
-            "degree); foam dims (top, bottom, graded_dim, shifted_bracket, match)."
-        ),
+        epilog="CSV columns per verb: " + "; ".join(
+            f"{verb} ({', '.join(columns)})" for verb, columns in COLUMNS.items()) + ".",
     )
     for name, kwargs in ARGUMENTS[None][1]:
         parser.add_argument(name, **kwargs)
@@ -539,8 +524,8 @@ def main(argv=None) -> int:
             return 0 if e.code in (0, None) else 2
     try:
         name = f"{args.verb} {getattr(args, 'action', '')}".rstrip()
-        if args.format == "csv" and name not in CSV_WRITERS:
-            raise UsageError(f"{name} writes no CSV; CSV is written by: {', '.join(CSV_WRITERS)}")
+        if args.format == "csv" and name not in COLUMNS:
+            raise UsageError(f"{name} writes no CSV; CSV is written by: {', '.join(COLUMNS)}")
         return COMMANDS[args.verb](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -261,12 +261,6 @@ class BasisFoam(NamedTuple):
     bottom_tableau: StdMultitableau3
     degree: int
 
-    def __str__(self):
-        return (
-            f"F[{self.shape}] top={self.top_tableau} bottom={self.bottom_tableau} "
-            f"deg={self.degree}"
-        )
-
 
 def cellular_blocks(S) -> list[tuple]:
     """The basis over a classical sign string by its cells: per upper half, in key order

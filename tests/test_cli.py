@@ -66,17 +66,49 @@ def test_flows_enumerate_json(capsys):
     assert {r["weight"] for r in rows} == {0, -1, -2}
 
 
-ROWS = [
-    {"quote": 'say "hi"', "slash": "a\\b\\", "text": "h\u00e9llo \u2603", "yes": True, "no": False,
-     "n": -3, "zero": 0},
-    {"single": "[[1, 2], []]"},
-]
+# rows of one key set each, written through a verb patched into COLUMNS
+ROWS = {
+    "mixed": [{"quote": 'say "hi"', "slash": "a\\b\\", "text": "h\u00e9llo \u2603", "yes": True,
+               "no": False, "n": -3, "zero": 0},
+              {"quote": "", "slash": "\\", "text": "\u00e9", "yes": False, "no": True, "n": 7,
+               "zero": 0}],
+    "single-key": [{"single": "[[1, 2], []]"}],
+    "empty": [],
+}
 
 
-@pytest.mark.parametrize("rows", [ROWS, ROWS[1:], []], ids=["mixed", "single-key", "empty"])
-def test_json_rows_are_laid_out_as_indent_two_dumps(capsys, rows):
-    cli._emit(argparse.Namespace(format="json"), rows, [])
+@pytest.mark.parametrize("rows", ROWS.values(), ids=ROWS)
+def test_json_rows_are_laid_out_as_indent_two_dumps(capsys, monkeypatch, rows):
+    columns = tuple(rows[0]) if rows else ("single",)
+    monkeypatch.setitem(cli.COLUMNS, "test rows", columns)
+    args = argparse.Namespace(format="json", verb="test", action="rows")
+    cli._emit(args, [tuple(row[k] for k in columns) for row in rows])
     assert capsys.readouterr().out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+# every character a row template leaves unescaped
+UNESCAPED = "[[0, 1], [2, 3]] 4*q^-5 + 6*q^7 - 8 9"
+# one row dict of each templated verb
+TEMPLATE_ROWS = {
+    "flows enumerate": {"flow": 12, "moves": UNESCAPED, "strands": "[[[1], []], [[2, 3]]]",
+                        "state": "[-1, 0, 1]", "weight": -7},
+    "flows expand": {"state": "[1, -1]", "coefficient": UNESCAPED},
+    "foam basis": {"shape": '{"components": [[2, 1], [], [1]], "m": 2}', "top": UNESCAPED,
+                   "bottom": "[[1, 1, 1, 1]]", "degree": -3},
+}
+
+
+@pytest.mark.parametrize("verb", TEMPLATE_ROWS)
+def test_row_templates_fill_in_what_the_encoder_writes(verb):
+    # the flows rows' strings are filled in as they are; `foam basis` fills in their JSON
+    # texts, as it quotes its texts itself
+    assert set(cli._TEMPLATES) == set(TEMPLATE_ROWS)
+    row = TEMPLATE_ROWS[verb]
+    quote = json.dumps if verb == "foam basis" else str
+    values = [row[k] for k in cli.COLUMNS[verb]]
+    filled = cli._TEMPLATES[verb].format(*[quote(v) if isinstance(v, str) else v for v in values])
+    assert filled == "  {\n    " + cli._ROW_ENCODER.encode(row)[1:-1] + "\n  }"
+    assert filled == json.dumps([row], indent=2, sort_keys=True)[2:-2]
 
 
 def test_flows_expand(capsys):
@@ -188,11 +220,15 @@ SIGNS_VERBS = (["webs", "list"], ["verify", "all"], ["foam", "basis"])
         # after --signs=, which leaves [] for the payload parser to name
         *([*verb, "--signs", "--"] for verb in SIGNS_VERBS),
         *([*verb, "--signs=--"] for verb in SIGNS_VERBS),
+        # nested past the decoder's recursion limit
+        ["bij", "grow", "--tableau", "[" * 100_000],
+        ["foam", "idem", "--shape", '{"a": ' * 100_000 + "1" + "}" * 100_000],
     ],
 )
 def test_malformed_payload_exits_two_without_traceback(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     if argv[-2:] == ["--signs", "--"]:
         assert err.startswith("usage: sl3web ")
@@ -474,20 +510,22 @@ BASIS_JSON = [*checks.classical_sign_strings(5),
 @pytest.mark.parametrize("signs", BASIS_JSON)
 def test_foam_basis_json_is_the_dumps_of_its_row_dicts(capsys, signs):
     # the rows are written by cells, from texts made once per shape and filling; the
-    # oracle is one row dict per foam of enumerate_cellular_basis, dumped whole, and
-    # what `_emit` writes of those dicts in each format
-    columns = ["shape", "top", "bottom", "degree"]
+    # oracle is one row dict per foam of enumerate_cellular_basis, dumped whole, written
+    # by csv.DictWriter and as column=value pairs
     rows = [{"shape": json.dumps(f.shape.to_json(), sort_keys=True),
              "top": json.dumps(tableau_cells(f.top_tableau.rows)),
              "bottom": json.dumps(tableau_cells(f.bottom_tableau.rows)),
              "degree": f.degree} for f in enumerate_cellular_basis(signs)]
     assert len(rows) > 0
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    want = {"json": json.dumps(rows, indent=2, sort_keys=True) + "\n", "csv": buf.getvalue(),
+            "text": "".join("  ".join(f"{k}={v}" for k, v in r.items()) + "\n" for r in rows)}
     for fmt in ("json", "text", "csv"):
-        cli._emit(argparse.Namespace(format=fmt), rows, columns)
-        want = capsys.readouterr().out
-        assert run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs) == (0, want), fmt
-        if fmt == "json":
-            assert want == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        got = run_cli(capsys, "--format", fmt, "foam", "basis", "--signs", signs)
+        assert got == (0, want[fmt]), fmt
 
 
 # every basis web with n <= 5, by its word, and every preset
@@ -619,7 +657,7 @@ NO_CSV_COMMANDS = {
 
 @pytest.mark.parametrize("argv", NO_CSV_COMMANDS.values(), ids=NO_CSV_COMMANDS)
 def test_csv_is_refused_where_no_csv_is_written(capsys, argv):
-    assert set(cli.CSV_WRITERS) == {" ".join(a[:2]) for a in CSV_COMMANDS}
+    assert set(cli.COLUMNS) == {" ".join(a[:2]) for a in CSV_COMMANDS}
     assert main(argv) == 0
     capsys.readouterr()
     assert main(["--format", "csv", *argv]) == 2
